@@ -21,6 +21,14 @@
 #      src/util/ — everything else uses util::Mutex / util::MutexLock /
 #      util::CondVar (DESIGN §2.10), so clang thread-safety analysis and the
 #      debug lock-order checker see every acquisition.
+#   6. One tile-dispatch path (DESIGN §2.6): the deleted `auto` values of
+#      BackendPolicy and OverlapPolicy stay deleted in src/, tests/,
+#      examples/ and bench/, and the eight per-tile entry points
+#      (fastpath::Fast{Membership,Join,Division,Select}, RunMembership,
+#      arrays::Systolic{Join,Division,Select}) are called in src/ only from
+#      the engine's tile dispatcher in src/core/engine.cc — apart from
+#      src/arrays/ and src/fastpath/, which define them (the array-level
+#      intersection and dedup arrays compose RunMembership).
 
 set -u
 cd "$(dirname "$0")/.."
@@ -66,6 +74,20 @@ hits=$(grep -rnE 'std::mutex|std::condition_variable|std::lock_guard|std::unique
   --include='*.cc' --include='*.h' | grep -v '^src/util/' || true)
 if [ -n "$hits" ]; then
   report "raw mutex primitives outside src/util/ (use util::Mutex / util::MutexLock / util::CondVar from util/mutex.h)" "$hits"
+fi
+
+# --- rule 6: one tile-dispatch path, no `auto` backend/overlap policy -------
+hits=$(grep -rnE '(BackendPolicy|OverlapPolicy)::kAuto' src tests examples bench \
+  --include='*.cc' --include='*.cpp' --include='*.h' || true)
+if [ -n "$hits" ]; then
+  report "deleted BackendPolicy/OverlapPolicy kAuto value (use kFast / kOn)" "$hits"
+fi
+hits=$(grep -rnE '\b(Fast(Membership|Join|Division|Select)|RunMembership|Systolic(Join|Division|Select))\(' src \
+  --include='*.cc' --include='*.h' \
+  | grep -vE '^src/(core/engine\.cc|arrays/|fastpath/)' \
+  | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+if [ -n "$hits" ]; then
+  report "per-tile entry point called outside the engine's tile dispatcher (dispatch through db::Engine)" "$hits"
 fi
 
 if [ "$fail" -eq 0 ]; then

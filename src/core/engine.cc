@@ -25,14 +25,6 @@ using arrays::ArrayRunInfo;
 using arrays::FeedMode;
 using rel::Relation;
 
-void ExecStats::AccumulatePass(const ArrayRunInfo& info) {
-  ++passes;
-  cycles += info.cycles;
-  makespan_cycles += info.cycles;
-  busy_cell_cycles += info.sim.busy_cell_cycles;
-  num_compute_cells = std::max(num_compute_cells, info.sim.num_compute_cells);
-}
-
 Engine::Engine(DeviceConfig device) : Engine(device, nullptr) {}
 
 Engine::Engine(DeviceConfig device, std::shared_ptr<ChipPool> shared_pool)
@@ -51,20 +43,20 @@ Engine::Engine(DeviceConfig device, std::shared_ptr<ChipPool> shared_pool)
 size_t Engine::num_chips() const { return std::max<size_t>(1, device_.num_chips); }
 
 Status Engine::RunTiled(
-    size_t count, const std::function<Status(size_t tile, size_t chip)>& task,
+    size_t count, const std::function<Status(size_t tile)>& task,
     ExecStats* stats,
     const std::function<uint64_t(size_t tile)>& tile_checksum) const {
   const auto dispatch =
-      [&](const std::function<Status(size_t, size_t)>& tile_task) -> Status {
+      [&](const std::function<Status(size_t)>& tile_task) -> Status {
     if (pool_ == nullptr || count <= 1) {
       for (size_t tile = 0; tile < count; ++tile) {
-        SYSTOLIC_RETURN_NOT_OK(tile_task(tile, 0));
+        SYSTOLIC_RETURN_NOT_OK(tile_task(tile));
       }
       return Status::OK();
     }
     std::vector<Status> statuses(count);
-    pool_->RunAll(count, [&tile_task, &statuses](size_t tile, size_t chip) {
-      statuses[tile] = tile_task(tile, chip);
+    pool_->RunAll(count, [&tile_task, &statuses](size_t tile, size_t /*chip*/) {
+      statuses[tile] = tile_task(tile);
     });
     for (const Status& status : statuses) {
       SYSTOLIC_RETURN_NOT_OK(status);
@@ -105,7 +97,7 @@ Status Engine::RunTiled(
     }
     Status status;
     try {
-      status = task(tile, chip);
+      status = task(tile);
     } catch (const HardwareFault& fault) {
       // A corrupted word tripped an array invariant mid-pass.
       return Status::DataCorruption(fault.what());
@@ -123,7 +115,7 @@ Status Engine::RunTiled(
     return status;
   };
 
-  const auto recovered = [&](size_t tile, size_t /*worker_chip*/) -> Status {
+  const auto recovered = [&](size_t tile) -> Status {
     // Route by TILE, not by worker thread: which pool worker claims a tile
     // is scheduling-dependent, and the injected faults are keyed by (chip,
     // tile, attempt) — tile-keyed routing makes the whole fault history of
@@ -137,7 +129,7 @@ Status Engine::RunTiled(
       }
       if (attempt > 0) ++retries;
       Status status = attempt_once(tile, *chip, attempt);
-      if (status.ok() && tile_checksum != nullptr &&
+      if (status.ok() &&
           faults::ShadowSampled(plan->seed(), tile,
                                 recovery.shadow_fraction)) {
         // Defense in depth: re-run the tile and require matching output
@@ -180,19 +172,18 @@ Status Engine::RunTiled(
   };
 
   const Status status = dispatch(recovered);
-  if (stats != nullptr) {
-    stats->faults_detected += faults_detected.load();
-    stats->tile_retries += retries.load();
-    stats->shadow_runs += shadow_runs.load();
-    stats->shadow_mismatches += shadow_mismatches.load();
-  }
+  stats->faults_detected += faults_detected.load();
+  stats->tile_retries += retries.load();
+  stats->shadow_runs += shadow_runs.load();
+  stats->shadow_mismatches += shadow_mismatches.load();
   return status;
 }
 
 void Engine::MergePassInfos(const std::vector<ArrayRunInfo>& infos,
                             const std::vector<TileTraffic>& traffic,
                             ExecStats* stats) const {
-  if (stats == nullptr) return;
+  SYSTOLIC_CHECK(traffic.size() == infos.size())
+      << "DMA accounting needs one traffic record per tile";
   stats->num_chips = num_chips();
   // Degradation: quarantined chips take no further passes, so the makespan
   // schedule only spreads over the chips still usable.
@@ -217,17 +208,8 @@ void Engine::MergePassInfos(const std::vector<ArrayRunInfo>& infos,
   }
   stats->makespan_cycles +=
       *std::max_element(chip_busy.begin(), chip_busy.end());
-  AccountDma(infos, traffic, chip_of_tile, stats);
-}
+  if (infos.empty()) return;
 
-void Engine::AccountDma(const std::vector<ArrayRunInfo>& infos,
-                        const std::vector<TileTraffic>& traffic,
-                        const std::vector<size_t>& chip_of_tile,
-                        ExecStats* stats) const {
-  if (stats == nullptr || infos.empty()) return;
-  SYSTOLIC_CHECK(traffic.size() == infos.size() &&
-                 chip_of_tile.size() == infos.size())
-      << "DMA accounting needs one traffic record and chip per tile";
   const bool overlap = ResolveOverlap();
   stats->overlap_enabled = overlap;
   size_t chips_used = 0;
@@ -272,10 +254,7 @@ double Engine::EstimatePulses(FeedMode mode, size_t n_a, size_t n_b,
 }
 
 bool Engine::ResolveOverlap() const {
-  // kAuto resolves to on: double-buffering never lengthens the modeled
-  // memory critical path (Schedule() degenerates to the serial timeline
-  // when transfers and compute cannot overlap).
-  return device_.overlap != spad::OverlapPolicy::kOff;
+  return device_.overlap == spad::OverlapPolicy::kOn;
 }
 
 fastpath::Backend Engine::ResolveBackend() const {
@@ -322,135 +301,131 @@ Status Engine::CheckWidth(size_t width) const {
   return Status::OK();
 }
 
-Result<BitVector> Engine::TiledMembership(const Relation& a, const Relation& b,
-                                          bool dedup, ExecStats* stats) const {
-  const size_t n_a = a.num_tuples();
-  BitVector acc(n_a, false);
-  if (n_a == 0) return acc;
-
-  const FeedMode mode = ResolveMode(n_a, b.num_tuples());
-  const fastpath::Backend backend = ResolveBackend();
-  if (stats != nullptr) {
-    stats->resolved_mode = mode;
-    stats->backend = backend;
-    stats->analytic_timing = backend == fastpath::Backend::kFast;
-  }
-  arrays::MembershipOptions options;
-  options.mode = mode;
-  options.rows = device_.rows;
-
-  // One pass, either executor: same bits, same cycle count. Only the RTL
+template <typename Out>
+Result<std::vector<Out>> Engine::DispatchTiles(
+    const std::vector<Tile>& tiles, const TileKernel<Out>& rtl,
+    const TileKernel<Out>& fast,
+    const std::function<uint64_t(const Out&)>& checksum,
+    const std::function<double(const Out&)>& drain_bytes,
+    ExecStats* stats) const {
+  // One pass, either executor: same output, same cycle count. Only the RTL
   // simulator produces cell-occupancy statistics.
-  const auto run_membership =
-      [&](const Relation& block_a, const Relation& block_b,
-          const std::vector<size_t>& cols_a, const std::vector<size_t>& cols_b,
-          arrays::EdgeRule edge_rule,
-          ArrayRunInfo* info) -> Result<BitVector> {
-    if (backend == fastpath::Backend::kFast) {
-      return fastpath::FastMembership(block_a, block_b, cols_a, cols_b,
-                                      edge_rule, options, info);
-    }
-    return RunMembership(block_a, block_b, cols_a, cols_b, edge_rule, options,
-                         info);
-  };
+  const fastpath::Backend backend = ResolveBackend();
+  stats->backend = backend;
+  stats->analytic_timing = backend == fastpath::Backend::kFast;
+  const TileKernel<Out>& kernel =
+      backend == fastpath::Backend::kFast ? fast : rtl;
 
-  const std::vector<size_t> a_cols = sim::AllColumns(a);
-  const std::vector<size_t> b_cols = sim::AllColumns(b);
-
-  // Enumerate the §8 tile grid up front: every tile is an independent
-  // sub-problem, so the batch can fan out across the chip pool. Results land
-  // in per-tile slots and are merged in tile order below, making the output
-  // and the summed statistics bit-identical to the serial path.
-  struct MembershipTile {
-    size_t a_start;
-    size_t b_start;
-    bool diagonal;  // dedup: tile compares a block against itself
-  };
-  std::vector<MembershipTile> tiles;
-  // Block sizes: dedup tiles A against itself by the preload (bottom)
-  // capacity so both disciplines use the same decomposition; the general
-  // case blocks A by the top capacity and B by the bottom capacity.
-  const size_t cap_a = dedup ? std::min(BlockCapacity(mode, true), n_a)
-                             : std::min(BlockCapacity(mode, false), n_a);
-  const size_t cap_b = dedup ? cap_a
-                             : std::min(BlockCapacity(mode, true),
-                                        std::max<size_t>(1, b.num_tuples()));
-  if (dedup) {
-    // Tile pairs (p, q) with q <= p over blocks of A. Diagonal tiles use
-    // the lower-triangle rule on block-local indices (which coincide
-    // pairwise); below-diagonal tiles compare full blocks, since every such
-    // pair already has j < i globally.
-    for (size_t p = 0; p < n_a; p += cap_a) {
-      for (size_t q = 0; q <= p; q += cap_a) {
-        tiles.push_back({p, q, q == p});
-      }
-    }
-  } else {
-    for (size_t ai = 0; ai < n_a; ai += cap_a) {
-      for (size_t bi = 0; bi < b.num_tuples(); bi += cap_b) {
-        tiles.push_back({ai, bi, false});
-      }
-      if (b.num_tuples() == 0 && stats != nullptr) {
-        // Empty B: the pass is trivially empty; nothing to run.
-        ++stats->passes;
-      }
-    }
-  }
-
-  std::vector<BitVector> tile_bits(tiles.size(), BitVector(0));
-  std::vector<ArrayRunInfo> tile_infos(tiles.size());
-  std::vector<TileTraffic> tile_traffic(tiles.size());
+  std::vector<Result<Out>> outputs(tiles.size(),
+                                   Status::Internal("tile never ran"));
+  std::vector<ArrayRunInfo> infos(tiles.size());
+  std::vector<TileTraffic> traffic(tiles.size());
   SYSTOLIC_RETURN_NOT_OK(RunTiled(
       tiles.size(),
-      [&](size_t t, size_t /*chip*/) -> Status {
-        const MembershipTile& tile = tiles[t];
-        ArrayRunInfo info;
+      [&](size_t t) -> Status {
+        const Tile& tile = tiles[t];
         // Per-attempt banks: a retried attempt re-stages its operand feed
         // from scratch, so it never sees a half-drained bank.
         spad::ScratchpadBank bank_a;
         spad::ScratchpadBank bank_b;
-        TileTraffic feed;
-        if (dedup) {
-          const Relation block_p = bank_a.Stage(a, tile.a_start, cap_a);
-          feed.in_a = bank_a.staged_bytes();
-          if (tile.diagonal) {
-            // The diagonal compares the staged block against itself: one
-            // mvin, no preload — both array edges tap the same bank.
-            SYSTOLIC_ASSIGN_OR_RETURN(
-                tile_bits[t],
-                run_membership(block_p, block_p, a_cols, a_cols,
-                               arrays::EdgeRule::kStrictLowerTriangle, &info));
-          } else {
-            const Relation block_q = bank_b.Stage(a, tile.b_start, cap_a);
-            feed.in_b = bank_b.staged_bytes();
-            SYSTOLIC_ASSIGN_OR_RETURN(
-                tile_bits[t],
-                run_membership(block_p, block_q, a_cols, a_cols,
-                               arrays::EdgeRule::kAllTrue, &info));
-          }
-        } else {
-          const Relation block_a = bank_a.Stage(a, tile.a_start, cap_a);
-          const Relation block_b = bank_b.Stage(b, tile.b_start, cap_b);
-          feed.in_a = bank_a.staged_bytes();
-          feed.in_b = bank_b.staged_bytes();
-          SYSTOLIC_ASSIGN_OR_RETURN(
-              tile_bits[t],
-              run_membership(block_a, block_b, a_cols, b_cols,
-                             arrays::EdgeRule::kAllTrue, &info));
-        }
+        const Relation& block_a =
+            bank_a.Stage(*tile.a, tile.a_start, tile.a_count);
+        const Relation& block_b =
+            tile.b != nullptr
+                ? bank_b.Stage(*tile.b, tile.b_start, tile.b_count)
+                : block_a;
+        ArrayRunInfo info;
+        outputs[t] = kernel(t, block_a, block_b, &info);
+        if (!outputs[t].ok()) return outputs[t].status();
         // The accepted attempt's feed streams out of the banks into the
-        // array exactly once; its result bits drain as packed bytes.
+        // array exactly once; its output drains back through mvout.
         bank_a.Drain(bank_a.staged_bytes());
         bank_b.Drain(bank_b.staged_bytes());
-        feed.out = spad::BitDrainBytes(tile_bits[t].size());
-        tile_infos[t] = info;
-        tile_traffic[t] = feed;
+        infos[t] = info;
+        traffic[t] = {bank_a.staged_bytes(), bank_b.staged_bytes(),
+                      drain_bytes(*outputs[t])};
         return Status::OK();
       },
-      stats,
-      [&tile_bits](size_t t) { return faults::ChecksumBits(tile_bits[t]); }));
+      stats, [&](size_t t) { return checksum(*outputs[t]); }));
+  MergePassInfos(infos, traffic, stats);
 
-  MergePassInfos(tile_infos, tile_traffic, stats);
+  std::vector<Out> merged;
+  merged.reserve(tiles.size());
+  for (Result<Out>& output : outputs) {
+    merged.push_back(std::move(output).ValueOrDie());
+  }
+  return merged;
+}
+
+Result<BitVector> Engine::TiledMembership(const Relation& a, const Relation& b,
+                                          bool dedup, ExecStats* stats) const {
+  const size_t n_a = a.num_tuples();
+  const size_t n_b = b.num_tuples();
+  arrays::MembershipOptions options;
+  options.rows = device_.rows;
+
+  // Enumerate the §8 tile grid up front: every tile is an independent
+  // sub-problem, so the batch can fan out across the chip pool.
+  std::vector<Tile> tiles;
+  if (n_a > 0) {
+    options.mode = ResolveMode(n_a, n_b);
+    stats->resolved_mode = options.mode;
+    // Block sizes: dedup tiles A against itself by the preload (bottom)
+    // capacity so both disciplines use the same decomposition; the general
+    // case blocks A by the top capacity and B by the bottom capacity.
+    const size_t cap_a =
+        std::min(BlockCapacity(options.mode, /*bottom=*/dedup), n_a);
+    if (dedup) {
+      // Tile pairs (p, q) with q <= p over blocks of A. Diagonal tiles carry
+      // no B slice and use the lower-triangle rule on block-local indices
+      // (which coincide pairwise); below-diagonal tiles compare full blocks,
+      // since every such pair already has j < i globally.
+      for (size_t p = 0; p < n_a; p += cap_a) {
+        for (size_t q = 0; q <= p; q += cap_a) {
+          tiles.push_back(q == p ? Tile{&a, p, cap_a}
+                                 : Tile{&a, p, cap_a, &a, q, cap_a});
+        }
+      }
+    } else {
+      const size_t cap_b = std::min(BlockCapacity(options.mode, true),
+                                    std::max<size_t>(1, n_b));
+      for (size_t ai = 0; ai < n_a; ai += cap_a) {
+        for (size_t bi = 0; bi < n_b; bi += cap_b) {
+          tiles.push_back({&a, ai, cap_a, &b, bi, cap_b});
+        }
+        // Empty B: the pass is trivially empty; nothing to run.
+        if (n_b == 0) ++stats->passes;
+      }
+    }
+  }
+
+  const std::vector<size_t> a_cols = sim::AllColumns(a);
+  const std::vector<size_t> b_cols = sim::AllColumns(b);
+  const auto edge_rule = [&tiles](size_t t) {
+    return tiles[t].b == nullptr ? arrays::EdgeRule::kStrictLowerTriangle
+                                 : arrays::EdgeRule::kAllTrue;
+  };
+  SYSTOLIC_ASSIGN_OR_RETURN(
+      const std::vector<BitVector> tile_bits,
+      DispatchTiles<BitVector>(
+          tiles,
+          [&](size_t t, const Relation& block_a, const Relation& block_b,
+              ArrayRunInfo* info) {
+            return arrays::RunMembership(block_a, block_b, a_cols, b_cols,
+                                         edge_rule(t), options, info);
+          },
+          [&](size_t t, const Relation& block_a, const Relation& block_b,
+              ArrayRunInfo* info) {
+            return fastpath::FastMembership(block_a, block_b, a_cols, b_cols,
+                                            edge_rule(t), options, info);
+          },
+          faults::ChecksumBits,
+          [](const BitVector& bits) {
+            return spad::BitDrainBytes(bits.size());
+          },
+          stats));
+
+  BitVector acc(n_a, false);
   for (size_t t = 0; t < tiles.size(); ++t) {
     const BitVector& bits = tile_bits[t];
     for (size_t i = 0; i < bits.size(); ++i) {
@@ -520,6 +495,19 @@ Result<EngineResult> Engine::Project(const Relation& a,
   return RemoveDuplicates(narrowed);
 }
 
+namespace {
+
+/// Adapts a per-tile entry point whose result carries its own pass record
+/// (division, selection) to the TileKernel shape.
+template <typename PassResult>
+Result<PassResult> WithPassRecord(Result<PassResult> pass,
+                                  ArrayRunInfo* info) {
+  if (pass.ok()) *info = pass->info;
+  return pass;
+}
+
+}  // namespace
+
 Result<EngineResult> Engine::Join(const Relation& a, const Relation& b,
                                   const rel::JoinSpec& spec) const {
   SYSTOLIC_RETURN_NOT_OK(rel::ValidateJoinSpec(a.schema(), b.schema(), spec));
@@ -529,68 +517,62 @@ Result<EngineResult> Engine::Join(const Relation& a, const Relation& b,
       rel::JoinOutputSchema(a.schema(), b.schema(), spec));
   EngineResult result(
       Relation(std::move(out_schema), rel::RelationKind::kMulti));
-  const fastpath::Backend backend = ResolveBackend();
-  result.stats.backend = backend;
-  result.stats.analytic_timing = backend == fastpath::Backend::kFast;
-  if (a.num_tuples() == 0 || b.num_tuples() == 0) {
-    return result;
-  }
-
-  const FeedMode mode = ResolveMode(a.num_tuples(), b.num_tuples());
-  result.stats.resolved_mode = mode;
+  const size_t n_a = a.num_tuples();
+  const size_t n_b = b.num_tuples();
   arrays::JoinArrayOptions options;
-  options.mode = mode;
   options.rows = device_.rows;
-
-  const size_t cap_a = std::min(BlockCapacity(mode, false), a.num_tuples());
-  const size_t cap_b = std::min(BlockCapacity(mode, true), b.num_tuples());
-  std::vector<std::pair<size_t, size_t>> offsets;  // tile -> (ai, bi)
-  for (size_t ai = 0; ai < a.num_tuples(); ai += cap_a) {
-    for (size_t bi = 0; bi < b.num_tuples(); bi += cap_b) {
-      offsets.emplace_back(ai, bi);
+  std::vector<Tile> tiles;
+  if (n_a > 0 && n_b > 0) {
+    options.mode = ResolveMode(n_a, n_b);
+    result.stats.resolved_mode = options.mode;
+    const size_t cap_a = std::min(BlockCapacity(options.mode, false), n_a);
+    const size_t cap_b = std::min(BlockCapacity(options.mode, true), n_b);
+    for (size_t ai = 0; ai < n_a; ai += cap_a) {
+      for (size_t bi = 0; bi < n_b; bi += cap_b) {
+        tiles.push_back({&a, ai, cap_a, &b, bi, cap_b});
+      }
     }
   }
 
-  std::vector<std::vector<std::pair<size_t, size_t>>> tile_matches(
-      offsets.size());
-  std::vector<ArrayRunInfo> tile_infos(offsets.size());
-  std::vector<TileTraffic> tile_traffic(offsets.size());
+  // A tile keeps only its match pairs, shifted to operand indices; the
+  // joined tuples are built once, in (i, j) order, after the merge.
+  using Matches = std::vector<std::pair<size_t, size_t>>;
+  const auto matches_of = [&tiles](size_t t,
+                                   const Result<arrays::JoinArrayResult>& tile,
+                                   ArrayRunInfo* info) -> Result<Matches> {
+    SYSTOLIC_RETURN_NOT_OK(tile.status());
+    *info = tile->info;
+    Matches matches;
+    matches.reserve(tile->matches.size());
+    for (const auto& [i, j] : tile->matches) {
+      matches.emplace_back(tiles[t].a_start + i, tiles[t].b_start + j);
+    }
+    return matches;
+  };
   const size_t out_arity = result.relation.arity();
-  SYSTOLIC_RETURN_NOT_OK(RunTiled(
-      offsets.size(),
-      [&](size_t t, size_t /*chip*/) -> Status {
-        const auto [ai, bi] = offsets[t];
-        // Retried attempts must not append onto a rejected attempt's output.
-        tile_matches[t].clear();
-        // Per-attempt banks: a retry re-stages the full operand feed.
-        spad::ScratchpadBank bank_a;
-        spad::ScratchpadBank bank_b;
-        const Relation block_a = bank_a.Stage(a, ai, cap_a);
-        const Relation block_b = bank_b.Stage(b, bi, cap_b);
-        SYSTOLIC_ASSIGN_OR_RETURN(
-            arrays::JoinArrayResult tile,
-            backend == fastpath::Backend::kFast
-                ? fastpath::FastJoin(block_a, block_b, spec, options)
-                : arrays::SystolicJoin(block_a, block_b, spec, options));
-        bank_a.Drain(bank_a.staged_bytes());
-        bank_b.Drain(bank_b.staged_bytes());
-        tile_traffic[t] = {bank_a.staged_bytes(), bank_b.staged_bytes(),
-                           spad::TupleBytes(tile.matches.size(), out_arity)};
-        tile_infos[t] = tile.info;
-        tile_matches[t].reserve(tile.matches.size());
-        for (const auto& [i, j] : tile.matches) {
-          tile_matches[t].emplace_back(ai + i, bi + j);
-        }
-        return Status::OK();
-      },
-      &result.stats,
-      [&tile_matches](size_t t) {
-        return faults::ChecksumMatches(tile_matches[t]);
-      }));
-  MergePassInfos(tile_infos, tile_traffic, &result.stats);
+  SYSTOLIC_ASSIGN_OR_RETURN(
+      const std::vector<Matches> tile_matches,
+      DispatchTiles<Matches>(
+          tiles,
+          [&](size_t t, const Relation& block_a, const Relation& block_b,
+              ArrayRunInfo* info) {
+            return matches_of(
+                t, arrays::SystolicJoin(block_a, block_b, spec, options),
+                info);
+          },
+          [&](size_t t, const Relation& block_a, const Relation& block_b,
+              ArrayRunInfo* info) {
+            return matches_of(
+                t, fastpath::FastJoin(block_a, block_b, spec, options), info);
+          },
+          faults::ChecksumMatches,
+          [out_arity](const Matches& matches) {
+            return spad::TupleBytes(matches.size(), out_arity);
+          },
+          &result.stats));
 
-  std::vector<std::pair<size_t, size_t>> matches;
-  for (const auto& per_tile : tile_matches) {
+  Matches matches;
+  for (const Matches& per_tile : tile_matches) {
     matches.insert(matches.end(), per_tile.begin(), per_tile.end());
   }
   std::sort(matches.begin(), matches.end());
@@ -607,14 +589,6 @@ Result<EngineResult> Engine::Divide(const Relation& a, const Relation& b,
   SYSTOLIC_ASSIGN_OR_RETURN(rel::Schema out_schema,
                             rel::DivisionOutputSchema(a.schema(), spec));
   EngineResult result(Relation(std::move(out_schema), rel::RelationKind::kSet));
-  const fastpath::Backend backend = ResolveBackend();
-  result.stats.backend = backend;
-  result.stats.analytic_timing = backend == fastpath::Backend::kFast;
-  if (a.num_tuples() == 0) {
-    // No candidate quotient values. One trivial pass for accounting.
-    ++result.stats.passes;
-    return result;
-  }
 
   // Dividend-side tiling: group A's tuples by the first-occurrence rank of
   // their quotient value, so each chunk holds at most `rows` distinct
@@ -661,44 +635,42 @@ Result<EngineResult> Engine::Divide(const Relation& a, const Relation& b,
 
   // Every (chunk, divisor-group) pass is independent — a key divides B iff
   // it divides every group, and intersecting the groups' survivor sets
-  // commutes with running the passes — so the whole grid fans out across
-  // the chip pool at once; the per-chunk intersection below walks groups in
-  // order, reproducing the serial result exactly.
-  const size_t num_groups = divisor_groups.size();
-  std::vector<arrays::DivisionArrayResult> passes(
-      chunks.size() * num_groups,
-      arrays::DivisionArrayResult(Relation(b.schema(), rel::RelationKind::kSet)));
-  std::vector<ArrayRunInfo> tile_infos(chunks.size() * num_groups);
-  std::vector<TileTraffic> tile_traffic(chunks.size() * num_groups);
-  SYSTOLIC_RETURN_NOT_OK(RunTiled(
-      chunks.size() * num_groups,
-      [&](size_t t, size_t /*chip*/) -> Status {
-        // Per-attempt banks; every pass re-streams its chunk, so a chunk
-        // paired with G divisor groups is staged G times.
-        spad::ScratchpadBank bank_a;
-        spad::ScratchpadBank bank_b;
-        const Relation& chunk = chunks[t / num_groups];
-        const Relation& group = divisor_groups[t % num_groups];
-        const Relation block_a = bank_a.Stage(chunk, 0, chunk.num_tuples());
-        const Relation block_b = bank_b.Stage(group, 0, group.num_tuples());
-        SYSTOLIC_ASSIGN_OR_RETURN(
-            passes[t],
-            backend == fastpath::Backend::kFast
-                ? fastpath::FastDivision(block_a, block_b, spec)
-                : arrays::SystolicDivision(block_a, block_b, spec));
-        bank_a.Drain(bank_a.staged_bytes());
-        bank_b.Drain(bank_b.staged_bytes());
-        tile_traffic[t] = {bank_a.staged_bytes(), bank_b.staged_bytes(),
-                           machine::RelationBytes(passes[t].relation)};
-        tile_infos[t] = passes[t].info;
-        return Status::OK();
-      },
-      &result.stats,
-      [&passes](size_t t) {
-        return faults::ChecksumRelation(passes[t].relation);
-      }));
-  MergePassInfos(tile_infos, tile_traffic, &result.stats);
+  // commutes with running the passes — so the whole grid is one tile batch;
+  // the per-chunk intersection below walks groups in order, reproducing the
+  // serial result exactly. Every pass re-streams its chunk, so a chunk
+  // paired with G divisor groups is staged G times.
+  std::vector<Tile> tiles;
+  for (const Relation& chunk : chunks) {
+    for (const Relation& group : divisor_groups) {
+      tiles.push_back(
+          {&chunk, 0, chunk.num_tuples(), &group, 0, group.num_tuples()});
+    }
+  }
+  SYSTOLIC_ASSIGN_OR_RETURN(
+      const std::vector<arrays::DivisionArrayResult> passes,
+      DispatchTiles<arrays::DivisionArrayResult>(
+          tiles,
+          [&](size_t, const Relation& block_a, const Relation& block_b,
+              ArrayRunInfo* info) {
+            return WithPassRecord(
+                arrays::SystolicDivision(block_a, block_b, spec), info);
+          },
+          [&](size_t, const Relation& block_a, const Relation& block_b,
+              ArrayRunInfo* info) {
+            return WithPassRecord(
+                fastpath::FastDivision(block_a, block_b, spec), info);
+          },
+          [](const arrays::DivisionArrayResult& pass) {
+            return faults::ChecksumRelation(pass.relation);
+          },
+          [](const arrays::DivisionArrayResult& pass) {
+            return machine::RelationBytes(pass.relation);
+          },
+          &result.stats));
+  // No candidate quotient values: one trivial pass for accounting.
+  if (a.num_tuples() == 0) ++result.stats.passes;
 
+  const size_t num_groups = divisor_groups.size();
   for (size_t c = 0; c < chunks.size(); ++c) {
     std::vector<rel::Tuple> surviving;  // in first-occurrence order
     for (size_t g = 0; g < num_groups; ++g) {
@@ -729,37 +701,32 @@ Result<EngineResult> Engine::Select(
         " predicates but the device has " + std::to_string(device_.columns) +
         " columns");
   }
-  // One logical tile, routed through RunTiled so selection passes get the
-  // same fault detection and retry treatment as the tiled operators.
-  std::vector<arrays::SelectionResult> slot;
-  slot.emplace_back(Relation(a.schema(), rel::RelationKind::kMulti));
+  // One tile: A streams whole through the one-row device, and there is no B
+  // slice — the predicate constants live in the cells.
   ExecStats stats;
-  const fastpath::Backend backend = ResolveBackend();
-  stats.backend = backend;
-  stats.analytic_timing = backend == fastpath::Backend::kFast;
-  SYSTOLIC_RETURN_NOT_OK(RunTiled(
-      1,
-      [&](size_t, size_t) -> Status {
-        SYSTOLIC_ASSIGN_OR_RETURN(
-            slot[0], backend == fastpath::Backend::kFast
-                         ? fastpath::FastSelect(a, predicates)
-                         : arrays::SystolicSelect(a, predicates));
-        return Status::OK();
-      },
-      &stats,
-      [&slot](size_t) { return faults::ChecksumBits(slot[0].selected); }));
-  // Selection streams A through the one-row device: one mvin of the whole
-  // operand, no preload (the predicate constants live in the cells), and
-  // the selected tuples drain back. One tile, so chip 0 by definition.
-  const TileTraffic feed{machine::RelationBytes(a), 0,
-                         machine::RelationBytes(slot[0].relation)};
-  AccountDma({slot[0].info}, {feed}, {0}, &stats);
-  EngineResult result(std::move(slot[0].relation));
+  SYSTOLIC_ASSIGN_OR_RETURN(
+      std::vector<arrays::SelectionResult> selected,
+      DispatchTiles<arrays::SelectionResult>(
+          {Tile{&a, 0, a.num_tuples()}},
+          [&](size_t, const Relation& block_a, const Relation&,
+              ArrayRunInfo* info) {
+            return WithPassRecord(arrays::SystolicSelect(block_a, predicates),
+                                  info);
+          },
+          [&](size_t, const Relation& block_a, const Relation&,
+              ArrayRunInfo* info) {
+            return WithPassRecord(fastpath::FastSelect(block_a, predicates),
+                                  info);
+          },
+          [](const arrays::SelectionResult& tile) {
+            return faults::ChecksumBits(tile.selected);
+          },
+          [](const arrays::SelectionResult& tile) {
+            return machine::RelationBytes(tile.relation);
+          },
+          &stats));
+  EngineResult result(std::move(selected[0].relation));
   result.stats = stats;
-  result.stats.AccumulatePass(slot[0].info);
-  if (health_ != nullptr) {
-    result.stats.healthy_chips = std::max<size_t>(1, health_->num_usable());
-  }
   return result;
 }
 

@@ -53,20 +53,19 @@ struct DeviceConfig {
   faults::RecoveryOptions recovery;
   /// Which executor runs the tile passes. kRtl (the default) pulses the
   /// cycle-accurate simulator; kFast computes identical tile results with
-  /// the packed kernels of src/fastpath and reports analytic cycle counts;
-  /// kAuto means fast whenever pulse-level fidelity is not required. Both
-  /// fast policies fall back to the RTL simulator while `faults` is
-  /// installed (injection corrupts individual pulses, which only the
-  /// simulator models). Surfaced in the shell as `SET BACKEND`.
+  /// the packed kernels of src/fastpath and reports analytic cycle counts,
+  /// falling back to the RTL simulator while `faults` is installed
+  /// (injection corrupts individual pulses, which only the simulator
+  /// models). Surfaced in the shell as `SET BACKEND`.
   fastpath::BackendPolicy backend = fastpath::BackendPolicy::kRtl;
   /// Whether each chip's scratchpad/DMA layer double-buffers tile operand
-  /// feeds (S25): with overlap on, tile N+1's mvin streams into the idle
-  /// bank while tile N computes and tile N−1's mvout drains; off serialises
-  /// load→compute→drain per tile. Purely a memory-timing model: results and
-  /// the compute-only `cycles`/`makespan_cycles` are identical either way;
-  /// only the dma_*/memory_makespan counters move. kAuto resolves to on.
+  /// feeds (S25): with overlap on (the default), tile N+1's mvin streams
+  /// into the idle bank while tile N computes and tile N−1's mvout drains;
+  /// off serialises load→compute→drain per tile. Purely a memory-timing
+  /// model: results and the compute-only `cycles`/`makespan_cycles` are
+  /// identical either way; only the dma_*/memory_makespan counters move.
   /// Surfaced in the shell as `SET MEMORY overlap=...`.
-  spad::OverlapPolicy overlap = spad::OverlapPolicy::kAuto;
+  spad::OverlapPolicy overlap = spad::OverlapPolicy::kOn;
 };
 
 /// Byte traffic of one tile's scratchpad feed, recorded by the tile task and
@@ -192,8 +191,6 @@ struct ExecStats {
                : static_cast<double>(makespan_cycles) /
                      static_cast<double>(memory_makespan_cycles);
   }
-
-  void AccumulatePass(const arrays::ArrayRunInfo& info);
 };
 
 /// Result of one engine operation.
@@ -271,13 +268,12 @@ class Engine {
   arrays::FeedMode ResolveMode(size_t n_a, size_t n_b) const;
 
   /// The executor the engine's passes will run on: the device's backend
-  /// policy, with kFast/kAuto forced back to the RTL simulator while a
-  /// fault plan is installed (fault injection needs pulse-level fidelity).
+  /// policy, with kFast forced back to the RTL simulator while a fault plan
+  /// is installed (fault injection needs pulse-level fidelity).
   fastpath::Backend ResolveBackend() const;
 
   /// Whether the scratchpad layer will double-buffer this engine's tile
-  /// feeds (device().overlap with kAuto resolved to on — overlap never
-  /// lengthens the modeled memory critical path).
+  /// feeds (device().overlap is on).
   bool ResolveOverlap() const;
 
   /// A copy of this engine whose device is pinned to `mode`, sharing this
@@ -296,42 +292,68 @@ class Engine {
   /// the B side (which differs from A in fixed mode).
   size_t BlockCapacity(arrays::FeedMode mode, bool bottom) const;
 
+  /// One §8 sub-problem: tuples [a_start, a_start + a_count) of `a` and,
+  /// when `b` is set, [b_start, b_start + b_count) of `b`. A tile without a
+  /// B slice feeds its A block to both array edges (one mvin, no preload).
+  struct Tile {
+    const rel::Relation* a = nullptr;
+    size_t a_start = 0;
+    size_t a_count = 0;
+    const rel::Relation* b = nullptr;
+    size_t b_start = 0;
+    size_t b_count = 0;
+  };
+
+  /// One backend's per-tile entry point, called with the tile index and the
+  /// staged blocks; returns what the operator's merge keeps of the tile and
+  /// writes the pass record to `info`.
+  template <typename Out>
+  using TileKernel = std::function<Result<Out>(
+      size_t tile, const rel::Relation& block_a, const rel::Relation& block_b,
+      arrays::ArrayRunInfo* info)>;
+
+  /// The single tile-dispatch path of every operator. Resolves the backend
+  /// and stamps it into `stats`, then runs every tile through RunTiled: each
+  /// attempt stages the tile's slices into fresh scratchpad banks, runs
+  /// `rtl` or `fast` on the staged blocks, drains the banks and records the
+  /// tile's feed traffic, `drain_bytes` of output included; `checksum`
+  /// backs the shadow cross-check. Folds the pass records into `stats` via
+  /// MergePassInfos and returns the per-tile outputs in tile order, so the
+  /// caller's merge is bit-identical across chip counts. An empty batch
+  /// runs nothing but still stamps the device fields of `stats`.
+  template <typename Out>
+  Result<std::vector<Out>> DispatchTiles(
+      const std::vector<Tile>& tiles, const TileKernel<Out>& rtl,
+      const TileKernel<Out>& fast,
+      const std::function<uint64_t(const Out&)>& checksum,
+      const std::function<double(const Out&)>& drain_bytes,
+      ExecStats* stats) const;
+
   /// Runs `count` independent tile tasks — across the chip pool when the
   /// device has several chips, serially in tile order otherwise — and
-  /// returns the lowest-tile-index non-OK status. Tasks receive (tile,
-  /// chip) and must write results only into their own tile's slots; callers
-  /// merge in tile order afterwards, which is what keeps parallel output
-  /// bit-identical to serial. Tasks must be re-runnable for one tile (reset
-  /// their slot on entry): with a fault plan installed every attempt runs
-  /// inside a faults::FaultScope, detected failures are retried on the next
-  /// usable chip (striking / quarantining per the recovery policy, hard
-  /// Unavailable only when no usable chip remains), fault counters are
-  /// folded into `stats`, and `tile_checksum` (checksum of tile's slot, for
-  /// the sampled shadow re-execution cross-check) may be consulted.
-  Status RunTiled(size_t count,
-                  const std::function<Status(size_t tile, size_t chip)>& task,
-                  ExecStats* stats = nullptr,
-                  const std::function<uint64_t(size_t tile)>& tile_checksum =
-                      nullptr) const;
+  /// returns the lowest-tile-index non-OK status. Tasks must write results
+  /// only into their own tile's slots and be re-runnable for one tile: with
+  /// a fault plan installed every attempt runs inside a faults::FaultScope,
+  /// detected failures are retried on the next usable chip (striking /
+  /// quarantining per the recovery policy, hard Unavailable only when no
+  /// usable chip remains), fault counters are folded into `stats`, and
+  /// `tile_checksum` (checksum of the tile's slot) is compared across the
+  /// sampled shadow re-execution.
+  Status RunTiled(size_t count, const std::function<Status(size_t tile)>& task,
+                  ExecStats* stats,
+                  const std::function<uint64_t(size_t tile)>& tile_checksum)
+      const;
 
   /// Folds per-tile pass records into `stats` in tile order: sums passes /
-  /// cycles / busy cell-pulses exactly as the serial path would, and adds
-  /// the greedy multi-chip makespan of the batch to `makespan_cycles`.
-  /// `traffic` (parallel to `infos`) then costs each tile's scratchpad feed
-  /// into its assigned chip's DMA schedule via AccountDma.
+  /// cycles / busy cell-pulses exactly as the serial path would, stamps the
+  /// chip counts and adds the greedy multi-chip makespan of the batch to
+  /// `makespan_cycles`. Then queues each tile's compute cycles and feed
+  /// `traffic` (parallel to `infos`) on its assigned chip's DMA queue in
+  /// tile order, schedules the queues under ResolveOverlap(), and folds
+  /// dma_cycles / overlap_cycles / memory_makespan_cycles / dma_trace in.
   void MergePassInfos(const std::vector<arrays::ArrayRunInfo>& infos,
                       const std::vector<TileTraffic>& traffic,
                       ExecStats* stats) const;
-
-  /// Builds one DmaQueue per chip from each tile's compute cycles + feed
-  /// traffic (tiles in tile order on their assigned chip), schedules them
-  /// under ResolveOverlap(), and folds dma_cycles / overlap_cycles /
-  /// memory_makespan_cycles / dma_trace into `stats`. `chip_of_tile` is the
-  /// greedy assignment MergePassInfos derived (all zeros for one chip).
-  void AccountDma(const std::vector<arrays::ArrayRunInfo>& infos,
-                  const std::vector<TileTraffic>& traffic,
-                  const std::vector<size_t>& chip_of_tile,
-                  ExecStats* stats) const;
 
   /// Width check against device_.columns.
   Status CheckWidth(size_t width) const;

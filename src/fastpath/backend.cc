@@ -16,15 +16,7 @@ using arrays::FeedMode;
 using rel::Relation;
 
 const char* BackendPolicyToString(BackendPolicy policy) {
-  switch (policy) {
-    case BackendPolicy::kRtl:
-      return "rtl";
-    case BackendPolicy::kFast:
-      return "fast";
-    case BackendPolicy::kAuto:
-      return "auto";
-  }
-  return "rtl";
+  return policy == BackendPolicy::kFast ? "fast" : "rtl";
 }
 
 const char* BackendToString(Backend backend) {
@@ -36,8 +28,6 @@ bool ParseBackendPolicy(const std::string& text, BackendPolicy* policy) {
     *policy = BackendPolicy::kRtl;
   } else if (text == "fast") {
     *policy = BackendPolicy::kFast;
-  } else if (text == "auto") {
-    *policy = BackendPolicy::kAuto;
   } else {
     return false;
   }

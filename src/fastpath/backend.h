@@ -25,25 +25,23 @@ enum class Backend {
   kFast,
 };
 
-/// The user-facing selector: a concrete backend, or kAuto to take the fast
-/// path whenever pulse-level fidelity is not required. Either fast policy
-/// falls back to the RTL simulator while a fault plan is installed (fault
-/// injection corrupts individual pulses, which only the simulator models);
-/// golden tracing and the array-level unit surface always drive the RTL
-/// arrays directly and are unaffected by the policy.
+/// The user-facing selector. kFast falls back to the RTL simulator while a
+/// fault plan is installed (fault injection corrupts individual pulses,
+/// which only the simulator models); golden tracing and the array-level
+/// unit surface always drive the RTL arrays directly and are unaffected by
+/// the policy.
 enum class BackendPolicy {
   kRtl,
   kFast,
-  kAuto,
 };
 
-/// "rtl" | "fast" | "auto".
+/// "rtl" | "fast".
 const char* BackendPolicyToString(BackendPolicy policy);
 
 /// "rtl" | "fast".
 const char* BackendToString(Backend backend);
 
-/// Parses a policy name; false on anything but rtl/fast/auto.
+/// Parses a policy name; false on anything but rtl/fast.
 bool ParseBackendPolicy(const std::string& text, BackendPolicy* policy);
 
 /// Drop-in fast replacements for the four array drivers the engine calls

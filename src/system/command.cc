@@ -257,12 +257,8 @@ Status CommandInterpreter::RunStep(Transaction transaction,
   if (step.exec.backend == fastpath::Backend::kFast) {
     (*out_) << " (fast, analytic)";
   }
-  // DMA counters print only under an explicitly pinned memory policy, so
-  // every transcript produced before S25 stays byte-identical by default.
-  if (machine_->memory_policy() != spad::OverlapPolicy::kAuto) {
-    (*out_) << ", " << step.exec.dma_cycles << " dma pulses ("
-            << step.exec.overlap_cycles << " overlapped)";
-  }
+  (*out_) << ", " << step.exec.dma_cycles << " dma pulses ("
+          << step.exec.overlap_cycles << " overlapped)";
   PrintFaultCounters(step.exec);
   (*out_) << "\n";
   return PersistSinks(transaction.SinkOutputs());
@@ -288,7 +284,6 @@ void CommandInterpreter::PrintBackendPolicy() {
 
 void CommandInterpreter::PrintMemoryPolicy() {
   const spad::OverlapPolicy policy = machine_->memory_policy();
-  if (policy == spad::OverlapPolicy::kAuto) return;
   (*out_) << "-- memory: overlap " << spad::OverlapPolicyToString(policy)
           << " (scratchpad double-buffering "
           << (policy == spad::OverlapPolicy::kOff
@@ -426,9 +421,9 @@ void CommandInterpreter::PrintHelp() {
           << "--   OPEN <dir> | CHECKPOINT  (crash-safe durability)\n"
           << "--   SET PLANNER on|off | SET DURABILITY on|off | "
              "SET FAULTS seed=<n> ... | SET FAULTS off\n"
-          << "--   SET BACKEND rtl|fast|auto  (fast: packed bitwise kernels "
+          << "--   SET BACKEND rtl|fast  (fast: packed bitwise kernels "
              "with analytic pulse counts)\n"
-          << "--   SET MEMORY overlap=on|off|auto  (scratchpad "
+          << "--   SET MEMORY overlap=on|off  (scratchpad "
              "double-buffering of tile feeds)\n"
           << "--   SET SESSION ISOLATION snapshot  (server sessions)\n"
           << "--   HELP\n";
@@ -601,7 +596,7 @@ Status CommandInterpreter::Execute(const std::string& line) {
       if (tokens.size() != 3 || !fastpath::ParseBackendPolicy(tokens[2],
                                                               &policy)) {
         return Status::InvalidArgument(
-            "usage: SET BACKEND <value>; valid values: rtl, fast, auto");
+            "usage: SET BACKEND <value>; valid values: rtl, fast");
       }
       machine_->SetBackendPolicy(policy);
       (*out_) << "-- backend " << tokens[2] << "\n";
@@ -609,7 +604,7 @@ Status CommandInterpreter::Execute(const std::string& line) {
     }
     if (tokens[1] == "MEMORY") {
       constexpr const char* kUsage =
-          "usage: SET MEMORY overlap=<value>; valid values: on, off, auto";
+          "usage: SET MEMORY overlap=<value>; valid values: on, off";
       spad::OverlapPolicy policy;
       if (tokens.size() != 3 || tokens[2].rfind("overlap=", 0) != 0 ||
           !spad::ParseOverlapPolicy(tokens[2].substr(8), &policy)) {

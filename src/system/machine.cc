@@ -23,37 +23,33 @@ const db::Engine& Machine::EngineFor(OpKind kind) const {
   return it == engines_.end() ? engine_ : it->second;
 }
 
-void Machine::InstallFaultPlan(std::shared_ptr<const faults::FaultPlan> plan,
-                               faults::RecoveryOptions recovery) {
-  config_.device.faults = plan;
-  config_.device.recovery = recovery;
+void Machine::ReconfigureDevices(
+    const std::function<void(db::DeviceConfig&)>& update) {
+  update(config_.device);
   engine_ = db::Engine(config_.device, config_.shared_pool);
   engines_.clear();
   for (auto& [kind, device] : config_.device_configs) {
-    device.faults = plan;
-    device.recovery = recovery;
+    update(device);
     engines_.emplace(kind, db::Engine(device, config_.shared_pool));
   }
+}
+
+void Machine::InstallFaultPlan(std::shared_ptr<const faults::FaultPlan> plan,
+                               faults::RecoveryOptions recovery) {
+  ReconfigureDevices([&](db::DeviceConfig& device) {
+    device.faults = plan;
+    device.recovery = recovery;
+  });
 }
 
 void Machine::SetBackendPolicy(fastpath::BackendPolicy policy) {
-  config_.device.backend = policy;
-  engine_ = db::Engine(config_.device, config_.shared_pool);
-  engines_.clear();
-  for (auto& [kind, device] : config_.device_configs) {
-    device.backend = policy;
-    engines_.emplace(kind, db::Engine(device, config_.shared_pool));
-  }
+  ReconfigureDevices(
+      [policy](db::DeviceConfig& device) { device.backend = policy; });
 }
 
 void Machine::SetMemoryPolicy(spad::OverlapPolicy policy) {
-  config_.device.overlap = policy;
-  engine_ = db::Engine(config_.device, config_.shared_pool);
-  engines_.clear();
-  for (auto& [kind, device] : config_.device_configs) {
-    device.overlap = policy;
-    engines_.emplace(kind, db::Engine(device, config_.shared_pool));
-  }
+  ReconfigureDevices(
+      [policy](db::DeviceConfig& device) { device.overlap = policy; });
 }
 
 double Machine::CrossbarBytesPerSecond() const {

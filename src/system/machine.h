@@ -169,7 +169,7 @@ class Machine {
   /// Selects the execution backend for every device of the machine and
   /// rebuilds the engines. Fast policies still fall back to the RTL
   /// simulator per Engine::ResolveBackend whenever a fault plan is
-  /// installed. Surfaced in the shell as `SET BACKEND rtl|fast|auto`.
+  /// installed. Surfaced in the shell as `SET BACKEND rtl|fast`.
   void SetBackendPolicy(fastpath::BackendPolicy policy);
   fastpath::BackendPolicy backend_policy() const {
     return config_.device.backend;
@@ -178,7 +178,7 @@ class Machine {
   /// Selects the scratchpad overlap policy (S25) for every device of the
   /// machine and rebuilds the engines. Purely a memory-timing model: results
   /// and the compute-only cycle counts are identical under every policy.
-  /// Surfaced in the shell as `SET MEMORY overlap=on|off|auto`.
+  /// Surfaced in the shell as `SET MEMORY overlap=on|off`.
   void SetMemoryPolicy(spad::OverlapPolicy policy);
   spad::OverlapPolicy memory_policy() const { return config_.device.overlap; }
 
@@ -247,6 +247,10 @@ class Machine {
   double CrossbarBytesPerSecond() const;
   size_t DeviceCount(OpKind kind) const;
   const db::Engine& EngineFor(OpKind kind) const;
+  /// Applies `update` to the default device and every per-kind override,
+  /// then rebuilds the engines from the updated configs (chip health
+  /// resets).
+  void ReconfigureDevices(const std::function<void(db::DeviceConfig&)>& update);
 
   MachineConfig config_;
   DiskUnit disk_;

@@ -10,15 +10,7 @@ namespace systolic {
 namespace spad {
 
 const char* OverlapPolicyToString(OverlapPolicy policy) {
-  switch (policy) {
-    case OverlapPolicy::kOff:
-      return "off";
-    case OverlapPolicy::kOn:
-      return "on";
-    case OverlapPolicy::kAuto:
-      return "auto";
-  }
-  return "auto";
+  return policy == OverlapPolicy::kOff ? "off" : "on";
 }
 
 bool ParseOverlapPolicy(const std::string& token, OverlapPolicy* policy) {
@@ -26,8 +18,6 @@ bool ParseOverlapPolicy(const std::string& token, OverlapPolicy* policy) {
     *policy = OverlapPolicy::kOff;
   } else if (token == "on") {
     *policy = OverlapPolicy::kOn;
-  } else if (token == "auto") {
-    *policy = OverlapPolicy::kAuto;
   } else {
     return false;
   }
@@ -55,17 +45,21 @@ double CrossbarFeed(machine::MemoryModule& module) {
   return machine::RelationBytes(**module.Contents());
 }
 
-rel::Relation ScratchpadBank::Stage(const rel::Relation& source, size_t start,
-                                    size_t count) {
-  rel::Relation block(source.schema(), rel::RelationKind::kMulti);
-  size_t end = std::min(start + count, source.num_tuples());
-  for (size_t i = start; i < end; ++i) {
-    SYSTOLIC_CHECK(block.Append(source.tuple(i)).ok());
+const rel::Relation& ScratchpadBank::Stage(const rel::Relation& source,
+                                           size_t start, size_t count) {
+  const size_t end = std::min(start + count, source.num_tuples());
+  const rel::Relation* block = &source;
+  if (start != 0 || end != source.num_tuples()) {
+    copy_.emplace(source.schema(), rel::RelationKind::kMulti);
+    for (size_t i = start; i < end; ++i) {
+      SYSTOLIC_CHECK(copy_->Append(source.tuple(i)).ok());
+    }
+    block = &*copy_;
   }
-  staged_bytes_ = machine::RelationBytes(block);
+  staged_bytes_ = machine::RelationBytes(*block);
   drained_bytes_ = 0;
   bytes_in_ += staged_bytes_;
-  return block;
+  return *block;
 }
 
 void ScratchpadBank::Drain(double bytes) {

@@ -2,6 +2,7 @@
 #define SYSTOLIC_SYSTEM_SCRATCHPAD_SCRATCHPAD_H_
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,15 +33,14 @@ namespace spad {
 enum class OverlapPolicy {
   /// Fully serialised load→compute→drain per tile (the pre-S25 behaviour).
   kOff,
-  /// Double-buffered: feeds stream into the idle bank during compute.
+  /// Double-buffered: feeds stream into the idle bank during compute. Never
+  /// lengthens the modeled critical path, so it is the default.
   kOn,
-  /// Resolves to kOn — overlap never lengthens the modeled critical path.
-  kAuto,
 };
 
 const char* OverlapPolicyToString(OverlapPolicy policy);
 
-/// Parses "on" / "off" / "auto"; returns false on anything else.
+/// Parses "on" / "off"; returns false on anything else.
 bool ParseOverlapPolicy(const std::string& token, OverlapPolicy* policy);
 
 /// Crossbar port rate used for DMA costing: one 8-byte element code per
@@ -78,11 +78,14 @@ class ScratchpadBank {
  public:
   /// Stages tuples [start, start+count) of `source` (clamped to the source
   /// size) into the bank, replacing any previous content and resetting the
-  /// drain cursor; returns the staged block (always a multi-relation — a
-  /// staged block is an intermediate, like every engine tile slice). Byte
+  /// drain cursor; returns the staged block, valid until the next Stage and
+  /// no longer than `source`. A sub-range is copied out as a multi-relation
+  /// (a staged block is an intermediate, like every engine tile slice); a
+  /// slice spanning the whole source streams in place, uncopied. Byte
   /// traffic accumulates across stagings, so a retried tile pays for its
   /// replayed feed.
-  rel::Relation Stage(const rel::Relation& source, size_t start, size_t count);
+  const rel::Relation& Stage(const rel::Relation& source, size_t start,
+                             size_t count);
 
   /// Bytes currently staged (the last Stage's block).
   double staged_bytes() const { return staged_bytes_; }
@@ -98,6 +101,7 @@ class ScratchpadBank {
   double bytes_out() const { return bytes_out_; }
 
  private:
+  std::optional<rel::Relation> copy_;  // the last sub-range staged
   double staged_bytes_ = 0;
   double drained_bytes_ = 0;
   double bytes_in_ = 0;

@@ -16,10 +16,9 @@
 //
 // Three layers: an exhaustive sweep of every cut on a small DurableCatalog
 // workload, a seeded CrashPlan sweep on a larger randomized workload
-// (SYSTOLIC_FUZZ_SEEDS widens it; default 20 points), and a machine-level
+// (SYSTOLIC_FUZZ_SEEDS sets its size; default 20 points), and a machine-level
 // sweep driving the command interpreter through Machine::OpenDurable.
 
-#include <cstdlib>
 #include <filesystem>
 #include <functional>
 #include <iterator>
@@ -263,11 +262,7 @@ struct CrashFuzzParam {
 };
 
 std::vector<CrashFuzzParam> SweepPoints() {
-  size_t count = 20;
-  if (const char* env = std::getenv("SYSTOLIC_FUZZ_SEEDS")) {
-    const unsigned long parsed = std::strtoul(env, nullptr, 10);
-    if (parsed > 0) count = static_cast<size_t>(parsed);
-  }
+  const size_t count = systolic::testing::FuzzSeedCount(20);
   std::vector<CrashFuzzParam> points;
   points.reserve(count);
   for (size_t k = 0; k < count; ++k) points.push_back({500 + k});

@@ -8,7 +8,6 @@
 // and, where applicable, the tree machine and the bit-level decomposition.
 // Any divergence pinpoints the backend and operation.
 
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <set>
@@ -540,8 +539,8 @@ TEST_P(PlannerDifferentialFuzz, SinksBitIdenticalLiteralPlannedOracle) {
   }
 }
 
-/// The default 20 planner-fuzz points, extensible to SYSTOLIC_FUZZ_SEEDS
-/// total points for the nightly expanded run (extra points reuse the same
+/// The default 20 planner-fuzz points; SYSTOLIC_FUZZ_SEEDS sets the total
+/// instead (extra points for the nightly expanded run reuse the same
 /// device-shape / chip-count rotation with fresh seeds).
 std::vector<PlannerFuzzParam> PlannerFuzzPoints() {
   std::vector<PlannerFuzzParam> points{
@@ -549,11 +548,8 @@ std::vector<PlannerFuzzParam> PlannerFuzzPoints() {
       {106, 9, 1},  {107, 11, 1}, {108, 0, 1}, {109, 13, 1}, {110, 1, 1},
       {111, 5, 2},  {112, 3, 2}, {113, 7, 3},  {114, 0, 3}, {115, 9, 7},
       {116, 1, 7},  {117, 5, 3}, {118, 13, 2}, {119, 3, 7}, {120, 7, 2}};
-  size_t count = points.size();
-  if (const char* env = std::getenv("SYSTOLIC_FUZZ_SEEDS")) {
-    const unsigned long parsed = std::strtoul(env, nullptr, 10);
-    if (parsed > count) count = static_cast<size_t>(parsed);
-  }
+  const size_t count = systolic::testing::FuzzSeedCount(points.size());
+  if (count < points.size()) points.resize(count);
   static constexpr size_t kRows[] = {0, 1, 3, 5, 7, 9, 11, 13};
   static constexpr size_t kChips[] = {1, 2, 3, 7};
   for (size_t k = points.size(); k < count; ++k) {

@@ -96,6 +96,39 @@ TEST(EngineTest, EmptyOperands) {
   EXPECT_TRUE(r->relation.empty());
 }
 
+TEST(EngineTest, EmptyOperandsStampTheDeviceFields) {
+  // An empty operand leaves no tile to run, yet every operator still reports
+  // the backend and chips it ran on; pass counts keep each operator's
+  // convention for trivially empty passes.
+  const Schema schema = rel::MakeIntSchema(2);
+  const Relation empty = Rel(schema, {});
+  const Relation a = Rel(schema, {{1, 1}, {2, 1}, {3, 2}, {4, 2}, {5, 3}});
+  DeviceConfig device;
+  device.rows = 5;  // marching capacity 3: A splits into two blocks
+  device.num_chips = 3;
+  device.backend = fastpath::BackendPolicy::kFast;
+  Engine engine(device);
+  const auto expect_stamped = [](const Result<EngineResult>& result,
+                                 size_t passes) {
+    ASSERT_OK(result);
+    EXPECT_EQ(result->stats.backend, fastpath::Backend::kFast);
+    EXPECT_TRUE(result->stats.analytic_timing);
+    EXPECT_EQ(result->stats.num_chips, 3u);
+    EXPECT_EQ(result->stats.healthy_chips, 3u);
+    EXPECT_EQ(result->stats.passes, passes);
+  };
+  expect_stamped(engine.Intersect(empty, a), 0);
+  expect_stamped(engine.RemoveDuplicates(empty), 0);
+  expect_stamped(engine.Intersect(a, empty), 2);  // one per A block
+  const rel::JoinSpec join_spec{{0}, {0}, rel::ComparisonOp::kEq};
+  expect_stamped(engine.Join(empty, a, join_spec), 0);
+  expect_stamped(engine.Join(a, empty, join_spec), 0);
+  auto divisor = a.ProjectColumns({1});
+  ASSERT_OK(divisor);
+  expect_stamped(engine.Divide(empty, *divisor, rel::DivisionSpec{{1}, {0}}),
+                 1);
+}
+
 TEST(EngineTest, StatsAccumulateAcrossPasses) {
   const Schema schema = rel::MakeIntSchema(1);
   std::vector<std::vector<int64_t>> rows;
@@ -410,6 +443,17 @@ TEST(EngineFaultTest, ZeroRatePlanChangesNothing) {
   EXPECT_EQ(got->stats.faults_detected, 0u);
   EXPECT_EQ(got->stats.tile_retries, 0u);
   EXPECT_EQ(got->stats.healthy_chips, 2u);
+}
+
+TEST(EngineFaultTest, SelectReportsEveryChip) {
+  const auto pair = FaultWorkload(54);
+  Engine faulty(FaultyConfig(54, 3, 0.0, {}));
+  auto got = faulty.Select(
+      pair.a, {arrays::SelectionPredicate{0, rel::ComparisonOp::kGe, 2}});
+  ASSERT_OK(got);
+  EXPECT_EQ(got->stats.passes, 1u);
+  EXPECT_EQ(got->stats.num_chips, 3u);
+  EXPECT_EQ(got->stats.healthy_chips, 3u);
 }
 
 TEST(EngineFaultTest, DeadChipIsQuarantinedAndWorkMigrates) {

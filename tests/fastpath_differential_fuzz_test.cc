@@ -7,10 +7,9 @@
 //   * identical pass counts, pulse totals, and makespan pulses
 //     (the analytic-timing contract: closed forms equal simulation),
 // across seeds, bounded and unbounded geometries, chip counts, and the
-// planner on full transactions. The nightly lane widens the seed set via
-// SYSTOLIC_FUZZ_SEEDS, same as the other fuzz suites.
+// planner on full transactions. SYSTOLIC_FUZZ_SEEDS sets the size of the
+// seed set (the nightly lane widens it), same as the other fuzz suites.
 
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -43,14 +42,10 @@ struct FastpathFuzzParam {
 };
 
 /// The default fuzz points rotate device shape, feed-mode policy, and chip
-/// count; SYSTOLIC_FUZZ_SEEDS widens the set for the nightly lane.
+/// count; SYSTOLIC_FUZZ_SEEDS sets the size of the set.
 std::vector<FastpathFuzzParam> FastpathFuzzPoints() {
   std::vector<FastpathFuzzParam> points;
-  size_t count = 24;
-  if (const char* env = std::getenv("SYSTOLIC_FUZZ_SEEDS")) {
-    const unsigned long parsed = std::strtoul(env, nullptr, 10);
-    if (parsed > count) count = static_cast<size_t>(parsed);
-  }
+  const size_t count = systolic::testing::FuzzSeedCount(24);
   static constexpr size_t kRows[] = {0, 3, 5, 7, 9, 13};
   static constexpr arrays::FeedModePolicy kModes[] = {
       arrays::FeedModePolicy::kMarching, arrays::FeedModePolicy::kFixedB,

@@ -284,10 +284,10 @@ TEST(Backend, ParseAndPrintPolicies) {
   EXPECT_EQ(policy, BackendPolicy::kRtl);
   EXPECT_TRUE(ParseBackendPolicy("fast", &policy));
   EXPECT_EQ(policy, BackendPolicy::kFast);
-  EXPECT_TRUE(ParseBackendPolicy("auto", &policy));
-  EXPECT_EQ(policy, BackendPolicy::kAuto);
+  EXPECT_FALSE(ParseBackendPolicy("auto", &policy));
   EXPECT_FALSE(ParseBackendPolicy("turbo", &policy));
-  EXPECT_STREQ(BackendPolicyToString(BackendPolicy::kAuto), "auto");
+  EXPECT_STREQ(BackendPolicyToString(BackendPolicy::kRtl), "rtl");
+  EXPECT_STREQ(BackendPolicyToString(BackendPolicy::kFast), "fast");
   EXPECT_STREQ(BackendToString(Backend::kFast), "fast");
 }
 
@@ -426,11 +426,9 @@ TEST(Backend, EngineResolvesFaultFallback) {
   db::DeviceConfig device;
   device.backend = BackendPolicy::kFast;
   EXPECT_EQ(db::Engine(device).ResolveBackend(), Backend::kFast);
-  device.backend = BackendPolicy::kAuto;
-  EXPECT_EQ(db::Engine(device).ResolveBackend(), Backend::kFast);
   device.backend = BackendPolicy::kRtl;
   EXPECT_EQ(db::Engine(device).ResolveBackend(), Backend::kRtl);
-  // Fault injection needs pulse-level fidelity: fast policies fall back.
+  // Fault injection needs pulse-level fidelity: the fast policy falls back.
   device.backend = BackendPolicy::kFast;
   device.faults = std::make_shared<faults::FaultPlan>(
       faults::FaultPlan::Uniform(7, 2, 0.01, 0.0, 0.0));

@@ -5,10 +5,9 @@
 // asserted: which chip claims which tile first is scheduling-dependent; the
 // contract is about data.
 //
-// Default sweep is 20 seed points; set SYSTOLIC_FUZZ_SEEDS=<n> to widen the
-// sweep (the nightly CI job runs an expanded range).
+// Default sweep is 20 seed points; set SYSTOLIC_FUZZ_SEEDS=<n> to run n
+// points instead (the nightly CI job runs an expanded range).
 
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
@@ -72,13 +71,9 @@ RecoveryFuzzParam PointAt(size_t k) {
   return p;
 }
 
-/// The sweep: 20 points by default, SYSTOLIC_FUZZ_SEEDS widens it.
+/// The sweep: 20 points by default, SYSTOLIC_FUZZ_SEEDS sets its size.
 std::vector<RecoveryFuzzParam> SweepPoints() {
-  size_t count = 20;
-  if (const char* env = std::getenv("SYSTOLIC_FUZZ_SEEDS")) {
-    const unsigned long parsed = std::strtoul(env, nullptr, 10);
-    if (parsed > 0) count = static_cast<size_t>(parsed);
-  }
+  const size_t count = systolic::testing::FuzzSeedCount(20);
   std::vector<RecoveryFuzzParam> points;
   points.reserve(count);
   for (size_t k = 0; k < count; ++k) points.push_back(PointAt(k));

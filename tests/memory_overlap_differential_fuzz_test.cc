@@ -11,11 +11,10 @@
 //     with overlap=off hiding nothing (overlap_cycles == 0) and satisfying
 //     the serial identity memory_makespan == makespan + dma on one chip.
 // A fault-injected sweep additionally requires tile retries to replay their
-// scratchpad feed bit-identically to the fault-free oracle. The nightly
-// lane widens the seed set via SYSTOLIC_FUZZ_SEEDS, same as the other fuzz
-// suites; the TSan lane runs the full default set.
+// scratchpad feed bit-identically to the fault-free oracle.
+// SYSTOLIC_FUZZ_SEEDS sets the size of the seed set (the nightly lane widens
+// it), same as the other fuzz suites; the TSan lane runs the default set.
 
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -51,15 +50,11 @@ struct OverlapFuzzParam {
 };
 
 /// The default fuzz points rotate device shape, feed-mode policy, chip
-/// count, and executor backend; SYSTOLIC_FUZZ_SEEDS widens the set for the
-/// nightly lane.
+/// count, and executor backend; SYSTOLIC_FUZZ_SEEDS sets the size of the
+/// set.
 std::vector<OverlapFuzzParam> OverlapFuzzPoints() {
   std::vector<OverlapFuzzParam> points;
-  size_t count = 24;
-  if (const char* env = std::getenv("SYSTOLIC_FUZZ_SEEDS")) {
-    const unsigned long parsed = std::strtoul(env, nullptr, 10);
-    if (parsed > count) count = static_cast<size_t>(parsed);
-  }
+  const size_t count = systolic::testing::FuzzSeedCount(24);
   static constexpr size_t kRows[] = {0, 3, 5, 7, 9, 13};
   static constexpr arrays::FeedModePolicy kModes[] = {
       arrays::FeedModePolicy::kMarching, arrays::FeedModePolicy::kFixedB,
@@ -304,7 +299,7 @@ TEST(MemoryOverlapMachine, PoliciesAgreeOnResultsAndComputeTiming) {
 
   auto off = run(OverlapPolicy::kOff);
   auto on = run(OverlapPolicy::kOn);
-  auto def = run(OverlapPolicy::kAuto);
+  auto def = run(db::DeviceConfig{}.overlap);
   ASSERT_OK(off);
   ASSERT_OK(on);
   ASSERT_OK(def);
@@ -315,7 +310,7 @@ TEST(MemoryOverlapMachine, PoliciesAgreeOnResultsAndComputeTiming) {
     EXPECT_EQ(off->steps[s].exec.dma_cycles, on->steps[s].exec.dma_cycles);
     EXPECT_LE(on->steps[s].exec.memory_makespan_cycles,
               off->steps[s].exec.memory_makespan_cycles);
-    // kAuto resolves to on.
+    // The default policy is on.
     EXPECT_EQ(def->steps[s].exec.memory_makespan_cycles,
               on->steps[s].exec.memory_makespan_cycles);
     EXPECT_TRUE(def->steps[s].exec.overlap_enabled);

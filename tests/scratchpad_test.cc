@@ -59,14 +59,14 @@ TEST(ScratchpadCosting, ByteModels) {
 }
 
 TEST(ScratchpadPolicy, ParseAndPrintRoundTrip) {
-  for (const OverlapPolicy policy :
-       {OverlapPolicy::kOff, OverlapPolicy::kOn, OverlapPolicy::kAuto}) {
+  for (const OverlapPolicy policy : {OverlapPolicy::kOff, OverlapPolicy::kOn}) {
     OverlapPolicy parsed;
     ASSERT_TRUE(
         spad::ParseOverlapPolicy(spad::OverlapPolicyToString(policy), &parsed));
     EXPECT_EQ(parsed, policy);
   }
   OverlapPolicy parsed;
+  EXPECT_FALSE(spad::ParseOverlapPolicy("auto", &parsed));
   EXPECT_FALSE(spad::ParseOverlapPolicy("sometimes", &parsed));
   EXPECT_FALSE(spad::ParseOverlapPolicy("", &parsed));
 }
@@ -87,6 +87,19 @@ TEST(ScratchpadBankTest, StageCopiesTheExactSliceAndClamps) {
   EXPECT_EQ(bank.staged_bytes(), 8.0 * 2 * 2);
   // Byte traffic accumulates across stagings.
   EXPECT_EQ(bank.bytes_in(), 8.0 * 4 * 2 + 8.0 * 2 * 2);
+}
+
+TEST(ScratchpadBankTest, WholeSourceStagesInPlaceAtFullCost) {
+  const Relation r = SmallRelation(5, 2);
+  ScratchpadBank bank;
+  // A slice spanning the whole source (or running past it) is the source
+  // itself — no copy — yet streams in the same bytes a copy would.
+  EXPECT_EQ(&bank.Stage(r, 0, 5), &r);
+  EXPECT_EQ(&bank.Stage(r, 0, 9), &r);
+  EXPECT_EQ(bank.staged_bytes(), 8.0 * 5 * 2);
+  EXPECT_EQ(bank.bytes_in(), 2 * 8.0 * 5 * 2);
+  // Any proper sub-range is still copied out.
+  EXPECT_NE(&bank.Stage(r, 0, 4), &r);
 }
 
 TEST(ScratchpadBankTest, DrainTracksAndRestageResetsTheCursor) {

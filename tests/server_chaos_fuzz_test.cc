@@ -25,11 +25,10 @@
 //      and group commit quiesces, every acknowledged STORE is durable, and
 //      no client hangs.
 //
-// SYSTOLIC_FUZZ_SEEDS widens the sweeps (default 4 per shape); the TSan and
+// SYSTOLIC_FUZZ_SEEDS sets the sweep size (default 4 per shape); the TSan and
 // nightly CI lanes run this binary.
 
 #include <atomic>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -55,15 +54,8 @@ namespace server {
 namespace {
 
 using rel::Schema;
+using systolic::testing::FuzzSeedCount;
 using systolic::testing::Rel;
-
-size_t FuzzSeeds(size_t fallback) {
-  if (const char* env = std::getenv("SYSTOLIC_FUZZ_SEEDS")) {
-    const unsigned long parsed = std::strtoul(env, nullptr, 10);
-    if (parsed > 0) return static_cast<size_t>(parsed);
-  }
-  return fallback;
-}
 
 ServerConfig ChaosConfig() {
   ServerConfig config;
@@ -166,7 +158,7 @@ struct ChaosParam {
 };
 
 std::vector<ChaosParam> ChaosSweepPoints() {
-  const size_t seeds = FuzzSeeds(4);
+  const size_t seeds = FuzzSeedCount(4);
   std::vector<ChaosParam> points;
   for (const size_t n : {2u, 4u, 8u}) {
     for (uint64_t k = 0; k < seeds; ++k) points.push_back({n, 7100 + k});
@@ -410,7 +402,7 @@ TEST_F(ChaosDirFixture, CrashCutSweepDeduplicatesExactlyOnce) {
   }
   ASSERT_GT(total, 0u);
 
-  const size_t seeds = FuzzSeeds(4);
+  const size_t seeds = FuzzSeedCount(4);
   const size_t kTrialsPerSeed = 6;
   for (uint64_t s = 0; s < seeds; ++s) {
     const uint64_t seed = 8200 + s;

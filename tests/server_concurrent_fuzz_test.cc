@@ -11,11 +11,10 @@
 // first-committer-wins accounting instead (bit-identity is not defined when
 // sessions race on purpose).
 //
-// SYSTOLIC_FUZZ_SEEDS widens the sweep (default 4 seeds per thread count);
+// SYSTOLIC_FUZZ_SEEDS sets the sweep size (default 4 seeds per thread count);
 // the TSan CI lane runs this binary to certify the locking.
 
 #include <atomic>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -122,11 +121,7 @@ struct FuzzParam {
 };
 
 std::vector<FuzzParam> SweepPoints() {
-  size_t seeds = 4;
-  if (const char* env = std::getenv("SYSTOLIC_FUZZ_SEEDS")) {
-    const unsigned long parsed = std::strtoul(env, nullptr, 10);
-    if (parsed > 0) seeds = static_cast<size_t>(parsed);
-  }
+  const size_t seeds = systolic::testing::FuzzSeedCount(4);
   std::vector<FuzzParam> points;
   for (const size_t n : {2u, 4u, 8u}) {
     for (uint64_t k = 0; k < seeds; ++k) {

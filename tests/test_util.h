@@ -1,6 +1,8 @@
 #ifndef SYSTOLIC_TESTS_TEST_UTIL_H_
 #define SYSTOLIC_TESTS_TEST_UTIL_H_
 
+#include <cstddef>
+#include <cstdlib>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -19,6 +21,17 @@ inline rel::Relation Rel(const rel::Schema& schema,
   auto result = rel::MakeRelation(schema, rows, kind);
   SYSTOLIC_CHECK(result.ok()) << result.status().ToString();
   return std::move(result).ValueOrDie();
+}
+
+/// Size of a fuzz suite's seed sweep: SYSTOLIC_FUZZ_SEEDS when it parses to
+/// a positive count, replacing the suite's default `fallback` (the nightly
+/// lane widens sweeps with it, smoke legs narrow them to one seed).
+inline size_t FuzzSeedCount(size_t fallback) {
+  if (const char* env = std::getenv("SYSTOLIC_FUZZ_SEEDS")) {
+    const unsigned long parsed = std::strtoul(env, nullptr, 10);
+    if (parsed > 0) return static_cast<size_t>(parsed);
+  }
+  return fallback;
 }
 
 /// gtest helpers for Status/Result expressions.
