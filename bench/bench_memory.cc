@@ -20,8 +20,14 @@
 // "overlap_on", cycles = memory-inclusive makespan — which is what
 // scripts/check_bench_regression.py uses to hold the off/on makespan ratio.
 //
+// A schedule-scaling case then queues 1k and 64k tiles on one chip's
+// DmaQueue and schedules them: the wall time per tile at 64k must stay
+// within 2x of that at 1k, so bank bookkeeping stays O(1) per command. Both
+// land in the JSON with cycles = the queue's makespan.
+//
 // `--smoke` shrinks the sweep for CI.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -139,5 +145,34 @@ int main(int argc, char** argv) {
       << "x fell below the 1.25x bar";
   std::printf("all cases bit-identical with identical compute and transfer "
               "pulse totals\n");
+
+  // Best of several runs per size: a 1k-tile schedule lasts ~0.1 ms.
+  const auto schedule_ns_per_tile = [&](size_t tiles, const char* name) {
+    double best_ns = 0;
+    size_t makespan = 0;
+    for (int rep = 0; rep < 5; ++rep) {
+      const auto start = std::chrono::steady_clock::now();
+      spad::DmaQueue queue(/*overlap=*/true);
+      for (size_t t = 0; t < tiles; ++t) {
+        queue.Mvin(t, 512);
+        queue.Preload(t, 512);
+        queue.Compute(t, 130);
+        queue.Mvout(t, 8);
+      }
+      makespan = queue.Schedule();
+      const double ns = WallNs(start);
+      best_ns = rep == 0 ? ns : std::min(best_ns, ns);
+    }
+    json.Case(name, static_cast<double>(makespan), best_ns, "overlap_on");
+    return best_ns / static_cast<double>(tiles);
+  };
+  const double small_ns = schedule_ns_per_tile(1024, "schedule_1k");
+  const double large_ns = schedule_ns_per_tile(65536, "schedule_64k");
+  std::printf("DMA schedule: %.1f ns/tile at 1k tiles, %.1f ns/tile at 64k "
+              "(<= 2x asserted)\n",
+              small_ns, large_ns);
+  SYSTOLIC_CHECK(large_ns <= 2.0 * small_ns)
+      << "DMA schedule cost per tile grew " << large_ns / small_ns
+      << "x from 1k to 64k tiles";
   return 0;
 }

@@ -23,12 +23,16 @@
 #      debug lock-order checker see every acquisition.
 #   6. One tile-dispatch path (DESIGN §2.6): the deleted `auto` values of
 #      BackendPolicy and OverlapPolicy stay deleted in src/, tests/,
-#      examples/ and bench/, and the eight per-tile entry points
-#      (fastpath::Fast{Membership,Join,Division,Select}, RunMembership,
-#      arrays::Systolic{Join,Division,Select}) are called in src/ only from
-#      the engine's tile dispatcher in src/core/engine.cc — apart from
-#      src/arrays/ and src/fastpath/, which define them (the array-level
-#      intersection and dedup arrays compose RunMembership).
+#      examples/ and bench/, and the backend entry points — per tile,
+#      fastpath::Fast{Division,Select}, RunMembership and
+#      arrays::Systolic{Join,Division,Select}; over whole operands,
+#      fastpath::MembershipBits and fastpath::JoinMatches — are called in
+#      src/ only from the engine's tile dispatcher in src/core/engine.cc,
+#      apart from src/arrays/ and src/fastpath/, which define them (the
+#      array-level intersection and dedup arrays compose RunMembership).
+#   7. No always-on DMA trace (DESIGN §2.8): ExecStats::dma_trace stays
+#      deleted in src/, tests/, examples/ and bench/; a schedule is traced
+#      by calling spad::DmaQueue::Schedule with a trace vector directly.
 
 set -u
 cd "$(dirname "$0")/.."
@@ -82,12 +86,19 @@ hits=$(grep -rnE '(BackendPolicy|OverlapPolicy)::kAuto' src tests examples bench
 if [ -n "$hits" ]; then
   report "deleted BackendPolicy/OverlapPolicy kAuto value (use kFast / kOn)" "$hits"
 fi
-hits=$(grep -rnE '\b(Fast(Membership|Join|Division|Select)|RunMembership|Systolic(Join|Division|Select))\(' src \
+hits=$(grep -rnE '\b(Fast(Division|Select)|RunMembership|Systolic(Join|Division|Select)|MembershipBits|JoinMatches)\(' src \
   --include='*.cc' --include='*.h' \
   | grep -vE '^src/(core/engine\.cc|arrays/|fastpath/)' \
   | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
 if [ -n "$hits" ]; then
-  report "per-tile entry point called outside the engine's tile dispatcher (dispatch through db::Engine)" "$hits"
+  report "backend entry point called outside the engine's tile dispatcher (dispatch through db::Engine)" "$hits"
+fi
+
+# --- rule 7: no always-on DMA trace -----------------------------------------
+hits=$(grep -rn 'dma_trace' src tests examples bench \
+  --include='*.cc' --include='*.cpp' --include='*.h' || true)
+if [ -n "$hits" ]; then
+  report "deleted ExecStats::dma_trace (trace a spad::DmaQueue's Schedule directly)" "$hits"
 fi
 
 if [ "$fail" -eq 0 ]; then

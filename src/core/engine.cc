@@ -10,6 +10,8 @@
 #include "arrays/division_array.h"
 #include "arrays/intersection_array.h"
 #include "arrays/join_array.h"
+#include "fastpath/analytic_timing.h"
+#include "fastpath/kernels.h"
 #include "faults/checksum.h"
 #include "faults/fault_scope.h"
 #include "perfmodel/estimates.h"
@@ -230,7 +232,7 @@ void Engine::MergePassInfos(const std::vector<ArrayRunInfo>& infos,
       queue.Compute(t, infos[t].cycles);
       queue.Mvout(t, traffic[t].out);
     }
-    const size_t makespan = queue.Schedule(&stats->dma_trace);
+    const size_t makespan = queue.Schedule();
     stats->dma_cycles += queue.TransferCycleTotal();
     stats->overlap_cycles += queue.SerialCycleTotal() - makespan;
     batch_makespan = std::max(batch_makespan, makespan);
@@ -301,25 +303,42 @@ Status Engine::CheckWidth(size_t width) const {
   return Status::OK();
 }
 
-template <typename Out>
-Result<std::vector<Out>> Engine::DispatchTiles(
-    const std::vector<Tile>& tiles, const TileKernel<Out>& rtl,
-    const TileKernel<Out>& fast,
-    const std::function<uint64_t(const Out&)>& checksum,
-    const std::function<double(const Out&)>& drain_bytes,
+template <typename TileOut, typename Out>
+Result<Out> Engine::DispatchTiles(
+    const std::vector<Tile>& tiles, const TileKernel<TileOut>& rtl,
+    const TileKernel<TileOut>& fast, const WholeKernel<Out>& fast_whole,
+    const std::function<Result<Out>(std::vector<TileOut>)>& merge,
+    const std::function<uint64_t(const TileOut&)>& checksum,
+    const std::function<double(const TileOut&)>& drain_bytes,
     ExecStats* stats) const {
   // One pass, either executor: same output, same cycle count. Only the RTL
   // simulator produces cell-occupancy statistics.
   const fastpath::Backend backend = ResolveBackend();
   stats->backend = backend;
   stats->analytic_timing = backend == fastpath::Backend::kFast;
-  const TileKernel<Out>& kernel =
-      backend == fastpath::Backend::kFast ? fast : rtl;
-
-  std::vector<Result<Out>> outputs(tiles.size(),
-                                   Status::Internal("tile never ran"));
   std::vector<ArrayRunInfo> infos(tiles.size());
   std::vector<TileTraffic> traffic(tiles.size());
+
+  // An empty batch takes the per-tile path below, which calls no kernel.
+  if (backend == fastpath::Backend::kFast && fast_whole != nullptr &&
+      !tiles.empty()) {
+    // A tile's feed is its blocks at 8 bytes per code, staged or not.
+    for (size_t t = 0; t < tiles.size(); ++t) {
+      const Tile& tile = tiles[t];
+      traffic[t].in_a = spad::TupleBytes(tile.a_count, tile.a->arity());
+      if (tile.b != nullptr) {
+        traffic[t].in_b = spad::TupleBytes(tile.b_count, tile.b->arity());
+      }
+    }
+    SYSTOLIC_ASSIGN_OR_RETURN(Out out, fast_whole(&infos, &traffic));
+    MergePassInfos(infos, traffic, stats);
+    return out;
+  }
+
+  const TileKernel<TileOut>& kernel =
+      backend == fastpath::Backend::kFast ? fast : rtl;
+  std::vector<Result<TileOut>> outputs(tiles.size(),
+                                       Status::Internal("tile never ran"));
   SYSTOLIC_RETURN_NOT_OK(RunTiled(
       tiles.size(),
       [&](size_t t) -> Status {
@@ -349,12 +368,12 @@ Result<std::vector<Out>> Engine::DispatchTiles(
       stats, [&](size_t t) { return checksum(*outputs[t]); }));
   MergePassInfos(infos, traffic, stats);
 
-  std::vector<Out> merged;
-  merged.reserve(tiles.size());
-  for (Result<Out>& output : outputs) {
-    merged.push_back(std::move(output).ValueOrDie());
+  std::vector<TileOut> per_tile;
+  per_tile.reserve(tiles.size());
+  for (Result<TileOut>& output : outputs) {
+    per_tile.push_back(std::move(output).ValueOrDie());
   }
-  return merged;
+  return merge(std::move(per_tile));
 }
 
 Result<BitVector> Engine::TiledMembership(const Relation& a, const Relation& b,
@@ -381,9 +400,10 @@ Result<BitVector> Engine::TiledMembership(const Relation& a, const Relation& b,
       // (which coincide pairwise); below-diagonal tiles compare full blocks,
       // since every such pair already has j < i globally.
       for (size_t p = 0; p < n_a; p += cap_a) {
+        const size_t rows_p = std::min(cap_a, n_a - p);
         for (size_t q = 0; q <= p; q += cap_a) {
-          tiles.push_back(q == p ? Tile{&a, p, cap_a}
-                                 : Tile{&a, p, cap_a, &a, q, cap_a});
+          tiles.push_back(q == p ? Tile{&a, p, rows_p}
+                                 : Tile{&a, p, rows_p, &a, q, cap_a});
         }
       }
     } else {
@@ -391,7 +411,8 @@ Result<BitVector> Engine::TiledMembership(const Relation& a, const Relation& b,
                                     std::max<size_t>(1, n_b));
       for (size_t ai = 0; ai < n_a; ai += cap_a) {
         for (size_t bi = 0; bi < n_b; bi += cap_b) {
-          tiles.push_back({&a, ai, cap_a, &b, bi, cap_b});
+          tiles.push_back({&a, ai, std::min(cap_a, n_a - ai), &b, bi,
+                           std::min(cap_b, n_b - bi)});
         }
         // Empty B: the pass is trivially empty; nothing to run.
         if (n_b == 0) ++stats->passes;
@@ -405,34 +426,48 @@ Result<BitVector> Engine::TiledMembership(const Relation& a, const Relation& b,
     return tiles[t].b == nullptr ? arrays::EdgeRule::kStrictLowerTriangle
                                  : arrays::EdgeRule::kAllTrue;
   };
-  SYSTOLIC_ASSIGN_OR_RETURN(
-      const std::vector<BitVector> tile_bits,
-      DispatchTiles<BitVector>(
-          tiles,
-          [&](size_t t, const Relation& block_a, const Relation& block_b,
-              ArrayRunInfo* info) {
-            return arrays::RunMembership(block_a, block_b, a_cols, b_cols,
-                                         edge_rule(t), options, info);
-          },
-          [&](size_t t, const Relation& block_a, const Relation& block_b,
-              ArrayRunInfo* info) {
-            return fastpath::FastMembership(block_a, block_b, a_cols, b_cols,
-                                            edge_rule(t), options, info);
-          },
-          faults::ChecksumBits,
-          [](const BitVector& bits) {
-            return spad::BitDrainBytes(bits.size());
-          },
-          stats));
-
-  BitVector acc(n_a, false);
-  for (size_t t = 0; t < tiles.size(); ++t) {
-    const BitVector& bits = tile_bits[t];
-    for (size_t i = 0; i < bits.size(); ++i) {
-      if (bits.Get(i)) acc.Set(tiles[t].a_start + i, true);
-    }
-  }
-  return acc;
+  return DispatchTiles<BitVector, BitVector>(
+      tiles,
+      [&](size_t t, const Relation& block_a, const Relation& block_b,
+          ArrayRunInfo* info) {
+        return arrays::RunMembership(block_a, block_b, a_cols, b_cols,
+                                     edge_rule(t), options, info);
+      },
+      nullptr,
+      [&](std::vector<ArrayRunInfo>* infos,
+          std::vector<TileTraffic>* traffic) -> Result<BitVector> {
+        if (a_cols.empty()) {
+          return Status::InvalidArgument(
+              "membership query needs equal, non-empty column lists");
+        }
+        for (size_t t = 0; t < tiles.size(); ++t) {
+          const Tile& tile = tiles[t];
+          (*infos)[t].cycles = fastpath::MembershipCycles(
+              options.mode, tile.a_count,
+              tile.b != nullptr ? tile.b_count : tile.a_count, a_cols.size(),
+              options.rows);
+          (*traffic)[t].out = spad::BitDrainBytes(tile.a_count);
+        }
+        // The tiles' bits OR into: a_i equals some tuple of B or, for dedup
+        // (B is A), some tuple of A at a lower index.
+        return fastpath::MembershipBits(
+            a, b, a_cols, b_cols,
+            dedup ? arrays::EdgeRule::kStrictLowerTriangle
+                  : arrays::EdgeRule::kAllTrue);
+      },
+      [&](std::vector<BitVector> tile_bits) -> Result<BitVector> {
+        BitVector acc(n_a, false);
+        for (size_t t = 0; t < tiles.size(); ++t) {
+          const BitVector& bits = tile_bits[t];
+          for (size_t i = 0; i < bits.size(); ++i) {
+            if (bits.Get(i)) acc.Set(tiles[t].a_start + i, true);
+          }
+        }
+        return acc;
+      },
+      faults::ChecksumBits,
+      [](const BitVector& bits) { return spad::BitDrainBytes(bits.size()); },
+      stats);
 }
 
 Result<EngineResult> Engine::Intersect(const Relation& a,
@@ -522,14 +557,17 @@ Result<EngineResult> Engine::Join(const Relation& a, const Relation& b,
   arrays::JoinArrayOptions options;
   options.rows = device_.rows;
   std::vector<Tile> tiles;
+  size_t cap_a = 1;
+  size_t cap_b = 1;
   if (n_a > 0 && n_b > 0) {
     options.mode = ResolveMode(n_a, n_b);
     result.stats.resolved_mode = options.mode;
-    const size_t cap_a = std::min(BlockCapacity(options.mode, false), n_a);
-    const size_t cap_b = std::min(BlockCapacity(options.mode, true), n_b);
+    cap_a = std::min(BlockCapacity(options.mode, false), n_a);
+    cap_b = std::min(BlockCapacity(options.mode, true), n_b);
     for (size_t ai = 0; ai < n_a; ai += cap_a) {
       for (size_t bi = 0; bi < n_b; bi += cap_b) {
-        tiles.push_back({&a, ai, cap_a, &b, bi, cap_b});
+        tiles.push_back({&a, ai, std::min(cap_a, n_a - ai), &b, bi,
+                         std::min(cap_b, n_b - bi)});
       }
     }
   }
@@ -551,8 +589,8 @@ Result<EngineResult> Engine::Join(const Relation& a, const Relation& b,
   };
   const size_t out_arity = result.relation.arity();
   SYSTOLIC_ASSIGN_OR_RETURN(
-      const std::vector<Matches> tile_matches,
-      DispatchTiles<Matches>(
+      const Matches matches,
+      (DispatchTiles<Matches, Matches>(
           tiles,
           [&](size_t t, const Relation& block_a, const Relation& block_b,
               ArrayRunInfo* info) {
@@ -560,22 +598,41 @@ Result<EngineResult> Engine::Join(const Relation& a, const Relation& b,
                 t, arrays::SystolicJoin(block_a, block_b, spec, options),
                 info);
           },
-          [&](size_t t, const Relation& block_a, const Relation& block_b,
-              ArrayRunInfo* info) {
-            return matches_of(
-                t, fastpath::FastJoin(block_a, block_b, spec, options), info);
+          nullptr,
+          [&](std::vector<ArrayRunInfo>* infos,
+              std::vector<TileTraffic>* traffic) -> Result<Matches> {
+            Matches all = fastpath::JoinMatches(
+                a, b, spec.left_columns, spec.right_columns, spec.op);
+            // Pair (i, j) falls in the tile of A-block i / cap_a and B-block
+            // j / cap_b; each tile drains its matches' joined tuples.
+            const size_t b_blocks = (n_b + cap_b - 1) / cap_b;
+            std::vector<size_t> tile_matches(tiles.size(), 0);
+            for (const auto& [i, j] : all) {
+              ++tile_matches[i / cap_a * b_blocks + j / cap_b];
+            }
+            for (size_t t = 0; t < tiles.size(); ++t) {
+              const Tile& tile = tiles[t];
+              (*infos)[t].cycles = fastpath::JoinCycles(
+                  options.mode, tile.a_count, tile.b_count,
+                  spec.left_columns.size(), options.rows);
+              (*traffic)[t].out = spad::TupleBytes(tile_matches[t], out_arity);
+            }
+            return all;
+          },
+          [](std::vector<Matches> tile_matches) -> Result<Matches> {
+            Matches all;
+            for (const Matches& per_tile : tile_matches) {
+              all.insert(all.end(), per_tile.begin(), per_tile.end());
+            }
+            std::sort(all.begin(), all.end());
+            return all;
           },
           faults::ChecksumMatches,
-          [out_arity](const Matches& matches) {
-            return spad::TupleBytes(matches.size(), out_arity);
+          [out_arity](const Matches& tile) {
+            return spad::TupleBytes(tile.size(), out_arity);
           },
-          &result.stats));
+          &result.stats)));
 
-  Matches matches;
-  for (const Matches& per_tile : tile_matches) {
-    matches.insert(matches.end(), per_tile.begin(), per_tile.end());
-  }
-  std::sort(matches.begin(), matches.end());
   for (const auto& [i, j] : matches) {
     SYSTOLIC_RETURN_NOT_OK(result.relation.Append(
         rel::JoinConcatenate(a.tuple(i), b.tuple(j), spec)));
@@ -646,9 +703,10 @@ Result<EngineResult> Engine::Divide(const Relation& a, const Relation& b,
           {&chunk, 0, chunk.num_tuples(), &group, 0, group.num_tuples()});
     }
   }
+  const size_t num_groups = divisor_groups.size();
   SYSTOLIC_ASSIGN_OR_RETURN(
-      const std::vector<arrays::DivisionArrayResult> passes,
-      DispatchTiles<arrays::DivisionArrayResult>(
+      result.relation,
+      (DispatchTiles<arrays::DivisionArrayResult, Relation>(
           tiles,
           [&](size_t, const Relation& block_a, const Relation& block_b,
               ArrayRunInfo* info) {
@@ -660,35 +718,40 @@ Result<EngineResult> Engine::Divide(const Relation& a, const Relation& b,
             return WithPassRecord(
                 fastpath::FastDivision(block_a, block_b, spec), info);
           },
+          nullptr,
+          [&](std::vector<arrays::DivisionArrayResult> passes)
+              -> Result<Relation> {
+            Relation quotient(result.relation.schema(),
+                              rel::RelationKind::kSet);
+            for (size_t c = 0; c < chunks.size(); ++c) {
+              std::vector<rel::Tuple> surviving;  // in first-occurrence order
+              for (size_t g = 0; g < num_groups; ++g) {
+                const Relation& pass = passes[c * num_groups + g].relation;
+                if (g == 0) {
+                  surviving = pass.tuples();
+                } else {
+                  std::vector<rel::Tuple> next;
+                  for (const rel::Tuple& x : surviving) {
+                    if (pass.Contains(x)) next.push_back(x);
+                  }
+                  surviving = std::move(next);
+                }
+              }
+              for (rel::Tuple& x : surviving) {
+                SYSTOLIC_RETURN_NOT_OK(quotient.Append(std::move(x)));
+              }
+            }
+            return quotient;
+          },
           [](const arrays::DivisionArrayResult& pass) {
             return faults::ChecksumRelation(pass.relation);
           },
           [](const arrays::DivisionArrayResult& pass) {
             return machine::RelationBytes(pass.relation);
           },
-          &result.stats));
+          &result.stats)));
   // No candidate quotient values: one trivial pass for accounting.
   if (a.num_tuples() == 0) ++result.stats.passes;
-
-  const size_t num_groups = divisor_groups.size();
-  for (size_t c = 0; c < chunks.size(); ++c) {
-    std::vector<rel::Tuple> surviving;  // in first-occurrence order
-    for (size_t g = 0; g < num_groups; ++g) {
-      const arrays::DivisionArrayResult& pass = passes[c * num_groups + g];
-      if (g == 0) {
-        surviving = pass.relation.tuples();
-      } else {
-        std::vector<rel::Tuple> next;
-        for (const rel::Tuple& x : surviving) {
-          if (pass.relation.Contains(x)) next.push_back(x);
-        }
-        surviving = std::move(next);
-      }
-    }
-    for (rel::Tuple& x : surviving) {
-      SYSTOLIC_RETURN_NOT_OK(result.relation.Append(std::move(x)));
-    }
-  }
   return result;
 }
 
@@ -705,8 +768,8 @@ Result<EngineResult> Engine::Select(
   // slice — the predicate constants live in the cells.
   ExecStats stats;
   SYSTOLIC_ASSIGN_OR_RETURN(
-      std::vector<arrays::SelectionResult> selected,
-      DispatchTiles<arrays::SelectionResult>(
+      Relation selected,
+      (DispatchTiles<arrays::SelectionResult, Relation>(
           {Tile{&a, 0, a.num_tuples()}},
           [&](size_t, const Relation& block_a, const Relation&,
               ArrayRunInfo* info) {
@@ -718,14 +781,18 @@ Result<EngineResult> Engine::Select(
             return WithPassRecord(fastpath::FastSelect(block_a, predicates),
                                   info);
           },
+          nullptr,
+          [](std::vector<arrays::SelectionResult> tile) -> Result<Relation> {
+            return std::move(tile[0].relation);
+          },
           [](const arrays::SelectionResult& tile) {
             return faults::ChecksumBits(tile.selected);
           },
           [](const arrays::SelectionResult& tile) {
             return machine::RelationBytes(tile.relation);
           },
-          &stats));
-  EngineResult result(std::move(selected[0].relation));
+          &stats)));
+  EngineResult result(std::move(selected));
   result.stats = stats;
   return result;
 }

@@ -147,9 +147,6 @@ struct ExecStats {
   size_t memory_makespan_cycles = 0;
   /// Whether the operation's tile feeds were double-buffered.
   bool overlap_enabled = false;
-  /// The per-chip DMA schedules, chips in order then commands in queue
-  /// order — the golden-trace diff surface. Chip-local pulse timestamps.
-  std::vector<spad::DmaEvent> dma_trace;
 
   /// Serial utilisation: busy cell-pulses over cells × summed pulses
   /// (`cycles`). Denominator = the cell-pulses ONE chip offers when it runs
@@ -293,8 +290,9 @@ class Engine {
   size_t BlockCapacity(arrays::FeedMode mode, bool bottom) const;
 
   /// One §8 sub-problem: tuples [a_start, a_start + a_count) of `a` and,
-  /// when `b` is set, [b_start, b_start + b_count) of `b`. A tile without a
-  /// B slice feeds its A block to both array edges (one mvin, no preload).
+  /// when `b` is set, [b_start, b_start + b_count) of `b`; the ranges lie
+  /// inside their operands. A tile without a B slice feeds its A block to
+  /// both array edges (one mvin, no preload).
   struct Tile {
     const rel::Relation* a = nullptr;
     size_t a_start = 0;
@@ -307,26 +305,40 @@ class Engine {
   /// One backend's per-tile entry point, called with the tile index and the
   /// staged blocks; returns what the operator's merge keeps of the tile and
   /// writes the pass record to `info`.
-  template <typename Out>
-  using TileKernel = std::function<Result<Out>(
+  template <typename TileOut>
+  using TileKernel = std::function<Result<TileOut>(
       size_t tile, const rel::Relation& block_a, const rel::Relation& block_b,
       arrays::ArrayRunInfo* info)>;
 
+  /// The fast backend's entry point for an operator whose tiles merge into
+  /// one result (membership, join): §8 tiling never changes that result, so
+  /// it is computed once, over whole operands. Sets each tile's pass record
+  /// in `infos` and its drained bytes in `traffic[t].out` in closed form,
+  /// both sized to the batch; the dispatcher has filled the feed bytes.
+  template <typename Out>
+  using WholeKernel = std::function<Result<Out>(
+      std::vector<arrays::ArrayRunInfo>* infos,
+      std::vector<TileTraffic>* traffic)>;
+
   /// The single tile-dispatch path of every operator. Resolves the backend
-  /// and stamps it into `stats`, then runs every tile through RunTiled: each
+  /// and stamps it into `stats`. On the fast backend with `fast_whole` set
+  /// and at least one tile, runs `fast_whole` once: no tile is staged or
+  /// gets its own output. Otherwise runs every tile through RunTiled: each
   /// attempt stages the tile's slices into fresh scratchpad banks, runs
   /// `rtl` or `fast` on the staged blocks, drains the banks and records the
   /// tile's feed traffic, `drain_bytes` of output included; `checksum`
-  /// backs the shadow cross-check. Folds the pass records into `stats` via
-  /// MergePassInfos and returns the per-tile outputs in tile order, so the
-  /// caller's merge is bit-identical across chip counts. An empty batch
-  /// runs nothing but still stamps the device fields of `stats`.
-  template <typename Out>
-  Result<std::vector<Out>> DispatchTiles(
-      const std::vector<Tile>& tiles, const TileKernel<Out>& rtl,
-      const TileKernel<Out>& fast,
-      const std::function<uint64_t(const Out&)>& checksum,
-      const std::function<double(const Out&)>& drain_bytes,
+  /// backs the shadow cross-check; `merge` folds the tile outputs, in tile
+  /// order, into the operator's result, so it is bit-identical across chip
+  /// counts. Either way folds the pass records into `stats` via
+  /// MergePassInfos. An empty batch runs nothing but still stamps the
+  /// device fields of `stats`.
+  template <typename TileOut, typename Out>
+  Result<Out> DispatchTiles(
+      const std::vector<Tile>& tiles, const TileKernel<TileOut>& rtl,
+      const TileKernel<TileOut>& fast, const WholeKernel<Out>& fast_whole,
+      const std::function<Result<Out>(std::vector<TileOut>)>& merge,
+      const std::function<uint64_t(const TileOut&)>& checksum,
+      const std::function<double(const TileOut&)>& drain_bytes,
       ExecStats* stats) const;
 
   /// Runs `count` independent tile tasks — across the chip pool when the
@@ -350,7 +362,7 @@ class Engine {
   /// `makespan_cycles`. Then queues each tile's compute cycles and feed
   /// `traffic` (parallel to `infos`) on its assigned chip's DMA queue in
   /// tile order, schedules the queues under ResolveOverlap(), and folds
-  /// dma_cycles / overlap_cycles / memory_makespan_cycles / dma_trace in.
+  /// dma_cycles / overlap_cycles / memory_makespan_cycles in.
   void MergePassInfos(const std::vector<arrays::ArrayRunInfo>& infos,
                       const std::vector<TileTraffic>& traffic,
                       ExecStats* stats) const;

@@ -12,7 +12,6 @@
 namespace systolic {
 namespace fastpath {
 
-using arrays::FeedMode;
 using rel::Relation;
 
 const char* BackendPolicyToString(BackendPolicy policy) {
@@ -32,82 +31,6 @@ bool ParseBackendPolicy(const std::string& text, BackendPolicy* policy) {
     return false;
   }
   return true;
-}
-
-namespace {
-
-/// Mirrors ComparisonGrid's per-pass capacity limits so the fast path fails
-/// with the same Capacity status the RTL grid's feeders would return.
-Status CheckGridCapacity(FeedMode mode, size_t n_a, size_t n_b, size_t rows) {
-  const size_t max_a = mode == FeedMode::kFixedB ? SIZE_MAX : (rows + 1) / 2;
-  const size_t max_b = mode == FeedMode::kFixedB ? rows : (rows + 1) / 2;
-  if (n_a > max_a) {
-    return Status::Capacity("relation A has " + std::to_string(n_a) +
-                            " tuples but the grid fits " +
-                            std::to_string(max_a) + " per pass");
-  }
-  if (n_b > max_b) {
-    return Status::Capacity("relation B has " + std::to_string(n_b) +
-                            " tuples but the grid fits " +
-                            std::to_string(max_b) + " per pass");
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Result<BitVector> FastMembership(const Relation& a, const Relation& b,
-                                 const std::vector<size_t>& a_columns,
-                                 const std::vector<size_t>& b_columns,
-                                 arrays::EdgeRule edge_rule,
-                                 const arrays::MembershipOptions& options,
-                                 arrays::ArrayRunInfo* info) {
-  if (a_columns.empty() || a_columns.size() != b_columns.size()) {
-    return Status::InvalidArgument(
-        "membership query needs equal, non-empty column lists");
-  }
-  if (a.num_tuples() == 0) {
-    return BitVector(0);
-  }
-  const size_t rows = EffectiveRows(options.mode, a.num_tuples(),
-                                    b.num_tuples(), options.rows);
-  SYSTOLIC_RETURN_NOT_OK(
-      CheckGridCapacity(options.mode, a.num_tuples(), b.num_tuples(), rows));
-  if (info != nullptr) {
-    info->cycles = MembershipCycles(options.mode, a.num_tuples(),
-                                    b.num_tuples(), a_columns.size(),
-                                    options.rows);
-    info->sim = sim::SimStats{};
-  }
-  return MembershipBits(a, b, a_columns, b_columns, edge_rule);
-}
-
-Result<arrays::JoinArrayResult> FastJoin(const Relation& a, const Relation& b,
-                                         const rel::JoinSpec& spec,
-                                         const arrays::JoinArrayOptions& options) {
-  SYSTOLIC_RETURN_NOT_OK(rel::ValidateJoinSpec(a.schema(), b.schema(), spec));
-  SYSTOLIC_ASSIGN_OR_RETURN(
-      rel::Schema out_schema,
-      rel::JoinOutputSchema(a.schema(), b.schema(), spec));
-  arrays::JoinArrayResult result(
-      Relation(std::move(out_schema), rel::RelationKind::kMulti));
-  if (a.num_tuples() == 0 || b.num_tuples() == 0) {
-    return result;
-  }
-  const size_t rows = EffectiveRows(options.mode, a.num_tuples(),
-                                    b.num_tuples(), options.rows);
-  SYSTOLIC_RETURN_NOT_OK(
-      CheckGridCapacity(options.mode, a.num_tuples(), b.num_tuples(), rows));
-  result.info.cycles =
-      JoinCycles(options.mode, a.num_tuples(), b.num_tuples(),
-                 spec.left_columns.size(), options.rows);
-  result.matches =
-      JoinMatches(a, b, spec.left_columns, spec.right_columns, spec.op);
-  for (const auto& [i, j] : result.matches) {
-    SYSTOLIC_RETURN_NOT_OK(result.relation.Append(
-        rel::JoinConcatenate(a.tuple(i), b.tuple(j), spec)));
-  }
-  return result;
 }
 
 Result<arrays::DivisionArrayResult> FastDivision(const Relation& a,

@@ -5,12 +5,9 @@
 #include <vector>
 
 #include "arrays/division_array.h"
-#include "arrays/join_array.h"
-#include "arrays/membership.h"
 #include "arrays/selection_array.h"
 #include "relational/op_specs.h"
 #include "relational/relation.h"
-#include "util/bitvector.h"
 #include "util/result.h"
 
 namespace systolic {
@@ -20,8 +17,8 @@ namespace fastpath {
 enum class Backend {
   /// The cycle-accurate RTL simulator (the repo's correctness oracle).
   kRtl,
-  /// The packed-kernel fast path: identical tile results from kernels.h,
-  /// cycle counts from analytic_timing.h.
+  /// The kernel fast path: identical results from kernels.h, cycle counts
+  /// from analytic_timing.h.
   kFast,
 };
 
@@ -44,28 +41,15 @@ const char* BackendToString(Backend backend);
 /// Parses a policy name; false on anything but rtl/fast.
 bool ParseBackendPolicy(const std::string& text, BackendPolicy* policy);
 
-/// Drop-in fast replacements for the four array drivers the engine calls
-/// per tile. Each returns bit-identical results to its RTL counterpart and
-/// reports the analytically derived quiescence cycle count; simulator cell
-/// statistics stay zero (no cells were pulsed — ExecStats treats analytic
-/// passes separately, see ExecStats::Utilization).
-
-/// Fast RunMembership: same validation, capacity limits, result bits and
-/// cycle count as arrays::RunMembership.
-Result<BitVector> FastMembership(const rel::Relation& a,
-                                 const rel::Relation& b,
-                                 const std::vector<size_t>& a_columns,
-                                 const std::vector<size_t>& b_columns,
-                                 arrays::EdgeRule edge_rule,
-                                 const arrays::MembershipOptions& options,
-                                 arrays::ArrayRunInfo* info);
-
-/// Fast SystolicJoin: same matches (in (i, j) order), output relation and
-/// cycle count as arrays::SystolicJoin.
-Result<arrays::JoinArrayResult> FastJoin(const rel::Relation& a,
-                                         const rel::Relation& b,
-                                         const rel::JoinSpec& spec,
-                                         const arrays::JoinArrayOptions& options);
+/// Drop-in fast replacements for the two array drivers the engine calls per
+/// tile on the fast backend. Each returns bit-identical results to
+/// its RTL counterpart and reports the analytically derived quiescence cycle
+/// count; simulator cell statistics stay zero (no cells were pulsed —
+/// ExecStats treats analytic passes separately, see ExecStats::Utilization).
+/// Membership and joins have no per-tile fast driver: their tiles merge into
+/// one result, which the engine computes once over whole operands with
+/// kernels.h's MembershipBits / JoinMatches, giving each tile its pass
+/// record in closed form (analytic_timing.h).
 
 /// Fast SystolicDivision: same quotient (first-occurrence order), shape
 /// fields and cycle count as arrays::SystolicDivision.

@@ -1,6 +1,9 @@
 #include "fastpath/kernels.h"
 
 #include <bit>
+#include <unordered_map>
+
+#include "relational/tuple_hash.h"
 
 namespace systolic {
 namespace fastpath {
@@ -9,19 +12,13 @@ namespace {
 
 constexpr size_t kWordBits = 64;
 
-/// Initial-t words for row i under the edge rule: all pairs admitted, or
-/// only the strict lower triangle j < i (§5). Trailing bits beyond n_b stay
-/// zero so whole-word tests never resurrect out-of-range pairs.
-std::vector<uint64_t> EdgeWords(arrays::EdgeRule edge_rule, size_t i,
-                                size_t n_b) {
-  const size_t limit =
-      edge_rule == arrays::EdgeRule::kStrictLowerTriangle ? std::min(i, n_b)
-                                                          : n_b;
-  std::vector<uint64_t> words((n_b + kWordBits - 1) / kWordBits, 0);
-  const size_t full = limit / kWordBits;
+/// The all-true initial mask over n lanes. Trailing bits beyond n stay zero
+/// so whole-word tests never resurrect out-of-range pairs.
+std::vector<uint64_t> AllLanes(size_t n) {
+  std::vector<uint64_t> words((n + kWordBits - 1) / kWordBits, 0);
+  const size_t full = n / kWordBits;
   for (size_t w = 0; w < full; ++w) words[w] = ~uint64_t{0};
-  const size_t rest = limit % kWordBits;
-  if (rest != 0) words[full] = (uint64_t{1} << rest) - 1;
+  if (n % kWordBits != 0) words[full] = (uint64_t{1} << (n % kWordBits)) - 1;
   return words;
 }
 
@@ -39,6 +36,14 @@ inline void RefineWord(uint64_t& word, size_t base, rel::Code a_value,
   }
 }
 
+/// The codes of `t` in `columns`, in order: the hash key equality compares.
+rel::Tuple KeyOf(const rel::Tuple& t, const std::vector<size_t>& columns) {
+  rel::Tuple key;
+  key.reserve(columns.size());
+  for (size_t c : columns) key.push_back(t[c]);
+  return key;
+}
+
 }  // namespace
 
 std::vector<rel::Code> PackColumn(const rel::Relation& b, size_t column) {
@@ -49,11 +54,10 @@ std::vector<rel::Code> PackColumn(const rel::Relation& b, size_t column) {
 }
 
 std::vector<uint64_t> MatchMaskWords(
-    const rel::Tuple& a_i, size_t i, const std::vector<size_t>& a_columns,
+    const rel::Tuple& a_i, const std::vector<size_t>& a_columns,
     const std::vector<std::vector<rel::Code>>& b_columns_packed,
-    const std::vector<rel::ComparisonOp>& ops, arrays::EdgeRule edge_rule,
-    size_t n_b) {
-  std::vector<uint64_t> words = EdgeWords(edge_rule, i, n_b);
+    const std::vector<rel::ComparisonOp>& ops, size_t n_b) {
+  std::vector<uint64_t> words = AllLanes(n_b);
   for (size_t c = 0; c < a_columns.size(); ++c) {
     const rel::Code a_value = a_i[a_columns[c]];
     bool live = false;
@@ -72,22 +76,20 @@ BitVector MembershipBits(const rel::Relation& a, const rel::Relation& b,
                          const std::vector<size_t>& a_columns,
                          const std::vector<size_t>& b_columns,
                          arrays::EdgeRule edge_rule) {
-  const size_t n_a = a.num_tuples();
-  const size_t n_b = b.num_tuples();
-  BitVector bits(n_a, false);
-  std::vector<std::vector<rel::Code>> packed;
-  packed.reserve(b_columns.size());
-  for (size_t c : b_columns) packed.push_back(PackColumn(b, c));
-  const std::vector<rel::ComparisonOp> ops(a_columns.size(),
-                                           rel::ComparisonOp::kEq);
-  for (size_t i = 0; i < n_a; ++i) {
-    const std::vector<uint64_t> words =
-        MatchMaskWords(a.tuple(i), i, a_columns, packed, ops, edge_rule, n_b);
-    for (uint64_t word : words) {
-      if (word != 0) {
-        bits.Set(i, true);
-        break;
-      }
+  // Equality needs no pairwise scan. Index each key's first row in B: the
+  // edge rule admits pair (i, j) for every j, or only for j < i, so a_i
+  // matches iff its key occurs in B at all, or first occurs before row i.
+  std::unordered_map<rel::Tuple, size_t, rel::TupleHash> first_row;
+  first_row.reserve(b.num_tuples());
+  for (size_t j = 0; j < b.num_tuples(); ++j) {
+    first_row.emplace(KeyOf(b.tuple(j), b_columns), j);
+  }
+  BitVector bits(a.num_tuples(), false);
+  for (size_t i = 0; i < a.num_tuples(); ++i) {
+    const auto it = first_row.find(KeyOf(a.tuple(i), a_columns));
+    if (it != first_row.end() &&
+        (edge_rule == arrays::EdgeRule::kAllTrue || it->second < i)) {
+      bits.Set(i, true);
     }
   }
   return bits;
@@ -99,14 +101,27 @@ std::vector<std::pair<size_t, size_t>> JoinMatches(
     const std::vector<size_t>& right_columns, rel::ComparisonOp op) {
   std::vector<std::pair<size_t, size_t>> matches;
   const size_t n_b = b.num_tuples();
+  if (op == rel::ComparisonOp::kEq) {
+    // Build on B's join columns (rows in ascending order), probe in A order.
+    std::unordered_map<rel::Tuple, std::vector<size_t>, rel::TupleHash> rows;
+    rows.reserve(n_b);
+    for (size_t j = 0; j < n_b; ++j) {
+      rows[KeyOf(b.tuple(j), right_columns)].push_back(j);
+    }
+    for (size_t i = 0; i < a.num_tuples(); ++i) {
+      const auto it = rows.find(KeyOf(a.tuple(i), left_columns));
+      if (it == rows.end()) continue;
+      for (size_t j : it->second) matches.emplace_back(i, j);
+    }
+    return matches;
+  }
   std::vector<std::vector<rel::Code>> packed;
   packed.reserve(right_columns.size());
   for (size_t c : right_columns) packed.push_back(PackColumn(b, c));
   const std::vector<rel::ComparisonOp> ops(left_columns.size(), op);
   for (size_t i = 0; i < a.num_tuples(); ++i) {
     const std::vector<uint64_t> words =
-        MatchMaskWords(a.tuple(i), i, left_columns, packed, ops,
-                       arrays::EdgeRule::kAllTrue, n_b);
+        MatchMaskWords(a.tuple(i), left_columns, packed, ops, n_b);
     for (size_t w = 0; w < words.size(); ++w) {
       for (uint64_t rest = words[w]; rest != 0; rest &= rest - 1) {
         matches.emplace_back(
@@ -124,10 +139,7 @@ BitVector SelectionBits(const rel::Relation& a,
   const size_t n = a.num_tuples();
   // Here the packed dimension is the tuple index i: one mask over all of A,
   // refined predicate by predicate.
-  std::vector<uint64_t> words((n + kWordBits - 1) / kWordBits, 0);
-  const size_t full = n / kWordBits;
-  for (size_t w = 0; w < full; ++w) words[w] = ~uint64_t{0};
-  if (n % kWordBits != 0) words[full] = (uint64_t{1} << (n % kWordBits)) - 1;
+  std::vector<uint64_t> words = AllLanes(n);
   for (size_t p = 0; p < columns.size(); ++p) {
     const std::vector<rel::Code> column = PackColumn(a, columns[p]);
     bool live = false;

@@ -107,13 +107,13 @@ DmaQueue::DmaQueue(bool overlap, size_t num_bank_pairs)
 }
 
 size_t DmaQueue::BankOf(size_t tile) {
-  for (size_t i = 0; i < tile_order_.size(); ++i) {
-    if (tile_order_[i] == tile) {
-      return i % num_bank_pairs_;
-    }
+  if (tile_order_.empty() || tile != last_tile_) {
+    last_tile_ = tile;
+    last_bank_ =
+        tile_order_.try_emplace(tile, tile_order_.size()).first->second %
+        num_bank_pairs_;
   }
-  tile_order_.push_back(tile);
-  return (tile_order_.size() - 1) % num_bank_pairs_;
+  return last_bank_;
 }
 
 void DmaQueue::Mvin(size_t tile, double bytes) {

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "relational/relation.h"
@@ -191,7 +192,12 @@ class DmaQueue {
   bool overlap_;
   size_t num_bank_pairs_;
   std::vector<DmaCommand> commands_;
-  std::vector<size_t> tile_order_;  // tile ids by first appearance
+  /// Tile id -> its rank by first appearance in the queue. A hash index
+  /// keeps BankOf O(1), so queueing T tiles costs O(T); a tile's commands
+  /// are usually queued together, so the last answer is cached.
+  std::unordered_map<size_t, size_t> tile_order_;
+  size_t last_tile_ = 0;
+  size_t last_bank_ = 0;
 };
 
 }  // namespace spad

@@ -242,5 +242,102 @@ TEST_P(FastpathMachineFuzz, TransactionsMatchRtl) {
 INSTANTIATE_TEST_SUITE_P(Txns, FastpathMachineFuzz,
                          ::testing::ValuesIn(FastpathFuzzPoints()));
 
+// ---------------------------------------------------------------------------
+// Many-tile lane: 150–180-tuple operands on 3- and 5-row marching chips put
+// thousands of §8 tiles behind each operator — the regime where the fast
+// backend computes membership and joins once over whole operands and gives
+// every tile a closed-form pass record. Fast, RTL and the reference oracle
+// must agree tuple for tuple, and fast and RTL on every pass, pulse and DMA
+// counter. The default four points cover rows × chips ∈ {3, 5} × {1, 4}
+// with overlap on and off; the operand range keeps the RTL side near 10 s
+// in a Debug build.
+// ---------------------------------------------------------------------------
+
+struct ManyTileParam {
+  uint64_t seed;
+  size_t device_rows;
+  size_t num_chips;
+  spad::OverlapPolicy overlap;
+};
+
+std::vector<ManyTileParam> ManyTilePoints() {
+  std::vector<ManyTileParam> points;
+  const size_t count = systolic::testing::FuzzSeedCount(4);
+  for (size_t k = 0; k < count; ++k) {
+    points.push_back(ManyTileParam{
+        901 + k, k % 2 == 0 ? size_t{3} : size_t{5},
+        k / 2 % 2 == 0 ? size_t{1} : size_t{4},
+        (k + k / 2) % 2 == 0 ? spad::OverlapPolicy::kOn
+                             : spad::OverlapPolicy::kOff});
+  }
+  return points;
+}
+
+class FastpathManyTileFuzz : public ::testing::TestWithParam<ManyTileParam> {};
+
+TEST_P(FastpathManyTileFuzz, WholeOperandMatchesEveryTile) {
+  const ManyTileParam p = GetParam();
+  Rng rng(p.seed);
+  rel::PairOptions options;
+  options.base.num_tuples = 150 + static_cast<size_t>(rng.Uniform(0, 30));
+  options.base.domain_size = 6 + rng.Uniform(0, 6);
+  options.base.seed = p.seed;
+  options.b_num_tuples = 150 + static_cast<size_t>(rng.Uniform(0, 30));
+  options.overlap_fraction = rng.NextDouble();
+  auto pair = rel::GenerateOverlappingPair(rel::MakeIntSchema(2), options);
+  ASSERT_OK(pair);
+  const Relation& a = pair->a;
+  const Relation& b = pair->b;
+
+  DeviceConfig device;
+  device.rows = p.device_rows;
+  device.mode = arrays::FeedModePolicy::kMarching;
+  device.num_chips = p.num_chips;
+  device.overlap = p.overlap;
+  const Engine rtl(device);
+  device.backend = fastpath::BackendPolicy::kFast;
+  const Engine fast(device);
+
+  const auto check = [](const Result<EngineResult>& rtl_run,
+                        const Result<EngineResult>& fast_run,
+                        const Result<Relation>& oracle,
+                        const std::string& what) {
+    ASSERT_OK(rtl_run);
+    ASSERT_OK(fast_run);
+    ASSERT_OK(oracle);
+    const rel::Relation& out = fast_run->relation;
+    EXPECT_EQ(rtl_run->relation.tuples(), out.tuples()) << what;
+    EXPECT_EQ(oracle->tuples(), out.tuples()) << what;
+    const db::ExecStats& r = rtl_run->stats;
+    const db::ExecStats& f = fast_run->stats;
+    EXPECT_GT(f.passes, 100u) << what;
+    EXPECT_EQ(r.passes, f.passes) << what;
+    EXPECT_EQ(r.cycles, f.cycles) << what;
+    EXPECT_EQ(r.makespan_cycles, f.makespan_cycles) << what;
+    EXPECT_EQ(r.dma_cycles, f.dma_cycles) << what;
+    EXPECT_EQ(r.overlap_cycles, f.overlap_cycles) << what;
+    EXPECT_EQ(r.memory_makespan_cycles, f.memory_makespan_cycles) << what;
+    EXPECT_EQ(f.backend, fastpath::Backend::kFast) << what;
+  };
+  check(rtl.Intersect(a, b), fast.Intersect(a, b),
+        rel::reference::Intersection(a, b), "intersect");
+  check(rtl.Subtract(a, b), fast.Subtract(a, b),
+        rel::reference::Difference(a, b), "subtract");
+  check(rtl.RemoveDuplicates(a), fast.RemoveDuplicates(a),
+        rel::reference::RemoveDuplicates(a), "dedup");
+  check(rtl.Union(a, b), fast.Union(a, b), rel::reference::Union(a, b),
+        "union");
+  for (const rel::ComparisonOp op :
+       {rel::ComparisonOp::kEq, rel::ComparisonOp::kLt}) {
+    const rel::JoinSpec spec{{0}, {0}, op};
+    check(rtl.Join(a, b, spec), fast.Join(a, b, spec),
+          rel::reference::Join(a, b, spec),
+          std::string("join ") + rel::ComparisonOpToString(op));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ManyTiles, FastpathManyTileFuzz,
+                         ::testing::ValuesIn(ManyTilePoints()));
+
 }  // namespace
 }  // namespace systolic

@@ -147,8 +147,7 @@ TEST(FastpathKernels, MatchMaskWordsZeroesTailBits) {
   const rel::Tuple a_i{0};
   const std::vector<std::vector<rel::Code>> packed{PackColumn(b, 0)};
   const auto words =
-      MatchMaskWords(a_i, 0, {0}, packed, {rel::ComparisonOp::kEq},
-                     EdgeRule::kAllTrue, 65);
+      MatchMaskWords(a_i, {0}, packed, {rel::ComparisonOp::kEq}, 65);
   ASSERT_EQ(words.size(), 2u);
   EXPECT_EQ(words[0], ~uint64_t{0});
   EXPECT_EQ(words[1], uint64_t{1});  // only bit 64 of 65 survives
@@ -319,63 +318,77 @@ TEST(Backend, FallbackPolicyNameAndRtlName) {
   EXPECT_STREQ(BackendToString(Backend::kRtl), "rtl");
 }
 
-TEST(Backend, FastMembershipRejectsBadColumnLists) {
-  const Schema schema = rel::MakeIntSchema(1);
-  const Relation a = MakeRel(schema, 2, 1, 3, 1);
-  const Relation b = MakeRel(schema, 2, 1, 3, 2);
-  arrays::MembershipOptions options;
-  auto empty_cols = FastMembership(a, b, {}, {}, EdgeRule::kAllTrue, options,
-                                   nullptr);
-  EXPECT_FALSE(empty_cols.ok());
-  EXPECT_TRUE(empty_cols.status().IsInvalidArgument());
-  auto mismatched = FastMembership(a, b, {0}, {}, EdgeRule::kAllTrue, options,
-                                   nullptr);
-  EXPECT_FALSE(mismatched.ok());
+TEST(Backend, FastIntersectRejectsZeroColumnOperandsLikeRtl) {
+  // Whole-operand membership runs no per-tile driver, so the engine must
+  // refuse zero-column operands itself, exactly when RunMembership would.
+  const Schema none = rel::MakeIntSchema(0);
+  Relation a(none, rel::RelationKind::kMulti);
+  SYSTOLIC_CHECK(a.Append({}).ok());
+  const Relation empty(none, rel::RelationKind::kMulti);
+  for (const BackendPolicy policy :
+       {BackendPolicy::kRtl, BackendPolicy::kFast}) {
+    db::DeviceConfig device;
+    device.backend = policy;
+    const db::Engine engine(device);
+    auto intersect = engine.Intersect(a, a);
+    EXPECT_TRUE(intersect.status().IsInvalidArgument())
+        << BackendPolicyToString(policy);
+    auto subtract = engine.Subtract(a, a);
+    EXPECT_TRUE(subtract.status().IsInvalidArgument())
+        << BackendPolicyToString(policy);
+    // No B tuples, no tile, nothing to refuse.
+    EXPECT_OK(engine.Intersect(a, empty)) << BackendPolicyToString(policy);
+  }
 }
 
-TEST(Backend, FastMembershipEmptyAIsEmptyBits) {
+TEST(Backend, WholeOperandRecordsMatchRtlOnAutoSizedFixedB) {
+  // rows = 0 auto-sizes a fixed-B grid to its B side, and a dedup tile's B
+  // side is its own A block: the closed-form pass records must size every
+  // tile exactly as the simulated pass does.
+  const Schema schema = rel::MakeIntSchema(2);
+  const Relation a = MakeRel(schema, 40, 2, 4, 11);
+  const Relation b = MakeRel(schema, 25, 2, 4, 12);
+  db::DeviceConfig device;
+  device.mode = arrays::FeedModePolicy::kFixedB;
+  const db::Engine rtl(device);
+  device.backend = BackendPolicy::kFast;
+  const db::Engine fast(device);
+  const auto expect_same = [](const Result<db::EngineResult>& r,
+                              const Result<db::EngineResult>& f,
+                              const char* what) {
+    ASSERT_OK(r);
+    ASSERT_OK(f);
+    EXPECT_EQ(r->relation.tuples(), f->relation.tuples()) << what;
+    EXPECT_EQ(r->stats.passes, f->stats.passes) << what;
+    EXPECT_EQ(r->stats.cycles, f->stats.cycles) << what;
+    EXPECT_EQ(r->stats.dma_cycles, f->stats.dma_cycles) << what;
+    EXPECT_EQ(r->stats.memory_makespan_cycles, f->stats.memory_makespan_cycles)
+        << what;
+  };
+  expect_same(rtl.RemoveDuplicates(a), fast.RemoveDuplicates(a), "dedup");
+  expect_same(rtl.Union(a, b), fast.Union(a, b), "union");
+  expect_same(rtl.Intersect(a, b), fast.Intersect(a, b), "intersect");
+  const rel::JoinSpec spec{{0}, {0}, rel::ComparisonOp::kEq};
+  expect_same(rtl.Join(a, b, spec), fast.Join(a, b, spec), "join");
+}
+
+TEST(FastpathKernels, MembershipBitsEmptyAIsEmptyBits) {
   const Schema schema = rel::MakeIntSchema(1);
   const Relation empty(schema, rel::RelationKind::kMulti);
   const Relation b = MakeRel(schema, 3, 1, 3, 2);
-  auto bits = FastMembership(empty, b, {0}, {0}, EdgeRule::kAllTrue,
-                             arrays::MembershipOptions{}, nullptr);
-  ASSERT_OK(bits);
-  EXPECT_EQ(bits->size(), 0u);
+  EXPECT_EQ(MembershipBits(empty, b, {0}, {0}, EdgeRule::kAllTrue).size(), 0u);
 }
 
-TEST(Backend, FastMembershipEnforcesGridCapacity) {
-  const Schema schema = rel::MakeIntSchema(1);
-  const Relation a = MakeRel(schema, 3, 1, 3, 1);
-  const Relation b = MakeRel(schema, 1, 1, 3, 2);
-  // Marching with rows=3 fits (3+1)/2 = 2 A tuples: A overflows.
-  arrays::MembershipOptions marching;
-  marching.mode = FeedMode::kMarching;
-  marching.rows = 3;
-  auto a_overflow = FastMembership(a, b, {0}, {0}, EdgeRule::kAllTrue,
-                                   marching, nullptr);
-  EXPECT_FALSE(a_overflow.ok());
-  EXPECT_TRUE(a_overflow.status().IsCapacity());
-  // Fixed-B with rows=2 fits 2 B tuples: B overflows, A is unbounded.
-  const Relation big_b = MakeRel(schema, 4, 1, 3, 3);
-  arrays::MembershipOptions fixed;
-  fixed.mode = FeedMode::kFixedB;
-  fixed.rows = 2;
-  auto b_overflow = FastMembership(a, big_b, {0}, {0}, EdgeRule::kAllTrue,
-                                   fixed, nullptr);
-  EXPECT_FALSE(b_overflow.ok());
-  EXPECT_TRUE(b_overflow.status().IsCapacity());
-}
-
-TEST(Backend, FastJoinEmptyOperandShortCircuits) {
+TEST(FastpathKernels, JoinMatchesEmptyOperandIsEmpty) {
   const Schema schema = rel::MakeIntSchema(2);
   const Relation a = MakeRel(schema, 3, 2, 4, 1);
   const Relation empty(schema, rel::RelationKind::kMulti);
-  rel::JoinSpec spec{{0}, {0}, rel::ComparisonOp::kEq};
-  auto result = FastJoin(a, empty, spec, arrays::JoinArrayOptions{});
-  ASSERT_OK(result);
-  EXPECT_EQ(result->relation.num_tuples(), 0u);
-  EXPECT_TRUE(result->matches.empty());
-  EXPECT_EQ(result->info.cycles, 0u);
+  for (const rel::ComparisonOp op :
+       {rel::ComparisonOp::kEq, rel::ComparisonOp::kLt}) {
+    EXPECT_TRUE(JoinMatches(a, empty, {0}, {0}, op).empty());
+    EXPECT_TRUE(JoinMatches(empty, a, {0}, {0}, op).empty());
+  }
+  EXPECT_EQ(JoinCycles(FeedMode::kMarching, 3, 0, 1, 0), 0u);
 }
 
 TEST(Backend, FastDivisionEmptyDividendIsEmptyQuotient) {
@@ -417,8 +430,8 @@ TEST(FastpathKernels, MatchMaskDiesEarlyOnFirstColumn) {
   const std::vector<std::vector<rel::Code>> packed{PackColumn(b, 0),
                                                    PackColumn(b, 1)};
   const auto words = MatchMaskWords(
-      a_i, 0, {0, 1}, packed, {rel::ComparisonOp::kEq, rel::ComparisonOp::kEq},
-      EdgeRule::kAllTrue, 70);
+      a_i, {0, 1}, packed, {rel::ComparisonOp::kEq, rel::ComparisonOp::kEq},
+      70);
   for (uint64_t word : words) EXPECT_EQ(word, 0u);
 }
 

@@ -186,7 +186,9 @@ TEST(GoldenTraceTest, TraceProbeRendersStableText) {
 // tile: mvin 4 pulses (32 bytes of A), preload 2 (16 bytes of B block),
 // compute 7 (n_a + rows + m = 4+2+1), mvout 2 (two 8-byte matches) — except
 // tile 2, whose B block {5,6} matches nothing, so its zero-byte mvout is
-// dropped from the queue.
+// dropped from the queue. The engine's DMA counters must equal those of a
+// DmaQueue fed exactly these commands, whose schedule is pinned event by
+// event.
 // ---------------------------------------------------------------------------
 
 TEST(GoldenDmaTraceTest, ThreeTileJoinBankSwitchSchedule) {
@@ -207,13 +209,24 @@ TEST(GoldenDmaTraceTest, ThreeTileJoinBankSwitchSchedule) {
     return *std::move(result);
   };
 
-  const auto render = [](const std::vector<spad::DmaEvent>& trace) {
+  // The header's per-tile commands, scheduled directly.
+  const auto schedule = [](bool overlap) {
+    spad::DmaQueue queue(overlap);
+    for (size_t tile = 0; tile < 3; ++tile) {
+      queue.Mvin(tile, 32);
+      queue.Preload(tile, 16);
+      queue.Compute(tile, 7);
+      queue.Mvout(tile, tile < 2 ? 16 : 0);
+    }
+    std::vector<spad::DmaEvent> trace;
+    const size_t makespan = queue.Schedule(&trace);
     std::vector<std::string> lines;
     lines.reserve(trace.size());
     for (const spad::DmaEvent& event : trace) {
       lines.push_back(spad::ToString(event));
     }
-    return lines;
+    EXPECT_EQ(queue.TransferCycleTotal(), 22u);
+    return std::make_pair(makespan, lines);
   };
 
   // Overlap off: strict load→compute→drain serialisation, one tile after
@@ -223,7 +236,9 @@ TEST(GoldenDmaTraceTest, ThreeTileJoinBankSwitchSchedule) {
   EXPECT_EQ(off.stats.dma_cycles, 22u);
   EXPECT_EQ(off.stats.overlap_cycles, 0u);
   EXPECT_EQ(off.stats.memory_makespan_cycles, 43u);
-  EXPECT_EQ(render(off.stats.dma_trace),
+  const auto [off_makespan, off_trace] = schedule(/*overlap=*/false);
+  EXPECT_EQ(off_makespan, off.stats.memory_makespan_cycles);
+  EXPECT_EQ(off_trace,
             (std::vector<std::string>{
                 "mvin tile=0 bank=0 [0,4)", "preload tile=0 bank=0 [4,6)",
                 "compute tile=0 bank=0 [6,13)", "mvout tile=0 bank=0 [13,15)",
@@ -240,7 +255,9 @@ TEST(GoldenDmaTraceTest, ThreeTileJoinBankSwitchSchedule) {
   EXPECT_EQ(on.stats.dma_cycles, 22u);
   EXPECT_EQ(on.stats.overlap_cycles, 15u);
   EXPECT_EQ(on.stats.memory_makespan_cycles, 28u);
-  EXPECT_EQ(render(on.stats.dma_trace),
+  const auto [on_makespan, on_trace] = schedule(/*overlap=*/true);
+  EXPECT_EQ(on_makespan, on.stats.memory_makespan_cycles);
+  EXPECT_EQ(on_trace,
             (std::vector<std::string>{
                 "mvin tile=0 bank=0 [0,4)", "preload tile=0 bank=0 [4,6)",
                 "compute tile=0 bank=0 [6,13)", "mvout tile=0 bank=0 [13,15)",

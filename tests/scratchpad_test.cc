@@ -189,6 +189,26 @@ TEST(DmaQueueTest, ThirdTileWaitsForItsBankPair) {
   EXPECT_EQ(queue.SerialCycleTotal(), 60u);
 }
 
+TEST(DmaQueueTest, BanksFollowFirstAppearanceAcrossRevisits) {
+  // Pairs go round-robin over the order in which tiles first appear, not
+  // over tile ids or queue positions: 7 and 3 take ranks 0 and 1, the
+  // revisited 7 keeps rank 0, and 9 is the third distinct tile (rank 2).
+  for (const size_t pairs : {size_t{2}, size_t{3}}) {
+    DmaQueue queue(/*overlap=*/true, pairs);
+    for (const size_t tile : {7, 3, 7, 9}) {
+      queue.Mvin(tile, 8);
+      queue.Compute(tile, 1);
+    }
+    std::vector<size_t> banks;
+    for (const spad::DmaCommand& command : queue.commands()) {
+      banks.push_back(command.bank);
+    }
+    const size_t nine = 2 % pairs;
+    EXPECT_EQ(banks, (std::vector<size_t>{0, 0, 1, 1, 0, 0, nine, nine}))
+        << pairs << " bank pairs";
+  }
+}
+
 TEST(DmaQueueTest, ZeroByteTransfersQueueNothing) {
   DmaQueue queue(/*overlap=*/true);
   queue.Mvin(0, 0);
