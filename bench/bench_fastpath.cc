@@ -137,6 +137,7 @@ int main(int argc, char** argv) {
 
   DeviceConfig tiled_device;
   tiled_device.rows = 63;
+  tiled_device.mode = arrays::FeedModePolicy::kMarching;
   tiled_device.num_chips = 4;
   tiled_device.backend = fastpath::BackendPolicy::kFast;
   Engine tiled(tiled_device);

@@ -72,6 +72,7 @@ int main(int argc, char** argv) {
   // the makespan being improved is the simulated machine's.
   DeviceConfig device;
   device.rows = 5;
+  device.mode = arrays::FeedModePolicy::kMarching;
   device.num_chips = 2;
   device.overlap = spad::OverlapPolicy::kOff;
   Engine off(device);
@@ -159,7 +160,7 @@ int main(int argc, char** argv) {
         queue.Compute(t, 130);
         queue.Mvout(t, 8);
       }
-      makespan = queue.Schedule();
+      makespan = queue.Makespan();
       const double ns = WallNs(start);
       best_ns = rep == 0 ? ns : std::min(best_ns, ns);
     }

@@ -32,7 +32,11 @@
 #      array-level intersection and dedup arrays compose RunMembership).
 #   7. No always-on DMA trace (DESIGN §2.8): ExecStats::dma_trace stays
 #      deleted in src/, tests/, examples/ and bench/; a schedule is traced
-#      by calling spad::DmaQueue::Schedule with a trace vector directly.
+#      by handing a spad::DmaQueue a trace vector directly.
+#   8. kAuto decides from the exact schedule (DESIGN §2.1): the one-schedule
+#      §8 estimates perf::FixedBMembershipPulses / MarchingMembershipPulses
+#      are called in src/ only from src/perfmodel (which defines them),
+#      src/planner (step costs, feed hints) and src/verify (hint audit).
 
 set -u
 cd "$(dirname "$0")/.."
@@ -99,6 +103,15 @@ hits=$(grep -rn 'dma_trace' src tests examples bench \
   --include='*.cc' --include='*.cpp' --include='*.h' || true)
 if [ -n "$hits" ]; then
   report "deleted ExecStats::dma_trace (trace a spad::DmaQueue's Schedule directly)" "$hits"
+fi
+
+# --- rule 8: the engine's feed discipline comes from its exact evaluator ---
+hits=$(grep -rnE '\b(FixedB|Marching)MembershipPulses\(' src \
+  --include='*.cc' --include='*.h' \
+  | grep -vE '^src/(perfmodel|planner|verify)/' \
+  | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+if [ -n "$hits" ]; then
+  report "§8 pulse estimate called outside src/perfmodel, src/planner and src/verify (kAuto decides from the exact schedule)" "$hits"
 fi
 
 if [ "$fail" -eq 0 ]; then

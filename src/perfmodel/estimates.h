@@ -56,10 +56,11 @@ double SecondsForCycles(const Technology& tech, size_t cycles);
 /// Modeled total pulses of a membership-family pass structure (intersection,
 /// difference, dedup, join) under §8's fixed-B discipline on a device with
 /// `device_rows` grid rows (0 = unbounded): every block of B is preloaded
-/// and all of A streams past it. This is the single source of truth shared
-/// by Engine (to resolve FeedModePolicy::kAuto per operation) and the query
-/// planner (to cost plan steps), so that the planner's predicted feed mode
-/// is exactly the mode the engine resolves at run time.
+/// and all of A streams past it. An estimate for the query planner (to cost
+/// plan steps and pin feed hints) and the verifier (to audit those hints);
+/// it ignores the chip schedule and DMA traffic, so the engine's kAuto
+/// guard, which compares the exact schedules of both tilings, can pick the
+/// other discipline (project_lint rule 8 keeps the engine off it).
 double FixedBMembershipPulses(size_t n_a, size_t n_b, size_t columns,
                               size_t device_rows);
 

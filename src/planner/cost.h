@@ -54,9 +54,10 @@ struct StepCost {
 
 /// Models the pulses of `n` (an op node of `plan`, with est_rows already
 /// filled in) on a membership-family device with `device_rows` grid rows
-/// (0 = unbounded). Uses the shared perfmodel formulas for the membership
-/// family so the chosen feed mode matches what Engine's kAuto would resolve;
-/// the remaining ops use documented planner-side approximations:
+/// (0 = unbounded). Uses the perfmodel estimates for the membership family
+/// — a one-schedule approximation that can disagree with the engine's kAuto
+/// guard, which decides unhinted steps from their exact schedules; the
+/// remaining ops use documented planner-side approximations:
 ///   select  ≈ n + #predicates + 2        (single streaming pass)
 ///   dedup   ≈ membership(n, n)           (self-membership structure)
 ///   union   ≈ membership(nA+nB, nA+nB)   (dedup of the concatenation)

@@ -13,10 +13,6 @@ using machine::Transaction;
 
 namespace {
 
-const char* FeedModeName(arrays::FeedMode mode) {
-  return mode == arrays::FeedMode::kFixedB ? "fixed-B" : "marching";
-}
-
 size_t Round(double v) {
   return v <= 0 ? 0 : static_cast<size_t>(std::llround(v));
 }
@@ -105,7 +101,8 @@ Result<PlannedTransaction> PlanTransaction(
       // Pin the feed discipline only when the planner's operand
       // cardinalities are exact — i.e. every operand is an external input
       // read straight from the catalog. Estimated intermediates keep the
-      // device's own policy (kAuto re-decides with true sizes at run time).
+      // device's own policy (kAuto picks from the exact schedule of the true
+      // sizes at run time).
       const bool exact = inputs.count(step.left) != 0 &&
                          (!machine::IsBinaryOp(step.op) ||
                           inputs.count(step.right) != 0);
@@ -153,7 +150,8 @@ std::string PlannedTransaction::ToString() const {
         << " [slot " << s.device_slot << "]  est " << Round(s.est_pulses)
         << " pulses, ~" << Round(s.est_rows) << " rows";
     if (s.has_mode_choice) {
-      out << ", feed=" << FeedModeName(s.mode) << (s.hinted ? " (pinned)" : "");
+      out << ", feed=" << arrays::FeedModeToString(s.mode)
+          << (s.hinted ? " (pinned)" : "");
     }
     out << "\n";
   }

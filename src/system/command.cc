@@ -253,7 +253,13 @@ Status CommandInterpreter::RunStep(Transaction transaction,
                             machine_->Buffer(output));
   (*out_) << "-- " << OpKindToString(step.op) << " -> " << output << ": "
           << result->num_tuples() << " tuples, " << step.exec.passes
-          << " passes, " << step.exec.cycles << " pulses";
+          << " passes";
+  if (step.op != OpKind::kDivide && step.op != OpKind::kSelect) {
+    // The membership family and joins name the discipline they ran.
+    (*out_) << " (" << arrays::FeedModeToString(step.exec.resolved_mode)
+            << ")";
+  }
+  (*out_) << ", " << step.exec.cycles << " pulses";
   if (step.exec.backend == fastpath::Backend::kFast) {
     (*out_) << " (fast, analytic)";
   }

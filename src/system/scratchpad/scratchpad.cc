@@ -101,132 +101,79 @@ std::string ToString(const DmaEvent& event) {
   return out.str();
 }
 
-DmaQueue::DmaQueue(bool overlap, size_t num_bank_pairs)
-    : overlap_(overlap), num_bank_pairs_(num_bank_pairs) {
+DmaQueue::DmaQueue(bool overlap, size_t num_bank_pairs,
+                   std::vector<DmaEvent>* trace)
+    : overlap_(overlap),
+      num_bank_pairs_(num_bank_pairs),
+      trace_(trace),
+      bank_free_(num_bank_pairs, 0) {
   SYSTOLIC_CHECK(num_bank_pairs_ > 0) << "a chip needs at least one bank pair";
 }
 
-size_t DmaQueue::BankOf(size_t tile) {
-  if (tile_order_.empty() || tile != last_tile_) {
-    last_tile_ = tile;
-    last_bank_ =
-        tile_order_.try_emplace(tile, tile_order_.size()).first->second %
-        num_bank_pairs_;
-  }
-  return last_bank_;
-}
-
 void DmaQueue::Mvin(size_t tile, double bytes) {
-  if (bytes <= 0) {
-    return;
-  }
-  commands_.push_back(
-      {DmaOp::kMvin, tile, BankOf(tile), TransferCycles(bytes), bytes});
+  if (bytes > 0) Enqueue(DmaOp::kMvin, tile, TransferCycles(bytes), bytes);
 }
 
 void DmaQueue::Preload(size_t tile, double bytes) {
-  if (bytes <= 0) {
-    return;
-  }
-  commands_.push_back(
-      {DmaOp::kPreload, tile, BankOf(tile), TransferCycles(bytes), bytes});
+  if (bytes > 0) Enqueue(DmaOp::kPreload, tile, TransferCycles(bytes), bytes);
 }
 
 void DmaQueue::Compute(size_t tile, size_t cycles) {
-  commands_.push_back({DmaOp::kCompute, tile, BankOf(tile), cycles, 0});
+  Enqueue(DmaOp::kCompute, tile, cycles, 0);
 }
 
 void DmaQueue::Mvout(size_t tile, double bytes) {
-  if (bytes <= 0) {
-    return;
-  }
-  commands_.push_back(
-      {DmaOp::kMvout, tile, BankOf(tile), TransferCycles(bytes), bytes});
+  if (bytes > 0) Enqueue(DmaOp::kMvout, tile, TransferCycles(bytes), bytes);
 }
 
-size_t DmaQueue::Schedule(std::vector<DmaEvent>* trace) const {
-  size_t makespan = 0;
+void DmaQueue::Enqueue(DmaOp op, size_t tile, size_t cycles, double bytes) {
+  if (tiles_ == 0 || tile != tile_) {
+    SYSTOLIC_CHECK(tiles_ == 0 || tile > tile_)
+        << "DMA command for tile " << tile << " after tile " << tile_
+        << ": each tile's commands queue together, in tile order";
+    bank_ = tiles_++ % num_bank_pairs_;
+    tile_ = tile;
+    load_end_ = 0;
+    tile_end_ = 0;
+  }
+  serial_total_ += cycles;
+  if (op != DmaOp::kCompute) transfer_total_ += cycles;
+
+  size_t start = 0;
   if (!overlap_) {
     // Serial baseline: every command waits for the previous one.
-    size_t clock = 0;
-    for (const DmaCommand& command : commands_) {
-      size_t start = clock;
-      clock += command.cycles;
-      if (trace != nullptr) {
-        trace->push_back({command, start, clock});
-      }
-    }
-    return clock;
-  }
-  // Double-buffered schedule: one load port (mvin/preload), one store port
-  // (mvout), one compute unit, and num_bank_pairs_ bank pairs. A tile's
-  // loads serialise on the load port in queue order; its compute waits for
-  // its own loads and the compute unit; its mvout waits for its compute and
-  // the store port — drains never block the next tile's loads, which is the
-  // §9 "output pipelined back into another memory" path. The bank pair
-  // frees only when the mvout ends, stalling the tile that reuses it.
-  // Commands are queued per tile in order, so a single pass suffices.
-  size_t load_free = 0;
-  size_t store_free = 0;
-  size_t compute_free = 0;
-  std::vector<size_t> bank_free(num_bank_pairs_, 0);
-  std::vector<size_t> load_end;   // per tile: when its operands are resident
-  std::vector<size_t> tile_end;   // per tile: when its last command ends
-  auto slot = [](std::vector<size_t>* v, size_t tile) -> size_t& {
-    if (v->size() <= tile) {
-      v->resize(tile + 1, 0);
-    }
-    return (*v)[tile];
-  };
-  for (const DmaCommand& command : commands_) {
-    size_t start = 0;
-    switch (command.op) {
+    start = makespan_;
+  } else {
+    // Double-buffered schedule: a tile's loads serialise on the load port;
+    // its compute waits for its own loads and the compute unit; its mvout
+    // waits for its compute and the store port — drains never block the
+    // next tile's loads, which is the §9 "output pipelined back into
+    // another memory" path. The bank pair frees only when the mvout ends,
+    // stalling the tile that reuses it.
+    switch (op) {
       case DmaOp::kMvin:
       case DmaOp::kPreload:
-        start = std::max(load_free, bank_free[command.bank]);
-        load_free = start + command.cycles;
-        slot(&load_end, command.tile) =
-            std::max(slot(&load_end, command.tile), load_free);
+        start = std::max(load_free_, bank_free_[bank_]);
+        load_free_ = start + cycles;
+        load_end_ = std::max(load_end_, load_free_);
         break;
       case DmaOp::kCompute:
-        start = std::max(slot(&load_end, command.tile), compute_free);
-        compute_free = start + command.cycles;
+        start = std::max(load_end_, compute_free_);
+        compute_free_ = start + cycles;
         break;
-      case DmaOp::kMvout: {
-        size_t ready = std::max(slot(&load_end, command.tile),
-                                slot(&tile_end, command.tile));
-        start = std::max(ready, store_free);
-        store_free = start + command.cycles;
-        bank_free[command.bank] = store_free;
+      case DmaOp::kMvout:
+        start = std::max({load_end_, tile_end_, store_free_});
+        store_free_ = start + cycles;
+        bank_free_[bank_] = store_free_;
         break;
-      }
-    }
-    size_t end = start + command.cycles;
-    slot(&tile_end, command.tile) = std::max(slot(&tile_end, command.tile), end);
-    makespan = std::max(makespan, end);
-    if (trace != nullptr) {
-      trace->push_back({command, start, end});
     }
   }
-  return makespan;
-}
-
-size_t DmaQueue::TransferCycleTotal() const {
-  size_t total = 0;
-  for (const DmaCommand& command : commands_) {
-    if (command.op != DmaOp::kCompute) {
-      total += command.cycles;
-    }
+  const size_t end = start + cycles;
+  tile_end_ = std::max(tile_end_, end);
+  makespan_ = std::max(makespan_, end);
+  if (trace_ != nullptr) {
+    trace_->push_back({{op, tile, bank_, cycles, bytes}, start, end});
   }
-  return total;
-}
-
-size_t DmaQueue::SerialCycleTotal() const {
-  size_t total = 0;
-  for (const DmaCommand& command : commands_) {
-    total += command.cycles;
-  }
-  return total;
 }
 
 }  // namespace spad

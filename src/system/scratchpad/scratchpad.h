@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "relational/relation.h"
@@ -145,59 +144,70 @@ bool operator==(const DmaEvent& a, const DmaEvent& b);
 std::string ToString(const DmaEvent& event);
 
 /// The per-chip asynchronous DMA command queue. Tiles enqueue their commands
-/// in tile order (mvin, preload, compute, mvout); Schedule() then derives
-/// the deterministic execution timeline under the chip's resources:
+/// together, in increasing tile order (mvin, preload, compute, mvout), and
+/// the queue schedules each command as it arrives — it keeps no command
+/// list, so a chip's state is O(bank pairs) however many tiles it runs. The
+/// deterministic timeline follows the chip's resources:
 ///
 ///   * one DMA load port — operand feeds (mvin/preload) serialise on it —
 ///     and one DMA store port — result drains (mvout) serialise on it, so a
 ///     drain never blocks the next tile's loads;
 ///   * one compute unit — passes serialise in tile order;
-///   * `num_bank_pairs` scratchpad bank pairs — a tile occupies the pair
-///     (tile_order % pairs) from its first transfer until its mvout ends,
-///     so with 2 pairs tile N+1 may stream in while tile N computes and
-///     tile N−1 drains, but tile N+2 must wait for tile N's bank.
+///   * `num_bank_pairs` scratchpad bank pairs — the k-th tile queued
+///     occupies pair (k % pairs) from its first transfer until its mvout
+///     ends, so with 2 pairs tile N+1 may stream in while tile N computes
+///     and tile N−1 drains, but tile N+2 must wait for tile N's bank.
 ///
 /// With overlap off the queue degenerates to full serialisation: every
 /// command starts when the previous one ends, reproducing the bubble-ridden
 /// load→compute→drain baseline exactly (makespan == sum of costs).
 class DmaQueue {
  public:
-  explicit DmaQueue(bool overlap, size_t num_bank_pairs = kBankPairs);
+  /// When `trace` is non-null, every queued command's scheduled event is
+  /// appended to it in queue order — the golden-trace test surface.
+  explicit DmaQueue(bool overlap, size_t num_bank_pairs = kBankPairs,
+                    std::vector<DmaEvent>* trace = nullptr);
 
   /// Enqueue one tile-phase command. Zero-byte transfers cost nothing and
-  /// are dropped (a reused or absent operand queues no DMA work).
+  /// are dropped (a reused or absent operand queues no DMA work). A command
+  /// for a tile below the last one queued — a revisit — is a schedule fault.
   void Mvin(size_t tile, double bytes);
   void Preload(size_t tile, double bytes);
   void Compute(size_t tile, size_t cycles);
   void Mvout(size_t tile, double bytes);
 
-  /// Runs the schedule described above and returns its makespan in pulses;
-  /// when `trace` is non-null the per-command events are appended in queue
-  /// order. Deterministic in the queue contents alone.
-  size_t Schedule(std::vector<DmaEvent>* trace = nullptr) const;
+  /// Makespan in pulses of the commands queued so far.
+  size_t Makespan() const { return makespan_; }
 
   /// Sum of transfer pulses (mvin + preload + mvout) over all commands.
-  size_t TransferCycleTotal() const;
+  size_t TransferCycleTotal() const { return transfer_total_; }
 
   /// Sum of ALL command pulses — the overlap-off makespan by construction.
-  size_t SerialCycleTotal() const;
-
-  const std::vector<DmaCommand>& commands() const { return commands_; }
+  size_t SerialCycleTotal() const { return serial_total_; }
 
  private:
-  /// Bank pair for a tile: tiles are numbered by first appearance in the
-  /// queue, and pairs are assigned round-robin over that order.
-  size_t BankOf(size_t tile);
+  /// Schedules one command: opens a new tile (next bank pair) when `tile`
+  /// differs from the current one.
+  void Enqueue(DmaOp op, size_t tile, size_t cycles, double bytes);
 
   bool overlap_;
   size_t num_bank_pairs_;
-  std::vector<DmaCommand> commands_;
-  /// Tile id -> its rank by first appearance in the queue. A hash index
-  /// keeps BankOf O(1), so queueing T tiles costs O(T); a tile's commands
-  /// are usually queued together, so the last answer is cached.
-  std::unordered_map<size_t, size_t> tile_order_;
-  size_t last_tile_ = 0;
-  size_t last_bank_ = 0;
+  std::vector<DmaEvent>* trace_;
+  /// Resource free times: load port, store port, compute unit, bank pairs.
+  size_t load_free_ = 0;
+  size_t store_free_ = 0;
+  size_t compute_free_ = 0;
+  std::vector<size_t> bank_free_;
+  /// The open tile: its id, bank pair, when its operands are resident and
+  /// when its last command ends; `tiles_` counts tiles opened so far.
+  size_t tiles_ = 0;
+  size_t tile_ = 0;
+  size_t bank_ = 0;
+  size_t load_end_ = 0;
+  size_t tile_end_ = 0;
+  size_t makespan_ = 0;
+  size_t transfer_total_ = 0;
+  size_t serial_total_ = 0;
 };
 
 }  // namespace spad

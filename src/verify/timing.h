@@ -2,6 +2,7 @@
 #define SYSTOLIC_VERIFY_TIMING_H_
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -67,6 +68,10 @@ struct StepSchedule {
 ///   - a pinned feed hint matches the §8 pulse model's choice when both
 ///     operand cardinalities are exact.
 ///
+/// An unhinted step on a kAuto device may run either discipline — the
+/// engine's guard decides from the exact schedule at run time — so both
+/// candidate schedules are checked.
+///
 /// Selection steps are one-pass fixed devices (predicate count is the width
 /// check); division's decomposition is data-dependent (first-occurrence key
 /// ranks) and is checked only for its static facts. Rejects with
@@ -76,10 +81,14 @@ Status VerifyTiming(const machine::Transaction& txn,
                     const DeviceTable& devices, VerifyReport* report);
 
 /// Exposed for tests: derives the schedule IR for step `index` (must be a
-/// membership-family step) without checking it.
+/// membership-family step) under `mode` without checking it. Without a
+/// `mode`, the step's feed hint, else the device's explicit mode; an
+/// unhinted kAuto step has two candidates, fixed-B (derived by default) and
+/// marching, and VerifyTiming audits both.
 Result<StepSchedule> DeriveStepSchedule(
     const machine::Transaction& txn, size_t index,
-    const std::map<std::string, InputStats>& env, const DeviceTable& devices);
+    const std::map<std::string, InputStats>& env, const DeviceTable& devices,
+    std::optional<arrays::FeedMode> mode = std::nullopt);
 
 /// Exposed for tests: checks one derived schedule (the per-step body of
 /// VerifyTiming), so mutation tests can corrupt a StepSchedule field and

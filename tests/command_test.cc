@@ -46,6 +46,46 @@ TEST_F(CommandFixture, LoadIntersectPrint) {
   EXPECT_NE(out_.str().find("intersect -> C: 1 tuples"), std::string::npos);
 }
 
+TEST_F(CommandFixture, StepLinesNameTheFeedDiscipline) {
+  // The default device resolves kAuto: on one unbounded tile fixed-B wins
+  // every counter. Intersect: |A| + m + R + 1 = 3 + 2 + 2 + 1 pulses; join
+  // on one column: 3 + 1 + 2. The tuple count stays the number before the
+  // first " tuples" and the compute pulses the number before the first
+  // " pulses" — what a client parses.
+  ASSERT_STATUS_OK(Run("LOAD A\nLOAD B\nINTERSECT A B -> C\n"
+                       "JOIN A B ON c0 = c0 -> J\n"
+                       "SELECT A WHERE c0 >= 2 -> F\n"));
+  EXPECT_NE(out_.str().find("-- intersect -> C: 1 tuples, 1 passes (fixed-B), "
+                            "8 pulses, 11 dma pulses (0 overlapped)\n"),
+            std::string::npos)
+      << out_.str();
+  EXPECT_NE(out_.str().find("-- join -> J: 1 tuples, 1 passes (fixed-B), "
+                            "6 pulses, "),
+            std::string::npos)
+      << out_.str();
+  // Selection has one discipline and names none.
+  EXPECT_NE(out_.str().find("-- select -> F: 2 tuples, 1 passes, "),
+            std::string::npos)
+      << out_.str();
+
+  // A device pinned to marching says so: m + R + max(2|A|, 2|B| - 1) =
+  // 2 + 5 + 6 pulses on the 5-row auto-sized grid.
+  MachineConfig config;
+  config.num_memories = 12;
+  config.device.mode = arrays::FeedModePolicy::kMarching;
+  Machine marching(config);
+  marching.disk().Put("A", Rel(schema_, {{1, 10}, {2, 20}, {3, 30}}));
+  marching.disk().Put("B", Rel(schema_, {{2, 20}, {4, 40}}));
+  std::ostringstream out;
+  CommandInterpreter shell(&marching, &out);
+  std::istringstream script("LOAD A\nLOAD B\nINTERSECT A B -> C\n");
+  ASSERT_STATUS_OK(shell.ExecuteScript(script));
+  EXPECT_NE(out.str().find("-- intersect -> C: 1 tuples, 1 passes (marching), "
+                           "13 pulses, "),
+            std::string::npos)
+      << out.str();
+}
+
 TEST_F(CommandFixture, CommentsAndBlankLinesIgnored) {
   ASSERT_STATUS_OK(Run("# a comment\n\nLOAD A  # trailing comment\n"));
   EXPECT_TRUE(machine_->Buffer("A").ok());

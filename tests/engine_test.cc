@@ -42,6 +42,7 @@ TEST(EngineTest, BoundedDeviceTilesIntersection) {
 
   DeviceConfig device;
   device.rows = 7;  // marching capacity 4 tuples per operand per pass
+  device.mode = FeedModePolicy::kMarching;
   Engine engine(device);
   auto result = engine.Intersect(a, b);
   ASSERT_OK(result);
@@ -105,6 +106,7 @@ TEST(EngineTest, EmptyOperandsStampTheDeviceFields) {
   const Relation a = Rel(schema, {{1, 1}, {2, 1}, {3, 2}, {4, 2}, {5, 3}});
   DeviceConfig device;
   device.rows = 5;  // marching capacity 3: A splits into two blocks
+  device.mode = FeedModePolicy::kMarching;
   device.num_chips = 3;
   device.backend = fastpath::BackendPolicy::kFast;
   Engine engine(device);
@@ -136,6 +138,7 @@ TEST(EngineTest, StatsAccumulateAcrossPasses) {
   const Relation a = Rel(schema, rows);
   DeviceConfig device;
   device.rows = 5;  // capacity 3
+  device.mode = FeedModePolicy::kMarching;
   Engine engine(device);
   auto result = engine.Intersect(a, a);
   ASSERT_OK(result);

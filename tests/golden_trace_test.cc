@@ -211,15 +211,15 @@ TEST(GoldenDmaTraceTest, ThreeTileJoinBankSwitchSchedule) {
 
   // The header's per-tile commands, scheduled directly.
   const auto schedule = [](bool overlap) {
-    spad::DmaQueue queue(overlap);
+    std::vector<spad::DmaEvent> trace;
+    spad::DmaQueue queue(overlap, spad::kBankPairs, &trace);
     for (size_t tile = 0; tile < 3; ++tile) {
       queue.Mvin(tile, 32);
       queue.Preload(tile, 16);
       queue.Compute(tile, 7);
       queue.Mvout(tile, tile < 2 ? 16 : 0);
     }
-    std::vector<spad::DmaEvent> trace;
-    const size_t makespan = queue.Schedule(&trace);
+    const size_t makespan = queue.Makespan();
     std::vector<std::string> lines;
     lines.reserve(trace.size());
     for (const spad::DmaEvent& event : trace) {

@@ -182,6 +182,7 @@ TEST_F(MachineFixture, ExecuteOnBoundedDeviceTiles) {
   MachineConfig config;
   config.num_memories = 6;
   config.device.rows = 3;  // marching capacity 2
+  config.device.mode = arrays::FeedModePolicy::kMarching;
   Machine small(config);
   small.disk().Put("A", Rel(schema_, {{1}, {2}, {3}, {4}}));
   small.disk().Put("B", Rel(schema_, {{3}, {4}, {5}}));

@@ -116,7 +116,8 @@ TEST(ScratchpadBankTest, DrainTracksAndRestageResetsTheCursor) {
 }
 
 TEST(DmaQueueTest, OverlapOffSerialisesEveryCommand) {
-  DmaQueue queue(/*overlap=*/false);
+  std::vector<DmaEvent> trace;
+  DmaQueue queue(/*overlap=*/false, spad::kBankPairs, &trace);
   queue.Mvin(0, 32);     // 4 pulses
   queue.Preload(0, 16);  // 2 pulses
   queue.Compute(0, 10);
@@ -125,8 +126,7 @@ TEST(DmaQueueTest, OverlapOffSerialisesEveryCommand) {
   queue.Compute(1, 10);
   queue.Mvout(1, 8);
 
-  std::vector<DmaEvent> trace;
-  const size_t makespan = queue.Schedule(&trace);
+  const size_t makespan = queue.Makespan();
   EXPECT_EQ(makespan, queue.SerialCycleTotal());
   EXPECT_EQ(makespan, 4u + 2 + 10 + 1 + 4 + 10 + 1);
   EXPECT_EQ(queue.TransferCycleTotal(), 4u + 2 + 1 + 4 + 1);
@@ -145,15 +145,15 @@ TEST(DmaQueueTest, OverlapHidesTransfersBehindCompute) {
   //   tile1 bank1: mvin [8,12) preload [12,16)    (DMA engine serialises)
   //                compute [18,28)                (compute unit serialises)
   //                mvout [28,30)
-  DmaQueue queue(/*overlap=*/true);
+  std::vector<DmaEvent> trace;
+  DmaQueue queue(/*overlap=*/true, spad::kBankPairs, &trace);
   for (size_t tile = 0; tile < 2; ++tile) {
     queue.Mvin(tile, 32);
     queue.Preload(tile, 32);
     queue.Compute(tile, 10);
     queue.Mvout(tile, 16);
   }
-  std::vector<DmaEvent> trace;
-  const size_t makespan = queue.Schedule(&trace);
+  const size_t makespan = queue.Makespan();
   EXPECT_EQ(makespan, 30u);
   EXPECT_EQ(queue.SerialCycleTotal(), 40u);
   ASSERT_EQ(trace.size(), 8u);
@@ -172,15 +172,15 @@ TEST(DmaQueueTest, ThirdTileWaitsForItsBankPair) {
   // Same three tiles over two bank pairs: tile 2 reuses tile 0's bank, so
   // its mvin cannot start before tile 0's mvout ends at pulse 20 — even
   // though the DMA engine is free at 16.
-  DmaQueue queue(/*overlap=*/true);
+  std::vector<DmaEvent> trace;
+  DmaQueue queue(/*overlap=*/true, spad::kBankPairs, &trace);
   for (size_t tile = 0; tile < 3; ++tile) {
     queue.Mvin(tile, 32);
     queue.Preload(tile, 32);
     queue.Compute(tile, 10);
     queue.Mvout(tile, 16);
   }
-  std::vector<DmaEvent> trace;
-  const size_t makespan = queue.Schedule(&trace);
+  const size_t makespan = queue.Makespan();
   ASSERT_EQ(trace.size(), 12u);
   EXPECT_EQ(trace[8].command.op, DmaOp::kMvin);
   EXPECT_EQ(trace[8].command.bank, 0u);
@@ -189,42 +189,34 @@ TEST(DmaQueueTest, ThirdTileWaitsForItsBankPair) {
   EXPECT_EQ(queue.SerialCycleTotal(), 60u);
 }
 
-TEST(DmaQueueTest, BanksFollowFirstAppearanceAcrossRevisits) {
-  // Pairs go round-robin over the order in which tiles first appear, not
-  // over tile ids or queue positions: 7 and 3 take ranks 0 and 1, the
-  // revisited 7 keeps rank 0, and 9 is the third distinct tile (rank 2).
-  for (const size_t pairs : {size_t{2}, size_t{3}}) {
-    DmaQueue queue(/*overlap=*/true, pairs);
-    for (const size_t tile : {7, 3, 7, 9}) {
-      queue.Mvin(tile, 8);
-      queue.Compute(tile, 1);
-    }
-    std::vector<size_t> banks;
-    for (const spad::DmaCommand& command : queue.commands()) {
-      banks.push_back(command.bank);
-    }
-    const size_t nine = 2 % pairs;
-    EXPECT_EQ(banks, (std::vector<size_t>{0, 0, 1, 1, 0, 0, nine, nine}))
-        << pairs << " bank pairs";
-  }
+TEST(DmaQueueDeathTest, RevisitedTileIsRejected) {
+  // The queue schedules each command as it arrives and keeps no per-tile
+  // history, so a tile's commands must queue together: coming back to a
+  // tile after another one opened is a schedule fault.
+  DmaQueue queue(/*overlap=*/true);
+  queue.Mvin(0, 8);
+  queue.Compute(0, 1);
+  queue.Mvin(1, 8);
+  queue.Compute(1, 1);
+  EXPECT_DEATH(queue.Mvout(0, 8), "each tile's commands queue together");
 }
 
 TEST(DmaQueueTest, ZeroByteTransfersQueueNothing) {
-  DmaQueue queue(/*overlap=*/true);
+  std::vector<DmaEvent> trace;
+  DmaQueue queue(/*overlap=*/true, spad::kBankPairs, &trace);
   queue.Mvin(0, 0);
   queue.Preload(0, 0);
   queue.Compute(0, 5);
   queue.Mvout(0, 0);
-  EXPECT_EQ(queue.commands().size(), 1u);
-  EXPECT_EQ(queue.Schedule(), 5u);
+  EXPECT_EQ(trace.size(), 1u);
+  EXPECT_EQ(queue.Makespan(), 5u);
   EXPECT_EQ(queue.TransferCycleTotal(), 0u);
 }
 
 TEST(DmaQueueTest, EventToStringNamesOpTileBankAndWindow) {
-  DmaQueue queue(/*overlap=*/true);
-  queue.Mvin(0, 32);
   std::vector<DmaEvent> trace;
-  queue.Schedule(&trace);
+  DmaQueue queue(/*overlap=*/true, spad::kBankPairs, &trace);
+  queue.Mvin(0, 32);
   ASSERT_EQ(trace.size(), 1u);
   EXPECT_EQ(spad::ToString(trace[0]), "mvin tile=0 bank=0 [0,4)");
   EXPECT_EQ(std::string(spad::DmaOpToString(DmaOp::kPreload)), "preload");

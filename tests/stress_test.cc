@@ -32,6 +32,7 @@ TEST(StressTest, TiledIntersection200x200) {
 
   db::DeviceConfig device;
   device.rows = 63;  // capacity 32: 7x7 = 49 passes
+  device.mode = arrays::FeedModePolicy::kMarching;
   db::Engine engine(device);
   auto result = engine.Intersect(pair->a, pair->b);
   ASSERT_OK(result);
@@ -136,6 +137,7 @@ TEST(StressTest, MultiChipTiledIntersection200x200MatchesSerial) {
 
   db::DeviceConfig serial_device;
   serial_device.rows = 63;  // capacity 32: 7x7 = 49 tiles
+  serial_device.mode = arrays::FeedModePolicy::kMarching;
   db::Engine serial(serial_device);
   auto expected = serial.Intersect(pair->a, pair->b);
   ASSERT_OK(expected);

@@ -185,6 +185,7 @@ struct TimingFixture {
 
 TEST(VerifyTiming, AcceptsTiledMarchingSchedule) {
   TimingFixture fx(/*device_rows=*/5);  // marching cap (5+1)/2 = 3 → tiles
+  fx.devices.default_device.mode = arrays::FeedModePolicy::kMarching;
   VerifyReport report;
   ASSERT_STATUS_OK(VerifyTiming(fx.txn, fx.env, fx.devices, &report));
   EXPECT_EQ(report.timing_steps, 1u);
@@ -194,6 +195,7 @@ TEST(VerifyTiming, AcceptsTiledMarchingSchedule) {
 
 TEST(VerifyTiming, MutationWrongStaggerRejected) {
   TimingFixture fx(0);
+  fx.devices.default_device.mode = arrays::FeedModePolicy::kMarching;
   StepSchedule schedule = fx.Derive();
   ASSERT_STATUS_OK(
       CheckStepSchedule(schedule, fx.devices.default_device, nullptr));
@@ -214,6 +216,7 @@ TEST(VerifyTiming, MutationWidthOverflowRejected) {
 
 TEST(VerifyTiming, MutationOverlappingTilesRejected) {
   TimingFixture fx(5);
+  fx.devices.default_device.mode = arrays::FeedModePolicy::kMarching;
   StepSchedule schedule = fx.Derive();
   ASSERT_GT(schedule.tiles.size(), 1u);
   schedule.tiles.push_back(schedule.tiles.front());  // a pair compared twice
@@ -224,6 +227,7 @@ TEST(VerifyTiming, MutationOverlappingTilesRejected) {
 
 TEST(VerifyTiming, MutationCoverageGapRejected) {
   TimingFixture fx(5);
+  fx.devices.default_device.mode = arrays::FeedModePolicy::kMarching;
   StepSchedule schedule = fx.Derive();
   ASSERT_GT(schedule.tiles.size(), 1u);
   schedule.tiles.pop_back();  // a block of pairs never compared
@@ -255,6 +259,7 @@ TEST(VerifyTiming, MutationMissingTriangleInitRejected) {
 
 TEST(VerifyTiming, MutationBlockCapacityRejected) {
   TimingFixture fx(5);
+  fx.devices.default_device.mode = arrays::FeedModePolicy::kMarching;
   StepSchedule schedule = fx.Derive();
   // Merge everything into one giant tile: coverage holds, §8 capacity not.
   schedule.tiles.clear();
