@@ -20,10 +20,12 @@
 // backend. Explicit marching, explicit fixed-B and the default (kAuto, whose
 // guard schedules both tilings and keeps fixed-B only where it is no worse
 // on cycles, makespan and memory makespan) each report passes, cycles,
-// makespan, memory makespan and host wall time. Asserted: the default is no
-// worse than marching on the three counters, its cycles are strictly fewer,
-// and its host time stays within 2x of explicit fixed-B's — the guard's look
-// at the rejected marching grid must stay cheap.
+// makespan, memory makespan and host wall time; the 1000-row chip has no
+// marching leg, since marching pairs meet only on odd row counts. Asserted:
+// the default is no worse than marching on the three counters, its cycles
+// are strictly fewer, and its host time stays within 2x of explicit
+// fixed-B's — the guard's look at the rejected marching grid must stay
+// cheap.
 //
 // E10 and E10b describe the marching tiling ((rows+1)/2 capacity) and pin
 // it. `--smoke` shrinks all three experiments to a CI-sized instant run.
@@ -32,6 +34,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -189,16 +192,21 @@ int main(int argc, char** argv) {
                 static_cast<double>(st.cycles), best_ms * 1e6, "fast");
       return std::make_pair(st, best_ms);
     };
-    const db::ExecStats marching =
-        run(arrays::FeedModePolicy::kMarching, "marching").first;
+    // §3.2's marching pairs never meet on an even row count, where
+    // explicit marching is a usage error and the default runs fixed-B.
+    std::optional<db::ExecStats> marching;
+    if (rows % 2 == 1) {
+      marching = run(arrays::FeedModePolicy::kMarching, "marching").first;
+    }
     const auto [fixed, fixed_ms] =
         run(arrays::FeedModePolicy::kFixedB, "fixed-B");
     const auto [chosen, chosen_ms] =
         run(arrays::FeedModePolicy::kAuto, "default");
-    SYSTOLIC_CHECK(chosen.cycles < marching.cycles &&
-                   chosen.makespan_cycles <= marching.makespan_cycles &&
-                   chosen.memory_makespan_cycles <=
-                       marching.memory_makespan_cycles)
+    SYSTOLIC_CHECK(!marching.has_value() ||
+                   (chosen.cycles < marching->cycles &&
+                    chosen.makespan_cycles <= marching->makespan_cycles &&
+                    chosen.memory_makespan_cycles <=
+                        marching->memory_makespan_cycles))
         << shape << ": the default is worse than marching";
     SYSTOLIC_CHECK(chosen_ms <= 2.0 * fixed_ms)
         << shape << ": the default took " << chosen_ms << " ms, over 2x "

@@ -22,8 +22,9 @@
 // tuples under `--smoke`). The fast path computes each operator once over
 // whole operands and gives every tile a closed-form pass record, so host
 // time per tile must not grow with the tile count: ns/tile at the large
-// size is asserted within 2x of n = 1000. These cases land in the JSON as
-// backend "fast" with no rtl twin, so only their cycles are gated.
+// size is asserted within 2x of n = 1000. Division and selection run at
+// the large size only. These cases land in the JSON as backend "fast" with
+// no rtl twin, so only their cycles are gated.
 //
 // `--smoke` shrinks the sweep for CI.
 
@@ -195,5 +196,21 @@ int main(int argc, char** argv) {
     return tiled.RemoveDuplicates(p.a);
   });
   std::printf("host ns/tile at n=%zu within 2x of n=1000 (asserted)\n", large);
+
+  // Division and selection run over whole operands too: A keyed on column
+  // 0 divided by four of B's column-1 values, and a two-predicate σ.
+  const rel::Relation column1 = Unwrap(large_pair.b.ProjectColumns({1}));
+  rel::Relation divisor_four(column1.schema(), rel::RelationKind::kMulti);
+  for (size_t j = 0; j < 4; ++j) {
+    SYSTOLIC_CHECK(divisor_four.Append(column1.tuple(j)).ok());
+  }
+  run_tiled("divide", large_pair, [&](const rel::RelationPair& p) {
+    return tiled.Divide(p.a, divisor_four, rel::DivisionSpec{{1}, {0}});
+  });
+  run_tiled("select", large_pair, [&](const rel::RelationPair& p) {
+    return tiled.Select(p.a, {{0, rel::ComparisonOp::kLt,
+                               static_cast<rel::Code>(2 * large)},
+                              {1, rel::ComparisonOp::kGe, 16}});
+  });
   return 0;
 }

@@ -22,14 +22,15 @@
 #      util::CondVar (DESIGN §2.10), so clang thread-safety analysis and the
 #      debug lock-order checker see every acquisition.
 #   6. One tile-dispatch path (DESIGN §2.6): the deleted `auto` values of
-#      BackendPolicy and OverlapPolicy stay deleted in src/, tests/,
-#      examples/ and bench/, and the backend entry points — per tile,
-#      fastpath::Fast{Division,Select}, RunMembership and
-#      arrays::Systolic{Join,Division,Select}; over whole operands,
-#      fastpath::MembershipBits and fastpath::JoinMatches — are called in
-#      src/ only from the engine's tile dispatcher in src/core/engine.cc,
-#      apart from src/arrays/ and src/fastpath/, which define them (the
-#      array-level intersection and dedup arrays compose RunMembership).
+#      BackendPolicy and OverlapPolicy and the deleted per-tile fast
+#      drivers fastpath::Fast{Division,Select} stay deleted in src/, tests/,
+#      examples/ and bench/, and the backend entry points — per RTL tile,
+#      RunMembership and arrays::Systolic{Join,Division,Select}; over whole
+#      operands, fastpath::MembershipBits, JoinMatches, MatchDivision,
+#      DivisionQuotient and SelectionBits — are called in src/ only from the
+#      engine's tile dispatcher in src/core/engine.cc, apart from
+#      src/arrays/ and src/fastpath/, which define them (the array-level
+#      intersection and dedup arrays compose RunMembership).
 #   7. No always-on DMA trace (DESIGN §2.8): ExecStats::dma_trace stays
 #      deleted in src/, tests/, examples/ and bench/; a schedule is traced
 #      by handing a spad::DmaQueue a trace vector directly.
@@ -90,7 +91,12 @@ hits=$(grep -rnE '(BackendPolicy|OverlapPolicy)::kAuto' src tests examples bench
 if [ -n "$hits" ]; then
   report "deleted BackendPolicy/OverlapPolicy kAuto value (use kFast / kOn)" "$hits"
 fi
-hits=$(grep -rnE '\b(Fast(Division|Select)|RunMembership|Systolic(Join|Division|Select)|MembershipBits|JoinMatches)\(' src \
+hits=$(grep -rnE '\bFast(Division|Select)\b' src tests examples bench \
+  --include='*.cc' --include='*.cpp' --include='*.h' || true)
+if [ -n "$hits" ]; then
+  report "deleted per-tile fast driver (the fast backend runs division and selection over whole operands)" "$hits"
+fi
+hits=$(grep -rnE '\b(RunMembership|Systolic(Join|Division|Select)|MembershipBits|JoinMatches|MatchDivision|DivisionQuotient|SelectionBits)\(' src \
   --include='*.cc' --include='*.h' \
   | grep -vE '^src/(core/engine\.cc|arrays/|fastpath/)' \
   | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)

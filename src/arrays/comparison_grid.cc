@@ -10,16 +10,18 @@ const char* FeedModeToString(FeedMode mode) {
 }
 
 std::vector<FeedMode> FeedModeCandidates(FeedModePolicy policy, size_t rows) {
+  // Marching pairs meet at row j-i+(rows-1)/2, which needs an odd count.
+  const bool pairs_meet = rows % 2 == 1 || rows == 0;
   switch (policy) {
     case FeedModePolicy::kMarching:
+      if (!pairs_meet) return {};
       return {FeedMode::kMarching};
     case FeedModePolicy::kFixedB:
       return {FeedMode::kFixedB};
     case FeedModePolicy::kAuto:
       break;
   }
-  // Marching pairs meet at row j-i+(rows-1)/2, which needs an odd count.
-  if (rows % 2 == 0 && rows != 0) return {FeedMode::kFixedB};
+  if (!pairs_meet) return {FeedMode::kFixedB};
   return {FeedMode::kFixedB, FeedMode::kMarching};
 }
 

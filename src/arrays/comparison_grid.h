@@ -43,8 +43,9 @@ enum class FeedModePolicy {
 };
 
 /// The feed disciplines an operation may run under `policy` on a grid of
-/// `rows` rows (0 = unbounded): the policy's mode, or for kAuto fixed-B and,
-/// where §3.2's marching pairs can meet (odd or unbounded rows), marching.
+/// `rows` rows (0 = unbounded): the policy's mode, or for kAuto fixed-B and
+/// marching. Marching is left out where §3.2's marching pairs never meet
+/// (an even nonzero row count), so explicit kMarching there leaves none.
 /// Fixed-B comes first.
 std::vector<FeedMode> FeedModeCandidates(FeedModePolicy policy, size_t rows);
 

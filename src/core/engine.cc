@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <map>
+#include <numeric>
 #include <optional>
+#include <unordered_map>
 
 #include "arrays/dedup_array.h"
 #include "arrays/division_array.h"
@@ -15,6 +16,7 @@
 #include "faults/checksum.h"
 #include "faults/fault_scope.h"
 #include "perfmodel/estimates.h"
+#include "relational/tuple_hash.h"
 #include "system/scratchpad/memory.h"
 #include "system/scratchpad/scratchpad.h"
 #include "systolic/schedule.h"
@@ -271,10 +273,14 @@ Engine::TileGrid Engine::TriangleGrid(const Relation& a, size_t cap) {
           }};
 }
 
-Engine::Tiling Engine::ChooseTiling(
+Result<Engine::Tiling> Engine::ChooseTiling(
     const std::function<Tiling(FeedMode)>& tiling) const {
   const std::vector<FeedMode> candidates =
       arrays::FeedModeCandidates(device_.mode, device_.rows);
+  if (candidates.empty()) {
+    return Status::InvalidArgument("marching mode requires an odd row count, "
+                                   "got " + std::to_string(device_.rows));
+  }
   if (candidates.size() == 1) return tiling(candidates.front());
   // Every attempt under a fault plan risks injected faults, and fixed-B's
   // fewer, longer tiles meet more of them per attempt: marching's short
@@ -342,29 +348,25 @@ Status Engine::CheckWidth(size_t width) const {
 template <typename TileOut, typename Out>
 Result<Out> Engine::DispatchTiles(
     const Tiling& tiling, const TileKernel<TileOut>& rtl,
-    const TileKernel<TileOut>& fast, const WholeKernel<Out>& fast_whole,
+    const WholeKernel<Out>& fast,
     const std::function<Result<Out>(std::vector<TileOut>)>& merge,
     const std::function<uint64_t(const TileOut&)>& checksum,
     const std::function<double(const TileOut&)>& drain_bytes,
     ExecStats* stats) const {
-  // One pass, either executor: same output, same cycle count. Only the RTL
-  // simulator produces cell-occupancy statistics.
+  // Either executor: same output, same cycle counts. Only the RTL simulator
+  // produces cell-occupancy statistics.
   const fastpath::Backend backend = ResolveBackend();
   stats->backend = backend;
   stats->analytic_timing = backend == fastpath::Backend::kFast;
   const TileGrid& grid = tiling.grid;
 
-  // An empty batch takes the per-tile path below, which calls no kernel.
-  if (backend == fastpath::Backend::kFast && fast_whole != nullptr &&
-      grid.size > 0) {
-    // Records first: a join's records read the match list `fast_whole`
-    // hands over.
+  if (backend == fastpath::Backend::kFast) {
+    // Records first: a join's, a division's and a selection's records read
+    // the result `fast` hands over.
     MergePassInfos(grid, tiling.record, stats);
-    return fast_whole();
+    return fast();
   }
 
-  const TileKernel<TileOut>& kernel =
-      backend == fastpath::Backend::kFast ? fast : rtl;
   std::vector<Result<TileOut>> outputs(grid.size,
                                        Status::Internal("tile never ran"));
   std::vector<ArrayRunInfo> infos(grid.size);
@@ -384,7 +386,7 @@ Result<Out> Engine::DispatchTiles(
                 ? bank_b.Stage(*tile.b, tile.b_start, tile.b_count)
                 : block_a;
         ArrayRunInfo info;
-        outputs[t] = kernel(t, block_a, block_b, &info);
+        outputs[t] = rtl(t, block_a, block_b, &info);
         if (!outputs[t].ok()) return outputs[t].status();
         // The accepted attempt's feed streams out of the banks into the
         // array exactly once; its output drains back through mvout.
@@ -441,7 +443,7 @@ Result<BitVector> Engine::TiledMembership(const Relation& a, const Relation& b,
     };
     return t;
   };
-  const Tiling chosen = ChooseTiling(tiling);
+  SYSTOLIC_ASSIGN_OR_RETURN(const Tiling chosen, ChooseTiling(tiling));
   options.mode = chosen.mode;
   stats->resolved_mode = chosen.mode;
   // Empty B: every A block's pass is trivially empty; nothing to run.
@@ -462,9 +464,9 @@ Result<BitVector> Engine::TiledMembership(const Relation& a, const Relation& b,
         return arrays::RunMembership(block_a, block_b, a_cols, b_cols,
                                      edge_rule(t), options, info);
       },
-      nullptr,
       [&]() -> Result<BitVector> {
-        if (a_cols.empty()) {
+        // RunMembership refuses zero columns, but only when a tile runs.
+        if (a_cols.empty() && grid.size > 0) {
           return Status::InvalidArgument(
               "membership query needs equal, non-empty column lists");
         }
@@ -624,7 +626,7 @@ Result<EngineResult> Engine::Join(const Relation& a, const Relation& b,
     };
     return t;
   };
-  const Tiling chosen = ChooseTiling(tiling);
+  SYSTOLIC_ASSIGN_OR_RETURN(const Tiling chosen, ChooseTiling(tiling));
   options.mode = chosen.mode;
   result.stats.resolved_mode = chosen.mode;
 
@@ -654,7 +656,6 @@ Result<EngineResult> Engine::Join(const Relation& a, const Relation& b,
                 t, arrays::SystolicJoin(block_a, block_b, spec, options),
                 info);
           },
-          nullptr,
           [&]() -> Result<Matches> {
             whole_matches();
             return std::move(*whole);
@@ -686,64 +687,96 @@ Result<EngineResult> Engine::Divide(const Relation& a, const Relation& b,
   SYSTOLIC_ASSIGN_OR_RETURN(rel::Schema out_schema,
                             rel::DivisionOutputSchema(a.schema(), spec));
   EngineResult result(Relation(std::move(out_schema), rel::RelationKind::kSet));
-
-  // Dividend-side tiling: group A's tuples by the first-occurrence rank of
-  // their quotient value, so each chunk holds at most `rows` distinct
-  // dividend keys (the dividend array's height).
   const std::vector<size_t> quotient_columns =
       rel::DivisionQuotientColumns(a.schema(), spec);
-  const size_t max_p = device_.rows == 0 ? SIZE_MAX : device_.rows;
-  std::map<rel::Tuple, size_t> x_rank;
-  std::vector<Relation> chunks;
-  for (const rel::Tuple& ta : a.tuples()) {
-    rel::Tuple x;
-    x.reserve(quotient_columns.size());
-    for (size_t c : quotient_columns) x.push_back(ta[c]);
-    auto [it, inserted] = x_rank.emplace(std::move(x), x_rank.size());
-    const size_t chunk_index = it->second / max_p;
-    if (chunk_index >= chunks.size()) {
-      chunks.emplace_back(a.schema(), rel::RelationKind::kMulti);
-    }
-    SYSTOLIC_RETURN_NOT_OK(chunks[chunk_index].Append(ta));
-  }
+  const fastpath::DivisionMatches matches = fastpath::MatchDivision(
+      a, b, quotient_columns, spec.a_columns, spec.b_columns);
 
-  // Divisor-side tiling: split B into groups of at most `columns` distinct
-  // values; a key divides B iff it divides every group (intersection).
-  const size_t max_q = device_.columns == 0 ? SIZE_MAX : device_.columns;
-  std::vector<Relation> divisor_groups;
-  if (b.num_tuples() == 0) {
-    divisor_groups.emplace_back(b.schema(), rel::RelationKind::kSet);
-  } else {
-    std::map<rel::Tuple, size_t> y_rank;
-    for (const rel::Tuple& tb : b.tuples()) {
-      rel::Tuple y;
-      y.reserve(spec.b_columns.size());
-      for (size_t c : spec.b_columns) y.push_back(tb[c]);
-      auto [it, inserted] = y_rank.emplace(std::move(y), y_rank.size());
-      const size_t group_index = it->second / max_q;
-      if (group_index >= divisor_groups.size()) {
-        divisor_groups.emplace_back(b.schema(), rel::RelationKind::kMulti);
-      }
-      if (inserted) {
-        SYSTOLIC_RETURN_NOT_OK(divisor_groups[group_index].Append(tb));
-      }
+  // §7's grid. Chunk c holds the A tuples whose quotient key ranks in
+  // [c * keys, (c + 1) * keys), so at most `rows` keys, the dividend
+  // array's height; divisor group g holds B's distinct divisor values
+  // [g * values, (g + 1) * values), at most `columns`. A key divides B iff
+  // it divides every group, so the chunk × group passes are independent and
+  // the whole grid is one tile batch; each pass streams its chunk in again.
+  const size_t p = matches.key_rows.size();
+  const size_t q = matches.value_rows.size();
+  const size_t keys = device_.rows == 0 ? std::max<size_t>(1, p) : device_.rows;
+  const size_t values =
+      device_.columns == 0 ? std::max<size_t>(1, q) : device_.columns;
+  const size_t num_chunks = (p + keys - 1) / keys;
+  const size_t num_groups = q == 0 ? 1 : (q + values - 1) / values;
+  const auto group_size = [q, values](size_t g) {
+    return std::min(values, q - g * values);
+  };
+  // Per chunk: where its tuples start in chunk order, and DivisionCycles'
+  // feed term M = max_t(t + x_t), t a tuple's position in the chunk and x_t
+  // its key's rank there.
+  std::vector<size_t> chunk_start(num_chunks + 1, 0);
+  std::vector<size_t> chunk_feed(num_chunks, 0);
+  for (size_t x : matches.key) {
+    const size_t c = x / keys;
+    chunk_feed[c] = std::max(chunk_feed[c], chunk_start[c + 1]++ + x - c * keys);
+  }
+  std::partial_sum(chunk_start.begin(), chunk_start.end(), chunk_start.begin());
+
+  // Only RTL passes stage tuples: chunk c is rows [chunk_start[c],
+  // chunk_start[c + 1]) of A in chunk order, and group g a run of B's
+  // distinct divisor tuples. The fast backend reads only the tiles' counts,
+  // so its tiles address the operands as they are.
+  const bool rtl = ResolveBackend() == fastpath::Backend::kRtl;
+  Relation chunked(a.schema(), rel::RelationKind::kMulti);
+  Relation distinct(b.schema(), rel::RelationKind::kMulti);
+  if (rtl) {
+    std::vector<size_t> order(a.num_tuples());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::stable_sort(order.begin(), order.end(), [&](size_t i, size_t j) {
+      return matches.key[i] / keys < matches.key[j] / keys;
+    });
+    for (size_t i : order) SYSTOLIC_RETURN_NOT_OK(chunked.Append(a.tuple(i)));
+    for (size_t j : matches.value_rows) {
+      SYSTOLIC_RETURN_NOT_OK(distinct.Append(b.tuple(j)));
     }
   }
+  const Relation& rows_a = rtl ? chunked : a;
+  const Relation& rows_b = rtl ? distinct : b;
 
-  // Every (chunk, divisor-group) pass is independent — a key divides B iff
-  // it divides every group, and intersecting the groups' survivor sets
-  // commutes with running the passes — so the whole grid is one tile batch;
-  // the per-chunk intersection below walks groups in order, reproducing the
-  // serial result exactly. Every pass re-streams its chunk, so a chunk
-  // paired with G divisor groups is staged G times.
-  const size_t num_groups = divisor_groups.size();
+  const size_t out_arity = result.relation.arity();
   Tiling tiling;
-  tiling.grid = {chunks.size() * num_groups, [&](size_t t) {
-                   const Relation& chunk = chunks[t / num_groups];
-                   const Relation& group = divisor_groups[t % num_groups];
-                   return Tile{&chunk, 0, chunk.num_tuples(),
-                               &group, 0, group.num_tuples()};
+  tiling.grid = {num_chunks * num_groups, [&](size_t t) {
+                   const size_t c = t / num_groups;
+                   const size_t g = t % num_groups;
+                   return Tile{&rows_a, chunk_start[c],
+                               chunk_start[c + 1] - chunk_start[c],
+                               &rows_b, g * values, group_size(g)};
                  }};
+  // A tile drains its chunk's keys that match every value of its group. A
+  // key's flags run in ascending value order, so one walk over a chunk's
+  // run of the flag list counts its row of tiles.
+  tiling.record = [&, row = SIZE_MAX, kept = std::vector<size_t>()](
+                      size_t t, const Tile& tile, ArrayRunInfo* info,
+                      TileTraffic* traffic) mutable {
+    const size_t c = t / num_groups;
+    const size_t chunk_keys = std::min(keys, p - c * keys);
+    if (c != row) {
+      row = c;
+      kept.assign(num_groups, q == 0 ? chunk_keys : 0);
+      const auto& flags = matches.flags;
+      auto it = std::lower_bound(flags.begin(), flags.end(),
+                                 std::make_pair(c * keys, size_t{0}));
+      while (it != flags.end() && it->first < c * keys + chunk_keys) {
+        const auto run = it;
+        const size_t g = run->second / values;
+        while (it != flags.end() && it->first == run->first &&
+               it->second / values == g) {
+          ++it;
+        }
+        if (static_cast<size_t>(it - run) == group_size(g)) ++kept[g];
+      }
+    }
+    info->cycles = fastpath::DivisionCycles(tile.a_count, chunk_keys,
+                                            tile.b_count, chunk_feed[c]);
+    traffic->out = spad::TupleBytes(kept[t % num_groups], out_arity);
+  };
   SYSTOLIC_ASSIGN_OR_RETURN(
       result.relation,
       (DispatchTiles<arrays::DivisionArrayResult, Relation>(
@@ -753,32 +786,30 @@ Result<EngineResult> Engine::Divide(const Relation& a, const Relation& b,
             return WithPassRecord(
                 arrays::SystolicDivision(block_a, block_b, spec), info);
           },
-          [&](size_t, const Relation& block_a, const Relation& block_b,
-              ArrayRunInfo* info) {
-            return WithPassRecord(
-                fastpath::FastDivision(block_a, block_b, spec), info);
-          },
-          nullptr,
-          [&](std::vector<arrays::DivisionArrayResult> passes)
-              -> Result<Relation> {
+          [&]() -> Result<Relation> {
             Relation quotient(result.relation.schema(),
                               rel::RelationKind::kSet);
-            for (size_t c = 0; c < chunks.size(); ++c) {
-              std::vector<rel::Tuple> surviving;  // in first-occurrence order
-              for (size_t g = 0; g < num_groups; ++g) {
-                const Relation& pass = passes[c * num_groups + g].relation;
-                if (g == 0) {
-                  surviving = pass.tuples();
-                } else {
-                  std::vector<rel::Tuple> next;
-                  for (const rel::Tuple& x : surviving) {
-                    if (pass.Contains(x)) next.push_back(x);
-                  }
-                  surviving = std::move(next);
+            for (rel::Tuple& x :
+                 fastpath::DivisionQuotient(a, quotient_columns, matches)) {
+              SYSTOLIC_RETURN_NOT_OK(quotient.Append(std::move(x)));
+            }
+            return quotient;
+          },
+          [&](std::vector<arrays::DivisionArrayResult> passes)
+              -> Result<Relation> {
+            // A key is in the quotient iff every group's pass over its chunk
+            // kept it; group 0's passes list the keys in order.
+            std::unordered_map<rel::Tuple, size_t, rel::TupleHash> kept;
+            for (const arrays::DivisionArrayResult& pass : passes) {
+              for (const rel::Tuple& x : pass.relation.tuples()) ++kept[x];
+            }
+            Relation quotient(result.relation.schema(),
+                              rel::RelationKind::kSet);
+            for (size_t t = 0; t < passes.size(); t += num_groups) {
+              for (const rel::Tuple& x : passes[t].relation.tuples()) {
+                if (kept[x] == num_groups) {
+                  SYSTOLIC_RETURN_NOT_OK(quotient.Append(x));
                 }
-              }
-              for (rel::Tuple& x : surviving) {
-                SYSTOLIC_RETURN_NOT_OK(quotient.Append(std::move(x)));
               }
             }
             return quotient;
@@ -804,13 +835,21 @@ Result<EngineResult> Engine::Select(
         " predicates but the device has " + std::to_string(device_.columns) +
         " columns");
   }
+  SYSTOLIC_RETURN_NOT_OK(arrays::ValidateSelection(a.schema(), predicates));
+  const BitVector selected = fastpath::SelectionBits(a, predicates);
   // One tile: A streams whole through the one-row device, and there is no B
-  // slice — the predicate constants live in the cells.
+  // slice — the predicate constants live in the cells. It drains the
+  // selected tuples.
   Tiling tiling;
   tiling.grid = {1, [&a](size_t) { return Tile{&a, 0, a.num_tuples()}; }};
+  tiling.record = [&](size_t, const Tile&, ArrayRunInfo* info,
+                      TileTraffic* traffic) {
+    info->cycles = fastpath::SelectionCycles(a.num_tuples(), predicates.size());
+    traffic->out = spad::TupleBytes(selected.CountOnes(), a.arity());
+  };
   ExecStats stats;
   SYSTOLIC_ASSIGN_OR_RETURN(
-      Relation selected,
+      Relation out,
       (DispatchTiles<arrays::SelectionResult, Relation>(
           tiling,
           [&](size_t, const Relation& block_a, const Relation&,
@@ -818,12 +857,11 @@ Result<EngineResult> Engine::Select(
             return WithPassRecord(arrays::SystolicSelect(block_a, predicates),
                                   info);
           },
-          [&](size_t, const Relation& block_a, const Relation&,
-              ArrayRunInfo* info) {
-            return WithPassRecord(fastpath::FastSelect(block_a, predicates),
-                                  info);
+          [&]() -> Result<Relation> {
+            // The empty conjunction selects A as it is, kind included.
+            if (predicates.empty()) return a;
+            return a.Filter(selected, rel::RelationKind::kSet);
           },
-          nullptr,
           [](std::vector<arrays::SelectionResult> tile) -> Result<Relation> {
             return std::move(tile[0].relation);
           },
@@ -834,7 +872,7 @@ Result<EngineResult> Engine::Select(
             return machine::RelationBytes(tile.relation);
           },
           &stats)));
-  EngineResult result(std::move(selected));
+  EngineResult result(std::move(out));
   result.stats = stats;
   return result;
 }

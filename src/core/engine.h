@@ -297,7 +297,8 @@ class Engine {
   /// One §8 sub-problem: tuples [a_start, a_start + a_count) of `a` and,
   /// when `b` is set, [b_start, b_start + b_count) of `b`; the ranges lie
   /// inside their operands. A tile without a B slice feeds its A block to
-  /// both array edges (one mvin, no preload).
+  /// both array edges (one mvin, no preload). Only RTL tiles stage their
+  /// slices; the fast backend reads the counts and the operands' arities.
   struct Tile {
     const rel::Relation* a = nullptr;
     size_t a_start = 0;
@@ -335,9 +336,9 @@ class Engine {
                          arrays::ArrayRunInfo* info, TileTraffic* traffic)>;
 
   /// A tiling under one feed discipline with its closed-form tile records —
-  /// what kAuto's guard compares and what the fast backend reports for a
-  /// whole-operand operator. Division and selection have no closed-form
-  /// records (`record` is null) and ignore `mode`.
+  /// what kAuto's guard compares and what the fast backend reports for every
+  /// operator. Division and selection have one discipline each and ignore
+  /// `mode`.
   struct Tiling {
     arrays::FeedMode mode = arrays::FeedMode::kMarching;
     TileGrid grid;
@@ -353,42 +354,42 @@ class Engine {
   /// bound both its makespans from below, so its schedule stops as soon as
   /// they reach fixed-B's memory makespan, which bounds fixed-B's three
   /// counters from above: rejecting a large marching grid costs only its
-  /// first tiles.
-  Tiling ChooseTiling(
+  /// first tiles. InvalidArgument, before any grid is built, when no
+  /// discipline is left: explicit marching on an even row count.
+  Result<Tiling> ChooseTiling(
       const std::function<Tiling(arrays::FeedMode)>& tiling) const;
 
-  /// One backend's per-tile entry point, called with the tile index and the
-  /// staged blocks; returns what the operator's merge keeps of the tile and
-  /// writes the pass record to `info`.
+  /// The RTL backend's per-tile entry point, called with the tile index and
+  /// the staged blocks; returns what the operator's merge keeps of the tile
+  /// and writes the pass record to `info`.
   template <typename TileOut>
   using TileKernel = std::function<Result<TileOut>(
       size_t tile, const rel::Relation& block_a, const rel::Relation& block_b,
       arrays::ArrayRunInfo* info)>;
 
-  /// The fast backend's entry point for an operator whose tiles merge into
-  /// one result (membership, join): §8 tiling never changes that result, so
-  /// it is computed once, over whole operands, and the tiling's closed-form
-  /// records stand in for the tiles' pass records.
+  /// The fast backend's entry point for an operator: §8 tiling never changes
+  /// the result its tiles merge into, so it is computed once, over whole
+  /// operands, and the tiling's closed-form records stand in for the tiles'
+  /// pass records.
   template <typename Out>
   using WholeKernel = std::function<Result<Out>()>;
 
   /// The single tile-dispatch path of every operator. Resolves the backend
-  /// and stamps it into `stats`. On the fast backend with `fast_whole` set
-  /// and at least one tile, runs `fast_whole` once and merges the tiling's
-  /// closed-form records: no tile is staged or gets its own output.
-  /// Otherwise runs every tile through RunTiled: each attempt stages the
-  /// tile's slices into fresh scratchpad banks, runs `rtl` or `fast` on the
+  /// and stamps it into `stats`. On the fast backend, merges the tiling's
+  /// closed-form records and runs `fast` once: no tile is staged or gets its
+  /// own output. On RTL, runs every tile through RunTiled: each attempt
+  /// stages the tile's slices into fresh scratchpad banks, runs `rtl` on the
   /// staged blocks, drains the banks and records the tile's feed traffic,
   /// `drain_bytes` of output included; `checksum` backs the shadow
   /// cross-check; `merge` folds the tile outputs, in tile order, into the
   /// operator's result, so it is bit-identical across chip counts. Either
   /// way merges the batch's schedule into `stats` via MergePassInfos. An
-  /// empty batch runs nothing but still stamps the device fields of
+  /// empty batch runs no tile but still stamps the device fields of
   /// `stats`.
   template <typename TileOut, typename Out>
   Result<Out> DispatchTiles(
       const Tiling& tiling, const TileKernel<TileOut>& rtl,
-      const TileKernel<TileOut>& fast, const WholeKernel<Out>& fast_whole,
+      const WholeKernel<Out>& fast,
       const std::function<Result<Out>(std::vector<TileOut>)>& merge,
       const std::function<uint64_t(const TileOut&)>& checksum,
       const std::function<double(const TileOut&)>& drain_bytes,

@@ -2,13 +2,6 @@
 #define SYSTOLIC_FASTPATH_BACKEND_H_
 
 #include <string>
-#include <vector>
-
-#include "arrays/division_array.h"
-#include "arrays/selection_array.h"
-#include "relational/op_specs.h"
-#include "relational/relation.h"
-#include "util/result.h"
 
 namespace systolic {
 namespace fastpath {
@@ -40,28 +33,6 @@ const char* BackendToString(Backend backend);
 
 /// Parses a policy name; false on anything but rtl/fast.
 bool ParseBackendPolicy(const std::string& text, BackendPolicy* policy);
-
-/// Drop-in fast replacements for the two array drivers the engine calls per
-/// tile on the fast backend. Each returns bit-identical results to
-/// its RTL counterpart and reports the analytically derived quiescence cycle
-/// count; simulator cell statistics stay zero (no cells were pulsed —
-/// ExecStats treats analytic passes separately, see ExecStats::Utilization).
-/// Membership and joins have no per-tile fast driver: their tiles merge into
-/// one result, which the engine computes once over whole operands with
-/// kernels.h's MembershipBits / JoinMatches, giving each tile its pass
-/// record in closed form (analytic_timing.h).
-
-/// Fast SystolicDivision: same quotient (first-occurrence order), shape
-/// fields and cycle count as arrays::SystolicDivision.
-Result<arrays::DivisionArrayResult> FastDivision(const rel::Relation& a,
-                                                 const rel::Relation& b,
-                                                 const rel::DivisionSpec& spec);
-
-/// Fast SystolicSelect: same selected bits, output relation and cycle count
-/// as arrays::SystolicSelect.
-Result<arrays::SelectionResult> FastSelect(
-    const rel::Relation& a,
-    const std::vector<arrays::SelectionPredicate>& predicates);
 
 }  // namespace fastpath
 }  // namespace systolic

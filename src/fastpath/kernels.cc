@@ -1,5 +1,6 @@
 #include "fastpath/kernels.h"
 
+#include <algorithm>
 #include <bit>
 #include <unordered_map>
 
@@ -132,16 +133,63 @@ std::vector<std::pair<size_t, size_t>> JoinMatches(
   return matches;
 }
 
-BitVector SelectionBits(const rel::Relation& a,
-                        const std::vector<size_t>& columns,
-                        const std::vector<rel::ComparisonOp>& ops,
-                        const std::vector<rel::Code>& constants) {
+DivisionMatches MatchDivision(const rel::Relation& a, const rel::Relation& b,
+                              const std::vector<size_t>& quotient_columns,
+                              const std::vector<size_t>& a_columns,
+                              const std::vector<size_t>& b_columns) {
+  DivisionMatches matches;
+  std::unordered_map<rel::Tuple, size_t, rel::TupleHash> values;
+  values.reserve(b.num_tuples());
+  for (size_t j = 0; j < b.num_tuples(); ++j) {
+    if (values.emplace(KeyOf(b.tuple(j), b_columns), matches.value_rows.size())
+            .second) {
+      matches.value_rows.push_back(j);
+    }
+  }
+  std::unordered_map<rel::Tuple, size_t, rel::TupleHash> keys;
+  keys.reserve(a.num_tuples());
+  matches.key.reserve(a.num_tuples());
+  for (size_t i = 0; i < a.num_tuples(); ++i) {
+    const rel::Tuple& t = a.tuple(i);
+    const auto [key, inserted] =
+        keys.emplace(KeyOf(t, quotient_columns), matches.key_rows.size());
+    if (inserted) matches.key_rows.push_back(i);
+    matches.key.push_back(key->second);
+    const auto value = values.find(KeyOf(t, a_columns));
+    if (value != values.end()) {
+      matches.flags.emplace_back(key->second, value->second);
+    }
+  }
+  std::sort(matches.flags.begin(), matches.flags.end());
+  matches.flags.erase(std::unique(matches.flags.begin(), matches.flags.end()),
+                      matches.flags.end());
+  return matches;
+}
+
+std::vector<rel::Tuple> DivisionQuotient(
+    const rel::Relation& a, const std::vector<size_t>& quotient_columns,
+    const DivisionMatches& matches) {
+  // A key's run of flags counts the distinct divisor values it matched.
+  std::vector<size_t> matched(matches.key_rows.size(), 0);
+  for (const auto& flag : matches.flags) ++matched[flag.first];
+  std::vector<rel::Tuple> quotient;
+  for (size_t x = 0; x < matched.size(); ++x) {
+    if (matched[x] == matches.value_rows.size()) {
+      quotient.push_back(KeyOf(a.tuple(matches.key_rows[x]), quotient_columns));
+    }
+  }
+  return quotient;
+}
+
+BitVector SelectionBits(
+    const rel::Relation& a,
+    const std::vector<arrays::SelectionPredicate>& predicates) {
   const size_t n = a.num_tuples();
   // Here the packed dimension is the tuple index i: one mask over all of A,
   // refined predicate by predicate.
   std::vector<uint64_t> words = AllLanes(n);
-  for (size_t p = 0; p < columns.size(); ++p) {
-    const std::vector<rel::Code> column = PackColumn(a, columns[p]);
+  for (const arrays::SelectionPredicate& p : predicates) {
+    const std::vector<rel::Code> column = PackColumn(a, p.column);
     bool live = false;
     for (size_t w = 0; w < words.size(); ++w) {
       if (words[w] == 0) continue;
@@ -150,7 +198,7 @@ BitVector SelectionBits(const rel::Relation& a,
       for (uint64_t rest = words[w]; rest != 0; rest &= rest - 1) {
         const size_t i =
             w * kWordBits + static_cast<size_t>(std::countr_zero(rest));
-        if (!rel::ApplyComparison(ops[p], column[i], constants[p])) {
+        if (!rel::ApplyComparison(p.op, column[i], p.constant)) {
           words[w] &= ~(uint64_t{1} << (i - w * kWordBits));
         }
       }

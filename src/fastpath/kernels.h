@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "arrays/edge_rule.h"
+#include "arrays/selection_array.h"
 #include "relational/compare.h"
 #include "relational/relation.h"
 #include "util/bitvector.h"
@@ -55,13 +56,43 @@ std::vector<std::pair<size_t, size_t>> JoinMatches(
     const std::vector<size_t>& left_columns,
     const std::vector<size_t>& right_columns, rel::ComparisonOp op);
 
+/// §7 division's dividend pairs over whole operands, as the division array
+/// sees them: pair t is A's tuple t, gated into dividend row key[t] — the
+/// first-occurrence rank of its quotient key — where its divisor part
+/// raises the match flag of B's distinct divisor value y, if B holds it.
+struct DivisionMatches {
+  /// Per A tuple: its quotient key's rank x_t.
+  std::vector<size_t> key;
+  /// Per key rank: the A row where the key first occurs (P = size()).
+  std::vector<size_t> key_rows;
+  /// Per distinct divisor value, in first-occurrence order: the B row where
+  /// it first occurs (Q = size()).
+  std::vector<size_t> value_rows;
+  /// The distinct match flags (x, y), in (x, y) order: key x met divisor
+  /// value y. A key's run counts the distinct divisor values it matched.
+  std::vector<std::pair<size_t, size_t>> flags;
+};
+
+/// Ranks quotient keys and divisor values by hashing and collects the
+/// distinct flags. `quotient_columns` key A's tuples; `a_columns` and
+/// `b_columns` are the divisor parts of A and B.
+DivisionMatches MatchDivision(const rel::Relation& a, const rel::Relation& b,
+                              const std::vector<size_t>& quotient_columns,
+                              const std::vector<size_t>& a_columns,
+                              const std::vector<size_t>& b_columns);
+
+/// §7's AND across each dividend row, by counting: the quotient keys of
+/// `a` that matched all Q divisor values (every key when Q = 0), in
+/// first-occurrence order.
+std::vector<rel::Tuple> DivisionQuotient(
+    const rel::Relation& a, const std::vector<size_t>& quotient_columns,
+    const DivisionMatches& matches);
+
 /// §6.3.2 selection: bit i = AND_p op_p(a_i[col_p], const_p), refined
-/// predicate by predicate over word-packed tuple masks. `columns`, `ops`
-/// and `constants` are parallel arrays (one entry per predicate).
-BitVector SelectionBits(const rel::Relation& a,
-                        const std::vector<size_t>& columns,
-                        const std::vector<rel::ComparisonOp>& ops,
-                        const std::vector<rel::Code>& constants);
+/// predicate by predicate over word-packed tuple masks.
+BitVector SelectionBits(
+    const rel::Relation& a,
+    const std::vector<arrays::SelectionPredicate>& predicates);
 
 }  // namespace fastpath
 }  // namespace systolic

@@ -100,13 +100,19 @@ Result<PlannedTransaction> PlanTransaction(
 
       // Pin the feed discipline only when the planner's operand
       // cardinalities are exact — i.e. every operand is an external input
-      // read straight from the catalog. Estimated intermediates keep the
-      // device's own policy (kAuto picks from the exact schedule of the true
-      // sizes at run time).
+      // read straight from the catalog — and only to a discipline the
+      // device allows (never marching on an even row count). Estimated
+      // intermediates keep the device's own policy (kAuto picks from the
+      // exact schedule of the true sizes at run time).
       const bool exact = inputs.count(step.left) != 0 &&
                          (!machine::IsBinaryOp(step.op) ||
                           inputs.count(step.right) != 0);
-      if (nc.cost.has_mode_choice && exact) {
+      const db::DeviceConfig& device = options.params.DeviceFor(step.op);
+      const std::vector<arrays::FeedMode> allowed =
+          arrays::FeedModeCandidates(device.mode, device.rows);
+      if (nc.cost.has_mode_choice && exact &&
+          std::find(allowed.begin(), allowed.end(), nc.cost.mode) !=
+              allowed.end()) {
         step.has_feed_hint = true;
         step.feed_hint = nc.cost.mode;
         ps.hinted = true;

@@ -228,18 +228,20 @@ Result<verify::VerifyReport> Machine::VerifyTransaction(
 }
 
 Result<TransactionReport> Machine::Execute(const Transaction& transaction) {
+  std::vector<std::string> inputs;
+  for (const auto& [name, module] : buffer_to_module_) {
+    inputs.push_back(name);
+  }
+  // The machine's own validation first, so a malformed transaction gets the
+  // same status whether or not the verify gate below is on.
+  SYSTOLIC_ASSIGN_OR_RETURN(std::vector<std::vector<size_t>> levels,
+                            transaction.Schedule(inputs));
   if (verify_enabled_) {
     SYSTOLIC_ASSIGN_OR_RETURN(const verify::VerifyReport gate_report,
                               VerifyTransaction(transaction));
     (void)gate_report;  // the shell's VERIFY verb prints it; the gate only
                         // cares that every pass accepted
   }
-  std::vector<std::string> inputs;
-  for (const auto& [name, module] : buffer_to_module_) {
-    inputs.push_back(name);
-  }
-  SYSTOLIC_ASSIGN_OR_RETURN(std::vector<std::vector<size_t>> levels,
-                            transaction.Schedule(inputs));
 
   TransactionReport report;
   const double crossbar_rate = CrossbarBytesPerSecond();

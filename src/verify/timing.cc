@@ -55,11 +55,24 @@ bool IsMembershipFamily(OpKind op) {
 
 /// The feed disciplines a step may run under: its hint, else the device's
 /// candidates — for an unhinted kAuto step, every discipline the engine's
-/// guard may pick from the exact schedule of the true operand sizes.
-std::vector<arrays::FeedMode> CandidateModes(const PlanStep& step,
-                                             const db::DeviceConfig& device) {
-  if (step.has_feed_hint) return {step.feed_hint};
-  return arrays::FeedModeCandidates(device.mode, device.rows);
+/// guard may pick from the exact schedule of the true operand sizes. Fails
+/// where the engine refuses the step: marching, hinted or the device's
+/// explicit mode, on an even row count.
+Result<std::vector<arrays::FeedMode>> CandidateModes(
+    const PlanStep& step, const db::DeviceConfig& device) {
+  const arrays::FeedModePolicy policy =
+      !step.has_feed_hint ? device.mode
+      : step.feed_hint == arrays::FeedMode::kFixedB
+          ? arrays::FeedModePolicy::kFixedB
+          : arrays::FeedModePolicy::kMarching;
+  std::vector<arrays::FeedMode> modes =
+      arrays::FeedModeCandidates(policy, device.rows);
+  if (modes.empty()) {
+    return Fail(step.output, "marching step on an even row count (" +
+                                 std::to_string(device.rows) +
+                                 "): §3.2's pairs never meet");
+  }
+  return modes;
 }
 
 /// Checks the §3.2 exit schedule of one tile at one sampled pair (i, j)
@@ -202,7 +215,9 @@ Result<StepSchedule> DeriveStepSchedule(
   }
 
   const db::DeviceConfig& device = devices.For(step.op);
-  s.mode = mode.value_or(CandidateModes(step, device).front());
+  SYSTOLIC_ASSIGN_OR_RETURN(const std::vector<arrays::FeedMode> modes,
+                            CandidateModes(step, device));
+  s.mode = mode.value_or(modes.front());
   if (s.mode == arrays::FeedMode::kMarching) {
     s.spacing_a = 2;
     s.spacing_b = 2;
@@ -452,8 +467,10 @@ Status VerifyTiming(const machine::Transaction& txn,
       if (report != nullptr) ++report->timing_steps;
       continue;
     }
+    SYSTOLIC_ASSIGN_OR_RETURN(const std::vector<arrays::FeedMode> modes,
+                              CandidateModes(step, device));
     StepSchedule schedule;
-    for (const arrays::FeedMode mode : CandidateModes(step, device)) {
+    for (const arrays::FeedMode mode : modes) {
       SYSTOLIC_ASSIGN_OR_RETURN(
           schedule, DeriveStepSchedule(txn, index, env, devices, mode));
       SYSTOLIC_RETURN_NOT_OK(CheckStepSchedule(schedule, device, report));

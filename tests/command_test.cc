@@ -5,6 +5,7 @@
 
 #include "gtest/gtest.h"
 #include "relational/builder.h"
+#include "relational/ops_reference.h"
 #include "test_util.h"
 
 namespace systolic {
@@ -373,6 +374,33 @@ TEST(CommandFaults, SelectStepReportsEveryChip) {
   EXPECT_NE(out.str().find("select -> S: 1 tuples"), std::string::npos);
   EXPECT_NE(out.str().find(", 0 faults, 0 retries, 3/3 chips\n"),
             std::string::npos)
+      << out.str();
+}
+
+TEST(CommandEvenRows, PlannedCommitNeverPinsMarching) {
+  // §3.2's marching pairs never meet on an even row count. The planner's
+  // estimate favours marching for 1-tuple operands, but may pin only a
+  // discipline the device allows, so the commit runs fixed-B instead of
+  // reaching the RTL grid's odd-rows invariant.
+  MachineConfig config;
+  config.device.rows = 4;
+  Machine machine(config);
+  const Schema schema = rel::MakeIntSchema(1);
+  machine.disk().Put("A", Rel(schema, {{5}}));
+  machine.disk().Put("B", Rel(schema, {{5}}));
+  std::ostringstream out;
+  CommandInterpreter shell(&machine, &out);
+  ASSERT_TRUE(shell.planner_enabled());
+  std::istringstream script(
+      "LOAD A\nLOAD B\nBEGIN\nINTERSECT A B -> C\nCOMMIT\nPRINT C\n");
+  ASSERT_STATUS_OK(shell.ExecuteScript(script));
+  auto oracle = rel::reference::Intersection(Rel(schema, {{5}}),
+                                             Rel(schema, {{5}}));
+  ASSERT_OK(oracle);
+  auto c = machine.Buffer("C");
+  ASSERT_OK(c);
+  EXPECT_EQ((*c)->tuples(), oracle->tuples());
+  EXPECT_NE(out.str().find(oracle->ToString()), std::string::npos)
       << out.str();
 }
 

@@ -4,8 +4,9 @@
 // analytic timing) — runs every relational operation on both plus the
 // reference nested-loop oracle, and requires:
 //   * bit-identical result relations (tuple order included),
-//   * identical pass counts, pulse totals, and makespan pulses
-//     (the analytic-timing contract: closed forms equal simulation),
+//   * identical pass counts, pulse totals, makespan pulses and DMA
+//     counters (the analytic-timing contract: closed forms equal
+//     simulation),
 // across seeds, bounded and unbounded geometries, chip counts, and the
 // planner on full transactions. SYSTOLIC_FUZZ_SEEDS sets the size of the
 // seed set (the nightly lane widens it), same as the other fuzz suites.
@@ -97,6 +98,12 @@ class FastpathDifferentialFuzz
     EXPECT_EQ((*rtl).stats.passes, (*fast).stats.passes) << what;
     EXPECT_EQ((*rtl).stats.cycles, (*fast).stats.cycles) << what;
     EXPECT_EQ((*rtl).stats.makespan_cycles, (*fast).stats.makespan_cycles)
+        << what;
+    EXPECT_EQ((*rtl).stats.dma_cycles, (*fast).stats.dma_cycles) << what;
+    EXPECT_EQ((*rtl).stats.overlap_cycles, (*fast).stats.overlap_cycles)
+        << what;
+    EXPECT_EQ((*rtl).stats.memory_makespan_cycles,
+              (*fast).stats.memory_makespan_cycles)
         << what;
     EXPECT_EQ((*rtl).stats.backend, fastpath::Backend::kRtl) << what;
     EXPECT_EQ((*fast).stats.backend, fastpath::Backend::kFast) << what;
@@ -244,13 +251,15 @@ INSTANTIATE_TEST_SUITE_P(Txns, FastpathMachineFuzz,
 
 // ---------------------------------------------------------------------------
 // Many-tile lane: 150–180-tuple operands on 3- and 5-row marching chips put
-// thousands of §8 tiles behind each operator — the regime where the fast
-// backend computes membership and joins once over whole operands and gives
-// every tile a closed-form pass record. Fast, RTL and the reference oracle
-// must agree tuple for tuple, and fast and RTL on every pass, pulse and DMA
-// counter. The default four points cover rows × chips ∈ {3, 5} × {1, 4}
-// with overlap on and off; the operand range keeps the RTL side near 10 s
-// in a Debug build.
+// thousands of §8 tiles behind each membership operator and join — the
+// regime where the fast backend computes every operator once over whole
+// operands and gives every tile a closed-form pass record. Division runs on
+// a two-column device, so its dividend keys chunk `rows` at a time and its
+// divisor values two at a time: several chunks × several groups. Fast, RTL
+// and the reference oracle must agree tuple for tuple, and fast and RTL on
+// every pass, pulse and DMA counter. The default four points cover rows ×
+// chips ∈ {3, 5} × {1, 4} with overlap on and off; the operand range keeps
+// the RTL side near 10 s in a Debug build.
 // ---------------------------------------------------------------------------
 
 struct ManyTileParam {
@@ -284,13 +293,16 @@ TEST_P(FastpathManyTileFuzz, WholeOperandMatchesEveryTile) {
   options.base.seed = p.seed;
   options.b_num_tuples = 150 + static_cast<size_t>(rng.Uniform(0, 30));
   options.overlap_fraction = rng.NextDouble();
-  auto pair = rel::GenerateOverlappingPair(rel::MakeIntSchema(2), options);
+  const Schema schema = rel::MakeIntSchema(2);
+  auto pair = rel::GenerateOverlappingPair(schema, options);
   ASSERT_OK(pair);
   const Relation& a = pair->a;
   const Relation& b = pair->b;
 
   DeviceConfig device;
   device.rows = p.device_rows;
+  // The operands' width, and two divisor values per division group.
+  device.columns = 2;
   device.mode = arrays::FeedModePolicy::kMarching;
   device.num_chips = p.num_chips;
   device.overlap = p.overlap;
@@ -301,7 +313,7 @@ TEST_P(FastpathManyTileFuzz, WholeOperandMatchesEveryTile) {
   const auto check = [](const Result<EngineResult>& rtl_run,
                         const Result<EngineResult>& fast_run,
                         const Result<Relation>& oracle,
-                        const std::string& what) {
+                        const std::string& what, size_t min_passes) {
     ASSERT_OK(rtl_run);
     ASSERT_OK(fast_run);
     ASSERT_OK(oracle);
@@ -310,7 +322,7 @@ TEST_P(FastpathManyTileFuzz, WholeOperandMatchesEveryTile) {
     EXPECT_EQ(oracle->tuples(), out.tuples()) << what;
     const db::ExecStats& r = rtl_run->stats;
     const db::ExecStats& f = fast_run->stats;
-    EXPECT_GT(f.passes, 100u) << what;
+    EXPECT_GE(f.passes, min_passes) << what;
     EXPECT_EQ(r.passes, f.passes) << what;
     EXPECT_EQ(r.cycles, f.cycles) << what;
     EXPECT_EQ(r.makespan_cycles, f.makespan_cycles) << what;
@@ -319,21 +331,62 @@ TEST_P(FastpathManyTileFuzz, WholeOperandMatchesEveryTile) {
     EXPECT_EQ(r.memory_makespan_cycles, f.memory_makespan_cycles) << what;
     EXPECT_EQ(f.backend, fastpath::Backend::kFast) << what;
   };
+  constexpr size_t kManyTiles = 101;
   check(rtl.Intersect(a, b), fast.Intersect(a, b),
-        rel::reference::Intersection(a, b), "intersect");
+        rel::reference::Intersection(a, b), "intersect", kManyTiles);
   check(rtl.Subtract(a, b), fast.Subtract(a, b),
-        rel::reference::Difference(a, b), "subtract");
+        rel::reference::Difference(a, b), "subtract", kManyTiles);
   check(rtl.RemoveDuplicates(a), fast.RemoveDuplicates(a),
-        rel::reference::RemoveDuplicates(a), "dedup");
+        rel::reference::RemoveDuplicates(a), "dedup", kManyTiles);
   check(rtl.Union(a, b), fast.Union(a, b), rel::reference::Union(a, b),
-        "union");
-  for (const rel::ComparisonOp op :
-       {rel::ComparisonOp::kEq, rel::ComparisonOp::kLt}) {
-    const rel::JoinSpec spec{{0}, {0}, op};
-    check(rtl.Join(a, b, spec), fast.Join(a, b, spec),
-          rel::reference::Join(a, b, spec),
-          std::string("join ") + rel::ComparisonOpToString(op));
+        "union", kManyTiles);
+  const rel::JoinSpec eq{{0}, {0}, rel::ComparisonOp::kEq};
+  check(rtl.Join(a, b, eq), fast.Join(a, b, eq),
+        rel::reference::Join(a, b, eq), "join =", kManyTiles);
+  // The θ-join's operands straddle on column 0, so its `<` pairs match.
+  const rel::RelationPair theta = testing::StraddlingPair(schema, options);
+  const rel::JoinSpec lt{{0}, {0}, rel::ComparisonOp::kLt};
+  const Result<Relation> lt_oracle =
+      rel::reference::Join(theta.a, theta.b, lt);
+  ASSERT_OK(lt_oracle);
+  EXPECT_FALSE(lt_oracle->empty());
+  check(rtl.Join(theta.a, theta.b, lt), fast.Join(theta.a, theta.b, lt),
+        lt_oracle, "join <", kManyTiles);
+
+  // Division by B's column 1, by its values below 3 (which a key can cover
+  // whole) and by nothing; A's keys are its column 0.
+  const rel::DivisionSpec spec{{1}, {0}};
+  auto divisor = b.ProjectColumns({1});
+  ASSERT_OK(divisor);
+  BitVector low(divisor->num_tuples(), false);
+  for (size_t j = 0; j < divisor->num_tuples(); ++j) {
+    low.Set(j, divisor->tuple(j)[0] < 3);
   }
+  auto small = divisor->Filter(low, rel::RelationKind::kMulti);
+  ASSERT_OK(small);
+  const Relation none(divisor->schema(), rel::RelationKind::kSet);
+  const auto divide = [&](const Relation& d, const std::string& what,
+                          size_t min_passes) {
+    check(rtl.Divide(a, d, spec), fast.Divide(a, d, spec),
+          rel::reference::Division(a, d, spec), what, min_passes);
+  };
+  // At least 6 keys on 5 rows and 3 small values on 2 columns: several
+  // chunks × several groups.
+  divide(*divisor, "divide", 6);
+  divide(*small, "divide small", 4);
+  divide(none, "divide empty", 2);
+
+  const std::vector<arrays::SelectionPredicate> predicates{
+      {0, rel::ComparisonOp::kLt, options.base.domain_size},
+      {1, rel::ComparisonOp::kGe, 2}};
+  Relation selected(schema, rel::RelationKind::kSet);
+  for (const rel::Tuple& t : a.tuples()) {
+    if (t[0] < options.base.domain_size && t[1] >= 2) {
+      ASSERT_STATUS_OK(selected.Append(t));
+    }
+  }
+  check(rtl.Select(a, predicates), fast.Select(a, predicates), selected,
+        "select", 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(ManyTiles, FastpathManyTileFuzz,

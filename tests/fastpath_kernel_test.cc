@@ -130,10 +130,7 @@ TEST(FastpathKernels, SelectionMatchesRtlAtWordBoundaries) {
         {0, rel::ComparisonOp::kGe, 2}, {1, rel::ComparisonOp::kLt, 5}};
     auto rtl = arrays::SystolicSelect(a, predicates);
     ASSERT_OK(rtl);
-    const BitVector fast =
-        SelectionBits(a, {0, 1}, {rel::ComparisonOp::kGe, rel::ComparisonOp::kLt},
-                      {2, 5});
-    EXPECT_EQ(rtl->selected, fast) << "n_a=" << n_a;
+    EXPECT_EQ(rtl->selected, SelectionBits(a, predicates)) << "n_a=" << n_a;
   }
 }
 
@@ -258,7 +255,7 @@ TEST(AnalyticTiming, DivisionCyclesEqualSimulated) {
     rel::DivisionSpec spec{{1}, {1}};
     auto rtl = arrays::SystolicDivision(a, b, spec);
     ASSERT_OK(rtl);
-    // Recompute the feed term exactly as FastDivision does.
+    // Recompute the feed term exactly as the engine's division records do.
     std::map<rel::Code, size_t> x_rank;
     size_t m_feed = 0;
     for (size_t t = 0; t < n_a; ++t) {
@@ -306,9 +303,9 @@ TEST(Backend, UtilizationGuardedUnderAnalyticTiming) {
 }
 
 // ---------------------------------------------------------------------------
-// Degenerate shapes: the fast drivers must refuse or short-circuit exactly
-// where their RTL counterparts do, so backend dispatch never changes which
-// queries are accepted.
+// Degenerate shapes: the fast backend must refuse or short-circuit exactly
+// where the RTL tiles do, so backend dispatch never changes which queries
+// are accepted or what they report.
 // ---------------------------------------------------------------------------
 
 TEST(Backend, FallbackPolicyNameAndRtlName) {
@@ -391,30 +388,81 @@ TEST(FastpathKernels, JoinMatchesEmptyOperandIsEmpty) {
   EXPECT_EQ(JoinCycles(FeedMode::kMarching, 3, 0, 1, 0), 0u);
 }
 
-TEST(Backend, FastDivisionEmptyDividendIsEmptyQuotient) {
+/// Runs `op` on an RTL and a fast engine over one device and requires the
+/// same relation, kind and ExecStats counters.
+template <typename Op>
+void ExpectFastMatchesRtl(const db::DeviceConfig& device, const Op& op,
+                          const char* what) {
+  db::DeviceConfig fast_device = device;
+  fast_device.backend = BackendPolicy::kFast;
+  const Result<db::EngineResult> rtl = op(db::Engine(device));
+  const Result<db::EngineResult> fast = op(db::Engine(fast_device));
+  ASSERT_OK(rtl);
+  ASSERT_OK(fast);
+  EXPECT_EQ(rtl->relation.tuples(), fast->relation.tuples()) << what;
+  EXPECT_EQ(rtl->relation.kind(), fast->relation.kind()) << what;
+  const db::ExecStats& r = rtl->stats;
+  const db::ExecStats& f = fast->stats;
+  EXPECT_EQ(r.passes, f.passes) << what;
+  EXPECT_EQ(r.cycles, f.cycles) << what;
+  EXPECT_EQ(r.makespan_cycles, f.makespan_cycles) << what;
+  EXPECT_EQ(r.dma_cycles, f.dma_cycles) << what;
+  EXPECT_EQ(r.overlap_cycles, f.overlap_cycles) << what;
+  EXPECT_EQ(r.memory_makespan_cycles, f.memory_makespan_cycles) << what;
+  EXPECT_EQ(r.overlap_enabled, f.overlap_enabled) << what;
+  EXPECT_EQ(f.backend, Backend::kFast) << what;
+}
+
+TEST(Backend, EmptyDividendIsEmptyQuotientOnBothBackends) {
   const Schema schema = rel::MakeIntSchema(2);
   const Relation empty(schema, rel::RelationKind::kMulti);
   const Relation b = MakeRel(schema, 2, 2, 3, 2);
-  rel::DivisionSpec spec{{1}, {1}};
-  auto result = FastDivision(empty, b, spec);
-  ASSERT_OK(result);
-  EXPECT_EQ(result->relation.num_tuples(), 0u);
-  EXPECT_EQ(result->dividend_rows, 0u);
+  const rel::DivisionSpec spec{{1}, {1}};
+  for (const size_t rows : {size_t{0}, size_t{3}}) {
+    db::DeviceConfig device;
+    device.rows = rows;
+    ExpectFastMatchesRtl(
+        device, [&](const db::Engine& e) { return e.Divide(empty, b, spec); },
+        "empty dividend");
+  }
 }
 
-TEST(Backend, FastSelectVacuousAndEmptyCases) {
+TEST(Backend, VacuousAndEmptySelectionOnBothBackends) {
   const Schema schema = rel::MakeIntSchema(2);
   const Relation a = MakeRel(schema, 5, 2, 4, 9);
-  // Empty predicate list: vacuous conjunction selects every tuple.
-  auto all = FastSelect(a, {});
-  ASSERT_OK(all);
-  EXPECT_EQ(all->relation.num_tuples(), a.num_tuples());
-  EXPECT_EQ(all->selected.CountOnes(), a.num_tuples());
-  // Empty input: empty output of the same schema.
   const Relation empty(schema, rel::RelationKind::kMulti);
-  auto none = FastSelect(empty, {{0, rel::ComparisonOp::kGe, 1}});
-  ASSERT_OK(none);
-  EXPECT_EQ(none->relation.num_tuples(), 0u);
+  const std::vector<arrays::SelectionPredicate> ge1{
+      {0, rel::ComparisonOp::kGe, 1}};
+  const db::DeviceConfig device;
+  // Empty predicate list: vacuous conjunction selects A as it is.
+  ExpectFastMatchesRtl(
+      device, [&](const db::Engine& e) { return e.Select(a, {}); },
+      "no predicates");
+  ExpectFastMatchesRtl(
+      device, [&](const db::Engine& e) { return e.Select(empty, {}); },
+      "no predicates, empty operand");
+  // Empty input: empty output of the same schema.
+  ExpectFastMatchesRtl(
+      device, [&](const db::Engine& e) { return e.Select(empty, ge1); },
+      "empty operand");
+}
+
+TEST(FastpathKernels, DivisionQuotientMatchesRtl) {
+  // Duplicate pairs, divisor values A never carries and B's own duplicates:
+  // counting distinct matched values per key is §7's AND across the row.
+  const Schema schema = rel::MakeIntSchema(2);
+  for (uint64_t salt = 1; salt <= 12; ++salt) {
+    const Relation a = MakeRel(schema, 6 + salt * 5, 2, 4, salt);
+    const Relation b = MakeRel(schema, salt % 5, 2, 5, salt + 100);
+    const rel::DivisionSpec spec{{1}, {1}};
+    auto rtl = arrays::SystolicDivision(a, b, spec);
+    ASSERT_OK(rtl);
+    const DivisionMatches matches = MatchDivision(a, b, {0}, {1}, {1});
+    EXPECT_EQ(matches.key_rows.size(), rtl->dividend_rows) << salt;
+    EXPECT_EQ(matches.value_rows.size(), rtl->divisor_cells) << salt;
+    EXPECT_EQ(rtl->relation.tuples(), DivisionQuotient(a, {0}, matches))
+        << salt;
+  }
 }
 
 TEST(FastpathKernels, MatchMaskDiesEarlyOnFirstColumn) {

@@ -72,20 +72,33 @@ std::vector<OverlapFuzzParam> OverlapFuzzPoints() {
   return points;
 }
 
+/// A point's operand schema: two to four columns.
+Schema PointSchema(uint64_t seed) { return rel::MakeIntSchema(2 + seed % 3); }
+
+/// A point's operand sizes, domain and overlap, drawn from its seed.
+rel::PairOptions PointOptions(uint64_t seed) {
+  Rng rng(seed * 6364136223846793005ull + 1442695040888963407ull);
+  rel::PairOptions options;
+  options.base.num_tuples = 8 + static_cast<size_t>(rng.Uniform(0, 40));
+  options.base.domain_size = 3 + rng.Uniform(0, 6);
+  options.base.seed = seed;
+  options.b_num_tuples = 5 + static_cast<size_t>(rng.Uniform(0, 35));
+  options.overlap_fraction = rng.NextDouble();
+  return options;
+}
+
+/// The `<` θ-join's operands at a point: first columns that straddle.
+rel::RelationPair ThetaOperands(uint64_t seed) {
+  return testing::StraddlingPair(PointSchema(seed), PointOptions(seed));
+}
+
 class MemoryOverlapDifferentialFuzz
     : public ::testing::TestWithParam<OverlapFuzzParam> {
  protected:
   void SetUp() override {
     const OverlapFuzzParam p = GetParam();
-    Rng rng(p.seed * 6364136223846793005ull + 1442695040888963407ull);
-    schema_ = rel::MakeIntSchema(2 + p.seed % 3);
-    rel::PairOptions options;
-    options.base.num_tuples = 8 + static_cast<size_t>(rng.Uniform(0, 40));
-    options.base.domain_size = 3 + rng.Uniform(0, 6);
-    options.base.seed = p.seed;
-    options.b_num_tuples = 5 + static_cast<size_t>(rng.Uniform(0, 35));
-    options.overlap_fraction = rng.NextDouble();
-    auto pair = rel::GenerateOverlappingPair(schema_, options);
+    schema_ = PointSchema(p.seed);
+    auto pair = rel::GenerateOverlappingPair(schema_, PointOptions(p.seed));
     SYSTOLIC_CHECK(pair.ok());
     a_ = std::make_unique<Relation>(std::move(pair->a));
     b_ = std::make_unique<Relation>(std::move(pair->b));
@@ -221,16 +234,34 @@ TEST_P(MemoryOverlapDifferentialFuzz, DedupAndProjection) {
 }
 
 TEST_P(MemoryOverlapDifferentialFuzz, JoinAllOps) {
+  const rel::RelationPair theta = ThetaOperands(GetParam().seed);
   for (const rel::ComparisonOp op :
        {rel::ComparisonOp::kEq, rel::ComparisonOp::kLt,
         rel::ComparisonOp::kNe}) {
+    const bool straddle = op == rel::ComparisonOp::kLt;
+    const Relation& a = straddle ? theta.a : *a_;
+    const Relation& b = straddle ? theta.b : *b_;
     rel::JoinSpec spec{{0}, {0}, op};
-    auto oracle = rel::reference::Join(*a_, *b_, spec);
+    auto oracle = rel::reference::Join(a, b, spec);
     ASSERT_OK(oracle);
-    Differential([&](const Engine& e) { return e.Join(*a_, *b_, spec); },
+    Differential([&](const Engine& e) { return e.Join(a, b, spec); },
                  std::string("join ") + rel::ComparisonOpToString(op),
                  &*oracle);
   }
+}
+
+TEST(MemoryOverlapThetaOperands, SomeDefaultPointJoinsPairs) {
+  // The `<` lane must compare matched pairs and their drains, not only
+  // empty outputs.
+  size_t joined = 0;
+  for (const OverlapFuzzParam& p : OverlapFuzzPoints()) {
+    const rel::RelationPair theta = ThetaOperands(p.seed);
+    auto out = rel::reference::Join(
+        theta.a, theta.b, rel::JoinSpec{{0}, {0}, rel::ComparisonOp::kLt});
+    ASSERT_OK(out);
+    if (!out->empty()) ++joined;
+  }
+  EXPECT_GT(joined, 0u);
 }
 
 TEST_P(MemoryOverlapDifferentialFuzz, DivisionAndSelection) {

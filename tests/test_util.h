@@ -7,6 +7,7 @@
 
 #include "gtest/gtest.h"
 #include "relational/builder.h"
+#include "relational/generator.h"
 #include "relational/relation.h"
 #include "util/logging.h"
 
@@ -32,6 +33,22 @@ inline size_t FuzzSeedCount(size_t fallback) {
     if (parsed > 0) return static_cast<size_t>(parsed);
   }
   return fallback;
+}
+
+/// θ-join operands whose first columns straddle: A and B are independent
+/// draws over one domain (`options.base`; B with `options.b_num_tuples`
+/// tuples and the next seed), so `<` pairs on column 0 match.
+/// rel::GenerateOverlappingPair lifts A's fresh tuples above B's domain,
+/// where such a join can match only A's copies of B's tuples.
+inline rel::RelationPair StraddlingPair(const rel::Schema& schema,
+                                        const rel::PairOptions& options) {
+  rel::GeneratorOptions b = options.base;
+  b.num_tuples = options.b_num_tuples;
+  b.seed = options.base.seed + 1;
+  auto a_draw = rel::GenerateRelation(schema, options.base);
+  auto b_draw = rel::GenerateRelation(schema, b);
+  SYSTOLIC_CHECK(a_draw.ok() && b_draw.ok());
+  return {std::move(a_draw).ValueOrDie(), std::move(b_draw).ValueOrDie()};
 }
 
 /// gtest helpers for Status/Result expressions.

@@ -272,6 +272,21 @@ TEST(VerifyTiming, MutationBlockCapacityRejected) {
       {"[timing]", "'out'", "§8 block capacity"});
 }
 
+TEST(VerifyTiming, MarchingStepOnEvenRowsRejected) {
+  // §3.2's marching pairs never meet on an even row count, where the engine
+  // refuses the step: the device's explicit mode and a hint alike.
+  TimingFixture fx(/*device_rows=*/4);
+  fx.devices.default_device.mode = arrays::FeedModePolicy::kMarching;
+  ExpectVerifyFailed(VerifyTiming(fx.txn, fx.env, fx.devices, nullptr),
+                     {"[timing]", "'out'", "even row count (4)"});
+  fx.devices.default_device.mode = arrays::FeedModePolicy::kAuto;
+  ASSERT_STATUS_OK(VerifyTiming(fx.txn, fx.env, fx.devices, nullptr));
+  fx.txn = Transaction();
+  fx.txn.Intersect("a", "b", "out").HintFeedMode(arrays::FeedMode::kMarching);
+  ExpectVerifyFailed(VerifyTiming(fx.txn, fx.env, fx.devices, nullptr),
+                     {"[timing]", "'out'", "even row count (4)"});
+}
+
 TEST(VerifyTiming, MutationWrongFeedHintRejected) {
   TimingFixture fx(0);
   // Pin whichever mode the §8 pulse model would NOT pick.
