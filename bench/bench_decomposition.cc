@@ -15,13 +15,16 @@
 // (bounded by the machine's real cores).
 //
 // E10c — §8's fixed-relation discipline on the paper's own case: a 10^4 x
-// 10^4 intersection (4000 under `--smoke`) on 4 chips of 63 rows and on one
-// chip of 1000 rows (the paper's ~1000 comparators per chip), on the fast
-// backend. Explicit marching, explicit fixed-B and the default (kAuto, whose
-// guard schedules both tilings and keeps fixed-B only where it is no worse
-// on cycles, makespan and memory makespan) each report passes, cycles,
-// makespan, memory makespan and host wall time; the 1000-row chip has no
-// marching leg, since marching pairs meet only on odd row counts. Asserted:
+// 10^4 intersection and a 10^4-tuple remove-duplicates (4000 under
+// `--smoke`) on 4 chips of 63 rows and on one chip of 1000 rows (the
+// paper's ~1000 comparators per chip), on the fast backend. Fixed-B dedup
+// runs one strip per preloaded block over A's suffix where that is no worse
+// than the block-pair triangle. Explicit marching, explicit fixed-B and the
+// default (kAuto, whose guard schedules both tilings and keeps fixed-B only
+// where it is no worse on cycles, makespan and memory makespan) each report
+// passes, cycles, makespan, memory makespan and host wall time; the
+// 1000-row chip has no marching leg, since marching pairs meet only on odd
+// row counts. Asserted, per operation:
 // the default is no worse than marching on the three counters, its cycles
 // are strictly fewer, and its host time stays within 2x of explicit
 // fixed-B's — the guard's look at the rejected marching grid must stay
@@ -34,6 +37,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <optional>
 #include <string>
 #include <utility>
@@ -153,65 +157,79 @@ int main(int argc, char** argv) {
   const size_t n8 = smoke ? 4000 : 10000;
   const rel::RelationPair pair8 =
       MakePair(rel::MakeIntSchema(2), n8, n8, 0.3, 8);
-  std::printf("\n=== E10c: §8 fixed-B vs marching — intersection of two "
-              "%zu-tuple relations, fast backend ===\n",
-              n8);
-  std::printf("%-12s %-9s %-8s %-12s %-12s %-14s %-10s %-8s\n", "device",
-              "mode", "passes", "cycles", "makespan", "mem_makespan",
-              "host_ms", "correct");
-  const rel::Relation oracle8 =
-      Unwrap(rel::reference::Intersection(pair8.a, pair8.b));
-  for (const auto& [chips, rows] :
-       {std::pair<size_t, size_t>{4, 63}, std::pair<size_t, size_t>{1, 1000}}) {
-    const std::string shape =
-        std::to_string(chips) + "x" + std::to_string(rows);
-    const auto run = [&](arrays::FeedModePolicy mode, const char* name) {
-      db::DeviceConfig device;
-      device.rows = rows;
-      device.num_chips = chips;
-      device.mode = mode;
-      device.backend = fastpath::BackendPolicy::kFast;
-      const db::Engine engine(device);
-      // Best of five: the fixed-B legs last about a millisecond.
-      db::EngineResult result = Unwrap(engine.Intersect(pair8.a, pair8.b));
-      double best_ms = 0;
-      for (int rep = 0; rep < 5; ++rep) {
-        const auto start = std::chrono::steady_clock::now();
-        result = Unwrap(engine.Intersect(pair8.a, pair8.b));
-        const double ms = WallMs(start);
-        best_ms = rep == 0 ? ms : std::min(best_ms, ms);
+  using Body = std::function<Result<db::EngineResult>(const db::Engine&)>;
+  const auto e10c = [&](const char* op, const rel::Relation& oracle8,
+                        const Body& body) {
+    std::printf("\n=== E10c: §8 fixed-B vs marching — %s of %zu-tuple "
+                "relations, fast backend ===\n",
+                op, n8);
+    std::printf("%-12s %-9s %-8s %-12s %-12s %-14s %-10s %-8s\n", "device",
+                "mode", "passes", "cycles", "makespan", "mem_makespan",
+                "host_ms", "correct");
+    for (const auto& [chips, rows] : {std::pair<size_t, size_t>{4, 63},
+                                      std::pair<size_t, size_t>{1, 1000}}) {
+      const std::string shape =
+          std::to_string(chips) + "x" + std::to_string(rows);
+      const auto run = [&](arrays::FeedModePolicy mode, const char* name) {
+        db::DeviceConfig device;
+        device.rows = rows;
+        device.num_chips = chips;
+        device.mode = mode;
+        device.backend = fastpath::BackendPolicy::kFast;
+        const db::Engine engine(device);
+        // Best of five: the fixed-B legs last about a millisecond.
+        db::EngineResult result = Unwrap(body(engine));
+        double best_ms = 0;
+        for (int rep = 0; rep < 5; ++rep) {
+          const auto start = std::chrono::steady_clock::now();
+          result = Unwrap(body(engine));
+          const double ms = WallMs(start);
+          best_ms = rep == 0 ? ms : std::min(best_ms, ms);
+        }
+        const db::ExecStats& st = result.stats;
+        const bool correct = result.relation.tuples() == oracle8.tuples();
+        std::printf("%-12s %-9s %-8zu %-12zu %-12zu %-14zu %-10.2f %-8s\n",
+                    shape.c_str(), name, st.passes, st.cycles,
+                    st.makespan_cycles, st.memory_makespan_cycles, best_ms,
+                    correct ? "yes" : "NO");
+        SYSTOLIC_CHECK(correct) << shape << " " << name << ": wrong result";
+        json.Case(std::string("s8_") + op + "_" + std::to_string(n8) + "_" +
+                      shape + "_" + name,
+                  static_cast<double>(st.cycles), best_ms * 1e6, "fast");
+        return std::make_pair(st, best_ms);
+      };
+      // §3.2's marching pairs never meet on an even row count, where
+      // explicit marching is a usage error and the default runs fixed-B.
+      std::optional<db::ExecStats> marching;
+      if (rows % 2 == 1) {
+        marching = run(arrays::FeedModePolicy::kMarching, "marching").first;
       }
-      const db::ExecStats& st = result.stats;
-      const bool correct = result.relation.tuples() == oracle8.tuples();
-      std::printf("%-12s %-9s %-8zu %-12zu %-12zu %-14zu %-10.2f %-8s\n",
-                  shape.c_str(), name, st.passes, st.cycles,
-                  st.makespan_cycles, st.memory_makespan_cycles, best_ms,
-                  correct ? "yes" : "NO");
-      SYSTOLIC_CHECK(correct) << shape << " " << name << ": wrong result";
-      json.Case("s8_intersect_" + std::to_string(n8) + "_" + shape + "_" + name,
-                static_cast<double>(st.cycles), best_ms * 1e6, "fast");
-      return std::make_pair(st, best_ms);
-    };
-    // §3.2's marching pairs never meet on an even row count, where
-    // explicit marching is a usage error and the default runs fixed-B.
-    std::optional<db::ExecStats> marching;
-    if (rows % 2 == 1) {
-      marching = run(arrays::FeedModePolicy::kMarching, "marching").first;
+      const auto [fixed, fixed_ms] =
+          run(arrays::FeedModePolicy::kFixedB, "fixed-B");
+      const auto [chosen, chosen_ms] =
+          run(arrays::FeedModePolicy::kAuto, "default");
+      SYSTOLIC_CHECK(!marching.has_value() ||
+                     (chosen.cycles < marching->cycles &&
+                      chosen.makespan_cycles <= marching->makespan_cycles &&
+                      chosen.memory_makespan_cycles <=
+                          marching->memory_makespan_cycles))
+          << op << " " << shape << ": the default is worse than marching";
+      SYSTOLIC_CHECK(chosen_ms <= 2.0 * fixed_ms)
+          << op << " " << shape << ": the default took " << chosen_ms
+          << " ms, over 2x explicit fixed-B's " << fixed_ms << " ms";
     }
-    const auto [fixed, fixed_ms] =
-        run(arrays::FeedModePolicy::kFixedB, "fixed-B");
-    const auto [chosen, chosen_ms] =
-        run(arrays::FeedModePolicy::kAuto, "default");
-    SYSTOLIC_CHECK(!marching.has_value() ||
-                   (chosen.cycles < marching->cycles &&
-                    chosen.makespan_cycles <= marching->makespan_cycles &&
-                    chosen.memory_makespan_cycles <=
-                        marching->memory_makespan_cycles))
-        << shape << ": the default is worse than marching";
-    SYSTOLIC_CHECK(chosen_ms <= 2.0 * fixed_ms)
-        << shape << ": the default took " << chosen_ms << " ms, over 2x "
-        << "explicit fixed-B's " << fixed_ms << " ms";
-  }
+  };
+  e10c("intersect", Unwrap(rel::reference::Intersection(pair8.a, pair8.b)),
+       [&](const db::Engine& engine) {
+         return engine.Intersect(pair8.a, pair8.b);
+       });
+  // Remove-duplicates: fixed-B streams A's suffix past each preloaded block
+  // (one strip per block) where that is no worse than the block-pair
+  // triangle.
+  e10c("dedup", Unwrap(rel::reference::RemoveDuplicates(pair8.a)),
+       [&](const db::Engine& engine) {
+         return engine.RemoveDuplicates(pair8.a);
+       });
   std::printf("\n(default: no worse than marching on cycles, makespan and "
               "memory makespan, strictly fewer cycles, host time within 2x "
               "of explicit fixed-B — asserted)\n");

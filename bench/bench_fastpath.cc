@@ -23,8 +23,10 @@
 // whole operands and gives every tile a closed-form pass record, so host
 // time per tile must not grow with the tile count: ns/tile at the large
 // size is asserted within 2x of n = 1000. Division and selection run at
-// the large size only. These cases land in the JSON as backend "fast" with
-// no rtl twin, so only their cycles are gated.
+// the large size only, and the default (kAuto) dedup, whose fixed-B
+// strips stream A's suffix past each preloaded block, runs beside the
+// pinned-marching rows at both sizes. These cases land in the JSON as
+// backend "fast" with no rtl twin, so only their cycles are gated.
 //
 // `--smoke` shrinks the sweep for CI.
 
@@ -196,6 +198,18 @@ int main(int argc, char** argv) {
     return tiled.RemoveDuplicates(p.a);
   });
   std::printf("host ns/tile at n=%zu within 2x of n=1000 (asserted)\n", large);
+
+  // The default (kAuto) dedup beside the pinned-marching rows: its fixed-B
+  // candidate streams A's suffix past each preloaded block, one strip per
+  // block, where that is no worse than the block-pair triangle.
+  DeviceConfig auto_device = tiled_device;
+  auto_device.mode = arrays::FeedModePolicy::kAuto;
+  const Engine tiled_auto(auto_device);
+  for (const rel::RelationPair* operands : {&small_pair, &large_pair}) {
+    run_tiled("dedup_auto", *operands, [&](const rel::RelationPair& p) {
+      return tiled_auto.RemoveDuplicates(p.a);
+    });
+  }
 
   // Division and selection run over whole operands too: A keyed on column
   // 0 divided by four of B's column-1 values, and a two-predicate σ.

@@ -268,8 +268,19 @@ Engine::TileGrid Engine::TriangleGrid(const Relation& a, size_t cap) {
             while ((p + 1) * (p + 2) / 2 <= t) ++p;
             const size_t q = t - p * (p + 1) / 2;
             const size_t rows_p = std::min(cap, n - p * cap);
-            return q == p ? Tile{&a, p * cap, rows_p}
+            return q == p ? Tile{&a, p * cap, rows_p, nullptr, 0, rows_p}
                           : Tile{&a, p * cap, rows_p, &a, q * cap, cap};
+          }};
+}
+
+Engine::TileGrid Engine::StripGrid(const Relation& a, size_t cap) {
+  const size_t n = a.num_tuples();
+  if (n == 0) return {};
+  cap = std::min(cap, n);
+  return {(n + cap - 1) / cap, [&a, n, cap](size_t q) {
+            const size_t start = q * cap;
+            return Tile{&a, start, n - start, nullptr, 0,
+                        std::min(cap, n - start)};
           }};
 }
 
@@ -287,23 +298,25 @@ Result<Engine::Tiling> Engine::ChooseTiling(
   // tiles recover at fault rates where fixed-B's strike out every chip.
   if (device_.faults != nullptr) return tiling(FeedMode::kMarching);
   Tiling fixed = tiling(FeedMode::kFixedB);
-  ExecStats f;
-  MergePassInfos(fixed.grid, fixed.record, &f);
-  // fixed-B's cycles <= chips x makespan <= chips x memory makespan, and
-  // marching's memory makespan >= makespan >= cycles / chips: once
-  // marching's cycles reach `bound`, fixed-B is no worse on all three.
-  const size_t chips = f.healthy_chips;
-  const size_t bound = f.memory_makespan_cycles > SIZE_MAX / chips
-                           ? SIZE_MAX
-                           : f.memory_makespan_cycles * chips;
   Tiling marching = tiling(FeedMode::kMarching);
-  ExecStats m;
-  MergePassInfos(marching.grid, marching.record, &m, bound);
-  const bool fixed_no_worse =
-      m.cycles >= bound ||
-      (f.cycles <= m.cycles && f.makespan_cycles <= m.makespan_cycles &&
-       f.memory_makespan_cycles <= m.memory_makespan_cycles);
-  return fixed_no_worse ? std::move(fixed) : std::move(marching);
+  return NoWorse(fixed, marching) ? std::move(fixed) : std::move(marching);
+}
+
+bool Engine::NoWorse(const Tiling& preferred, const Tiling& other) const {
+  ExecStats p;
+  MergePassInfos(preferred.grid, preferred.record, &p);
+  // preferred's cycles <= chips x makespan <= chips x memory makespan, and
+  // other's memory makespan >= makespan >= cycles / chips: once other's
+  // cycles reach `bound`, preferred is no worse on all three.
+  const size_t chips = p.healthy_chips;
+  const size_t bound = p.memory_makespan_cycles > SIZE_MAX / chips
+                           ? SIZE_MAX
+                           : p.memory_makespan_cycles * chips;
+  ExecStats o;
+  MergePassInfos(other.grid, other.record, &o, bound);
+  return o.cycles >= bound ||
+         (p.cycles <= o.cycles && p.makespan_cycles <= o.makespan_cycles &&
+          p.memory_makespan_cycles <= o.memory_makespan_cycles);
 }
 
 size_t Engine::BlockCapacity(FeedMode mode, bool bottom) const {
@@ -429,19 +442,38 @@ Result<BitVector> Engine::TiledMembership(const Relation& a, const Relation& b,
   // B by the bottom capacity. A tile drains one bit per A tuple.
   const auto tiling = [&](FeedMode mode) {
     const size_t cap_a = BlockCapacity(mode, /*bottom=*/dedup);
-    Tiling t;
-    t.mode = mode;
-    t.grid = dedup ? TriangleGrid(a, cap_a)
-                   : BlockGrid(a, cap_a, b, BlockCapacity(mode, true));
-    t.record = [mode, m = a_cols.size(), rows = device_.rows](
-                   size_t, const Tile& tile, ArrayRunInfo* info,
-                   TileTraffic* traffic) {
-      info->cycles = fastpath::MembershipCycles(
-          mode, tile.a_count, tile.b != nullptr ? tile.b_count : tile.a_count,
-          m, rows);
-      traffic->out = spad::BitDrainBytes(tile.a_count);
+    const auto with_grid = [&](TileGrid grid) {
+      Tiling t;
+      t.mode = mode;
+      t.grid = std::move(grid);
+      t.record = [mode, m = a_cols.size(), rows = device_.rows](
+                     size_t, const Tile& tile, ArrayRunInfo* info,
+                     TileTraffic* traffic) {
+        info->cycles = fastpath::MembershipCycles(mode, tile.a_count,
+                                                  tile.b_count, m, rows);
+        traffic->out = spad::BitDrainBytes(tile.a_count);
+      };
+      return t;
     };
-    return t;
+    if (!dedup) {
+      return with_grid(BlockGrid(a, cap_a, b, BlockCapacity(mode, true)));
+    }
+    // Strips stream A's suffix past each preloaded block: the fewest
+    // cycles, but the first strip is the longest tile, and under a fault
+    // plan longer tiles meet more faults per attempt.
+    Tiling triangle = with_grid(TriangleGrid(a, cap_a));
+    if (mode == FeedMode::kMarching || device_.faults != nullptr) {
+      return triangle;
+    }
+    // The overlap policy moves only memory counters, never an explicit
+    // discipline's tiles: strips must be no worse with overlap on and off.
+    Tiling strips = with_grid(StripGrid(a, cap_a));
+    Engine flipped = *this;
+    flipped.device_.overlap = ResolveOverlap() ? spad::OverlapPolicy::kOff
+                                               : spad::OverlapPolicy::kOn;
+    return NoWorse(strips, triangle) && flipped.NoWorse(strips, triangle)
+               ? strips
+               : triangle;
   };
   SYSTOLIC_ASSIGN_OR_RETURN(const Tiling chosen, ChooseTiling(tiling));
   options.mode = chosen.mode;
@@ -453,16 +485,25 @@ Result<BitVector> Engine::TiledMembership(const Relation& a, const Relation& b,
   }
 
   const TileGrid& grid = chosen.grid;
-  const auto edge_rule = [&grid](size_t t) {
-    return grid.at(t).b == nullptr ? arrays::EdgeRule::kStrictLowerTriangle
-                                   : arrays::EdgeRule::kAllTrue;
-  };
   return DispatchTiles<BitVector, BitVector>(
       chosen,
       [&](size_t t, const Relation& block_a, const Relation& block_b,
-          ArrayRunInfo* info) {
-        return arrays::RunMembership(block_a, block_b, a_cols, b_cols,
-                                     edge_rule(t), options, info);
+          ArrayRunInfo* info) -> Result<BitVector> {
+        const Tile tile = grid.at(t);
+        if (tile.b != nullptr) {
+          return arrays::RunMembership(block_a, block_b, a_cols, b_cols,
+                                       arrays::EdgeRule::kAllTrue, options,
+                                       info);
+        }
+        // A diagonal tile or strip preloads the head of its own staged A
+        // slice under §5's strict lower triangle.
+        Relation head(block_a.schema(), rel::RelationKind::kMulti);
+        for (size_t j = 0; j < tile.b_count; ++j) {
+          SYSTOLIC_RETURN_NOT_OK(head.Append(block_a.tuple(j)));
+        }
+        return arrays::RunMembership(block_a, head, a_cols, b_cols,
+                                     arrays::EdgeRule::kStrictLowerTriangle,
+                                     options, info);
       },
       [&]() -> Result<BitVector> {
         // RunMembership refuses zero columns, but only when a tile runs.

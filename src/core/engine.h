@@ -41,10 +41,14 @@ struct DeviceConfig {
   /// exactly when it is no worse than marching on `cycles`,
   /// `makespan_cycles` and `memory_makespan_cycles`. Fixed-B never needs
   /// more pulses, but its fewer, longer tiles can spread worse over several
-  /// chips. An even `rows` count runs fixed-B: §3.2's marching pairs meet
-  /// only on odd grids. With `faults` installed kAuto keeps marching, whose
-  /// shorter tiles meet fewer injected faults per attempt. Division and
-  /// selection have one discipline each.
+  /// chips. Fixed-B dedup (so ∪ and π) runs one strip per preloaded block
+  /// over A's suffix where, by the same rule, that is no worse than the
+  /// block-pair triangle with overlap on and off alike, so `overlap` never
+  /// changes its tiles. An even `rows` count runs fixed-B: §3.2's marching
+  /// pairs meet only on odd grids. With `faults` installed kAuto keeps
+  /// marching and fixed-B dedup keeps the triangle, whose shorter tiles meet
+  /// fewer injected faults per attempt. Division and selection have one
+  /// discipline each.
   arrays::FeedModePolicy mode = arrays::FeedModePolicy::kAuto;
   /// Identical chips driven in parallel. §8's decomposition produces
   /// mutually independent (row-tile, col-tile) sub-problems; with more than
@@ -296,9 +300,10 @@ class Engine {
 
   /// One §8 sub-problem: tuples [a_start, a_start + a_count) of `a` and,
   /// when `b` is set, [b_start, b_start + b_count) of `b`; the ranges lie
-  /// inside their operands. A tile without a B slice feeds its A block to
-  /// both array edges (one mvin, no preload). Only RTL tiles stage their
-  /// slices; the fast backend reads the counts and the operands' arities.
+  /// inside their operands. A tile without a B slice takes the first
+  /// b_count tuples of its own A block as its B block, read from the same
+  /// bank (one mvin, no preload). Only RTL tiles stage their slices; the
+  /// fast backend reads the counts and the operands' arities.
   struct Tile {
     const rel::Relation* a = nullptr;
     size_t a_start = 0;
@@ -328,6 +333,12 @@ class Engine {
   /// since every such pair already has j < i globally.
   static TileGrid TriangleGrid(const rel::Relation& a, size_t cap);
 
+  /// §5's dedup in §8's fixed-B strips: strip q preloads block q of `a`,
+  /// the head of its own slice, and streams the suffix [q * cap, |a|) past
+  /// it under the strict lower triangle, so every pair j < i with j in
+  /// block q meets once. One pass per block instead of one per block pair.
+  static TileGrid StripGrid(const rel::Relation& a, size_t cap);
+
   /// Writes tile t's pass record and its drained bytes (`traffic->out`);
   /// `traffic` arrives with the feed bytes of `slices` filled in. Called in
   /// tile order; it may cache per block row.
@@ -348,16 +359,21 @@ class Engine {
   /// The tiling an operation runs: `tiling` of the one discipline
   /// arrays::FeedModeCandidates leaves (the device's explicit mode, or
   /// fixed-B on an even row count, where marching pairs never meet), or
-  /// under kAuto the guard's choice between `tiling(kFixedB)` and
-  /// `tiling(kMarching)` (see DeviceConfig::mode). With a fault plan
-  /// installed kAuto keeps marching. Marching's cycles over the usable chips
-  /// bound both its makespans from below, so its schedule stops as soon as
-  /// they reach fixed-B's memory makespan, which bounds fixed-B's three
-  /// counters from above: rejecting a large marching grid costs only its
-  /// first tiles. InvalidArgument, before any grid is built, when no
-  /// discipline is left: explicit marching on an even row count.
+  /// under kAuto `tiling(kFixedB)` where NoWorse than `tiling(kMarching)`
+  /// (see DeviceConfig::mode). With a fault plan installed kAuto keeps
+  /// marching.
+  /// InvalidArgument, before any grid is built, when no discipline is left:
+  /// explicit marching on an even row count.
   Result<Tiling> ChooseTiling(
       const std::function<Tiling(arrays::FeedMode)>& tiling) const;
+
+  /// The guard's rule: whether `preferred`'s exact schedule is no worse
+  /// than `other`'s on cycles, makespan and memory makespan. `other`'s
+  /// cycles over the usable chips bound both its makespans from below, so
+  /// its schedule stops as soon as they reach `preferred`'s memory makespan,
+  /// which bounds `preferred`'s three counters from above: rejecting a large
+  /// grid costs only its first tiles.
+  bool NoWorse(const Tiling& preferred, const Tiling& other) const;
 
   /// The RTL backend's per-tile entry point, called with the tile index and
   /// the staged blocks; returns what the operator's merge keeps of the tile
@@ -425,9 +441,10 @@ class Engine {
   /// Width check against device_.columns.
   Status CheckWidth(size_t width) const;
 
-  /// OR-accumulating membership over all (A-block, B-block) tile pairs:
-  /// returns per-A-tuple bits of "matches something in B" under the edge
-  /// rule selected by `dedup` (see .cc).
+  /// OR-accumulating membership over all (A-block, B-block) tile pairs, or
+  /// for `dedup` over the triangle or, fixed-B and fault-free, the strips
+  /// when the guard finds them no worse: returns per-A-tuple bits of
+  /// "matches something in B" (`dedup`: an earlier tuple of A).
   Result<BitVector> TiledMembership(const rel::Relation& a,
                                     const rel::Relation& b, bool dedup,
                                     ExecStats* stats) const;

@@ -65,7 +65,7 @@ class FairScheduler {
   /// wait queue is full.
   Result<AdmissionTicket> Admit(uint64_t session_id) EXCLUDES(mutex_);
 
-  /// Waiters currently queued (the EXPLAIN "admission queue depth").
+  /// Waiters currently queued.
   size_t queue_depth() const EXCLUDES(mutex_);
 
   Stats stats() const EXCLUDES(mutex_);

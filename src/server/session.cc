@@ -50,7 +50,6 @@ Session::Session(uint64_t id, SharedCatalog* catalog,
   machine::SessionContext context;
   context.session_id = id_;
   context.isolation = "snapshot";
-  context.queue_depth = [this] { return scheduler_->queue_depth(); };
   context.durability_stats = [this] { return durability_stats_; };
   interpreter_.set_session(std::move(context));
   RefreshSnapshot();

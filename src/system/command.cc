@@ -368,11 +368,7 @@ void CommandInterpreter::PrintDurabilityPolicy() {
 void CommandInterpreter::PrintSessionInfo() {
   if (!has_session_) return;
   (*out_) << "-- session: id " << session_.session_id << ", isolation "
-          << session_.isolation;
-  if (session_.queue_depth != nullptr) {
-    (*out_) << ", admission queue depth " << session_.queue_depth();
-  }
-  (*out_) << "\n";
+          << session_.isolation << "\n";
 }
 
 Status CommandInterpreter::SetSession(const std::vector<std::string>& tokens) {

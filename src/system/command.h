@@ -25,8 +25,6 @@ struct SessionContext {
   uint64_t session_id = 0;
   /// Human-readable isolation mode ("snapshot" for server sessions).
   std::string isolation = "none";
-  /// Admission-queue depth of the shared scheduler at call time.
-  std::function<size_t()> queue_depth;
   /// Per-session durability counters (records this session committed
   /// through the shared group-commit pipeline).
   std::function<durability::DurabilityStats()> durability_stats;
@@ -154,8 +152,8 @@ class CommandInterpreter {
   /// One "-- durability: ..." line describing the open session (printed by
   /// EXPLAIN); no-op without one.
   void PrintDurabilityPolicy();
-  /// One "-- session: ..." line (id, isolation, admission-queue depth);
-  /// no-op outside a server session.
+  /// One "-- session: ..." line (id, isolation); no-op outside a server
+  /// session.
   void PrintSessionInfo();
   /// SET SESSION <key> ...: introspection over the server session; unknown
   /// keys name the valid ones (PR 4/6 error-message convention).

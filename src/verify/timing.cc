@@ -150,7 +150,7 @@ Status CheckExitSample(const StepSchedule& s, const TileModel& tile,
 Result<StepSchedule> DeriveStepSchedule(
     const machine::Transaction& txn, size_t index,
     const std::map<std::string, InputStats>& env, const DeviceTable& devices,
-    std::optional<arrays::FeedMode> mode) {
+    std::optional<arrays::FeedMode> mode, bool strips) {
   if (index >= txn.steps().size()) {
     return Status::InvalidArgument("no step " + std::to_string(index));
   }
@@ -228,7 +228,20 @@ Result<StepSchedule> DeriveStepSchedule(
 
   // §8 tile decomposition over the worst-case operand sizes.
   if (s.n_a > 0) {
-    if (s.dedup_family) {
+    if (s.dedup_family && strips && s.mode == arrays::FeedMode::kFixedB) {
+      // Strip q preloads block q, the head of A's suffix from q * cap, and
+      // streams that whole suffix past it.
+      const size_t cap = std::min(BlockCap(s.mode, true, device.rows), s.n_a);
+      for (size_t q = 0; q < s.n_a; q += cap) {
+        TileModel tile;
+        tile.a_start = q;
+        tile.a_count = s.n_a - q;
+        tile.b_start = q;
+        tile.b_count = std::min(cap, s.n_a - q);
+        tile.diagonal = true;
+        s.tiles.push_back(tile);
+      }
+    } else if (s.dedup_family) {
       const size_t cap = std::min(BlockCap(s.mode, true, device.rows), s.n_a);
       for (size_t p = 0; p < s.n_a; p += cap) {
         for (size_t q = 0; q <= p; q += cap) {
@@ -328,9 +341,19 @@ Status CheckStepSchedule(const StepSchedule& s, const db::DeviceConfig& device,
                                   ") wrongly carries the lower-triangle "
                                   "initialisation");
       }
-      if (t.diagonal && t.a_count != t.b_count) {
-        return Fail(s.output, "diagonal tile compares blocks of unequal "
-                              "sizes " +
+      if (t.diagonal && t.b_count > t.a_count) {
+        return Fail(s.output, "diagonal tile at " + std::to_string(t.a_start) +
+                                  " preloads a B block of " +
+                                  std::to_string(t.b_count) +
+                                  " tuples, longer than its " +
+                                  std::to_string(t.a_count) + "-tuple A slice");
+      }
+      if (t.diagonal && s.mode == arrays::FeedMode::kMarching &&
+          t.a_count != t.b_count) {
+        // Only a preloaded B block can be a head: marching feeds both
+        // blocks whole.
+        return Fail(s.output, "marching diagonal tile compares blocks of "
+                              "unequal sizes " +
                                   std::to_string(t.a_count) + " and " +
                                   std::to_string(t.b_count));
       }
@@ -345,10 +368,11 @@ Status CheckStepSchedule(const StepSchedule& s, const db::DeviceConfig& device,
                                   "triangle rule");
       }
     }
-    covered += t.diagonal
-                   ? static_cast<unsigned long long>(t.a_count) *
-                         (t.a_count - 1) / 2
-                   : static_cast<unsigned long long>(t.a_count) * t.b_count;
+    // A diagonal tile compares its head of b tuples among themselves,
+    // b(b-1)/2 pairs, and with the a - b tuples after it.
+    const unsigned long long a = t.a_count;
+    const unsigned long long b = t.b_count;
+    covered += t.diagonal ? b * (b - 1) / 2 + b * (a - b) : a * b;
   }
   // Disjointness by plane sweep over the A axis with an ordered set of
   // active B intervals. Tile counts grow quadratically in the catalog's
@@ -471,9 +495,13 @@ Status VerifyTiming(const machine::Transaction& txn,
                               CandidateModes(step, device));
     StepSchedule schedule;
     for (const arrays::FeedMode mode : modes) {
-      SYSTOLIC_ASSIGN_OR_RETURN(
-          schedule, DeriveStepSchedule(txn, index, env, devices, mode));
-      SYSTOLIC_RETURN_NOT_OK(CheckStepSchedule(schedule, device, report));
+      for (const bool strips : {false, true}) {
+        SYSTOLIC_ASSIGN_OR_RETURN(
+            schedule,
+            DeriveStepSchedule(txn, index, env, devices, mode, strips));
+        SYSTOLIC_RETURN_NOT_OK(CheckStepSchedule(schedule, device, report));
+        if (!schedule.dedup_family || mode != arrays::FeedMode::kFixedB) break;
+      }
     }
 
     // A pinned feed hint must match the §8 pulse model's choice when the

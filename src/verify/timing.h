@@ -14,9 +14,11 @@ namespace systolic {
 namespace verify {
 
 /// One §8 tile of a step's decomposition: the block of (A-index, B-index)
-/// pairs one device pass covers. `diagonal` marks a dedup tile comparing a
-/// block against itself (edge rule kStrictLowerTriangle); other tiles seed
-/// kAllTrue.
+/// pairs one device pass covers. `diagonal` marks a dedup tile whose B block
+/// is the head of its own A block (edge rule kStrictLowerTriangle): the
+/// triangle's diagonal tile, where the two blocks are equal, or a fixed-B
+/// strip, which streams A's suffix past the preloaded head. Other tiles
+/// seed kAllTrue.
 struct TileModel {
   size_t a_start = 0;
   size_t a_count = 0;
@@ -54,11 +56,13 @@ struct StepSchedule {
 ///
 ///   - wire width fits the device (§8 partitions over tuples, not columns);
 ///   - tiles cover the full |A| x |B| comparison space exactly once
-///     (rectangular grid for ⋈/∩/−, the triangular block-pair grid for the
-///     dedup family), by area accounting + alignment, not by replaying the
-///     construction;
+///     (rectangular grid for ⋈/∩/−; for the dedup family the triangular
+///     block-pair grid or, fixed-B, one strip per preloaded block), by area
+///     accounting + alignment, not by replaying the construction;
 ///   - the strict-lower-triangle initialisation appears exactly on the
-///     dedup family's diagonal tiles (§5) and nowhere else;
+///     dedup family's diagonal tiles (§5) and nowhere else, and a diagonal
+///     tile's B block is the head of its A block (equal to it when
+///     marching);
 ///   - per tile, the §3.2 exit schedule: the pulse at which pair (i, j)'s
 ///     result leaves the grid is derived twice — once from the feed
 ///     equations (entry pulse + per-row march to the meeting row + word
@@ -70,7 +74,8 @@ struct StepSchedule {
 ///
 /// An unhinted step on a kAuto device may run either discipline — the
 /// engine's guard decides from the exact schedule at run time — so both
-/// candidate schedules are checked.
+/// candidate schedules are checked; a fixed-B dedup-family step may run the
+/// triangle or the strips, so both of its decompositions are checked.
 ///
 /// Selection steps are one-pass fixed devices (predicate count is the width
 /// check); division's decomposition is data-dependent (first-occurrence key
@@ -84,11 +89,13 @@ Status VerifyTiming(const machine::Transaction& txn,
 /// membership-family step) under `mode` without checking it. Without a
 /// `mode`, the step's feed hint, else the device's explicit mode; an
 /// unhinted kAuto step has two candidates, fixed-B (derived by default) and
-/// marching, and VerifyTiming audits both.
+/// marching, and VerifyTiming audits both. `strips` cuts a fixed-B
+/// dedup-family step into §8 strips instead of the block-pair triangle;
+/// other steps ignore it.
 Result<StepSchedule> DeriveStepSchedule(
     const machine::Transaction& txn, size_t index,
     const std::map<std::string, InputStats>& env, const DeviceTable& devices,
-    std::optional<arrays::FeedMode> mode = std::nullopt);
+    std::optional<arrays::FeedMode> mode = std::nullopt, bool strips = false);
 
 /// Exposed for tests: checks one derived schedule (the per-step body of
 /// VerifyTiming), so mutation tests can corrupt a StepSchedule field and

@@ -4,17 +4,20 @@
 // marching on cycles, makespan and memory makespan. The choice never changes
 // results, and it is the same on both backends.
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
 #include <utility>
 
 #include "core/engine.h"
+#include "fastpath/analytic_timing.h"
 #include "faults/fault_plan.h"
 #include "gtest/gtest.h"
 #include "relational/builder.h"
 #include "relational/generator.h"
 #include "relational/ops_reference.h"
+#include "system/scratchpad/scratchpad.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -321,6 +324,18 @@ void ExpectSameStats(const ExecStats& expected, const ExecStats& actual,
   EXPECT_EQ(expected.overlap_enabled, actual.overlap_enabled) << what;
 }
 
+/// The RTL run's ExecStats equal the fast run's on every counter; only the
+/// simulator measures cell occupancy.
+void ExpectSameAcrossBackends(const ExecStats& fast, ExecStats rtl,
+                              const std::string& what) {
+  EXPECT_EQ(rtl.backend, fastpath::Backend::kRtl) << what;
+  rtl.backend = fast.backend;
+  rtl.analytic_timing = fast.analytic_timing;
+  rtl.busy_cell_cycles = fast.busy_cell_cycles;
+  rtl.num_compute_cells = fast.num_compute_cells;
+  ExpectSameStats(fast, rtl, what + " rtl vs fast");
+}
+
 class AutoModeGuardSweep : public ::testing::TestWithParam<Shape> {};
 
 TEST_P(AutoModeGuardSweep, NoWorseThanMarchingAndSameOnBothBackends) {
@@ -415,18 +430,190 @@ TEST_P(AutoModeGuardSweep, NoWorseThanMarchingAndSameOnBothBackends) {
   auto rtl = run(Engine(device));
   ASSERT_OK(rtl);
   EXPECT_EQ(rtl->relation.tuples(), chosen.relation.tuples()) << what;
-  ExecStats simulated = rtl->stats;
-  EXPECT_EQ(simulated.backend, fastpath::Backend::kRtl) << what;
-  // Only the simulator measures cell occupancy.
-  simulated.backend = d.backend;
-  simulated.analytic_timing = d.analytic_timing;
-  simulated.busy_cell_cycles = d.busy_cell_cycles;
-  simulated.num_compute_cells = d.num_compute_cells;
-  ExpectSameStats(d, simulated, what + " rtl vs fast");
+  ExpectSameAcrossBackends(d, rtl->stats, what);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, AutoModeGuardSweep,
                          ::testing::ValuesIn(SweepShapes()));
+
+// ---------------------------------------------------------------------------
+// Fixed-B dedup in §8 strips: strip q preloads block q of A and streams A's
+// suffix past it, one pass per block instead of one per block pair. The
+// strips run only where their exact schedule is no worse than the
+// block-pair triangle's on cycles, makespan and memory makespan.
+// ---------------------------------------------------------------------------
+
+/// `n` tuples of width 2 over a small domain, so dedup drops some.
+Relation DedupInput(size_t n, uint64_t seed) {
+  rel::GeneratorOptions options;
+  options.num_tuples = n;
+  options.domain_size = 4 + static_cast<int64_t>(n / 3);
+  options.seed = seed;
+  auto r = rel::GenerateRelation(rel::MakeIntSchema(2), options);
+  SYSTOLIC_CHECK(r.ok()) << r.status().ToString();
+  return *std::move(r);
+}
+
+/// Runs remove-duplicates of `a` on `device` on both backends, checks the
+/// result against the software oracle and the backends against each other
+/// on every counter, and returns the fast backend's stats.
+ExecStats DedupOnBothBackends(const Relation& a, DeviceConfig device,
+                              const std::string& what) {
+  // The schedule model spreads tiles over device.num_chips; a pool of at
+  // most four workers runs them, whatever the chip count.
+  const size_t chips = device.num_chips;
+  const auto pool =
+      chips > 1 ? std::make_shared<ChipPool>(std::min<size_t>(chips, 4))
+                : nullptr;
+  const auto oracle = rel::reference::RemoveDuplicates(a);
+  SYSTOLIC_CHECK(oracle.ok());
+  device.backend = fastpath::BackendPolicy::kFast;
+  auto fast = Engine(device, pool).RemoveDuplicates(a);
+  device.backend = fastpath::BackendPolicy::kRtl;
+  auto rtl = Engine(device, pool).RemoveDuplicates(a);
+  SYSTOLIC_CHECK(fast.ok() && rtl.ok()) << what;
+  EXPECT_EQ(fast->relation.tuples(), oracle->tuples()) << what;
+  EXPECT_EQ(rtl->relation.tuples(), oracle->tuples()) << what;
+  ExpectSameAcrossBackends(fast->stats, rtl->stats, what);
+  return fast->stats;
+}
+
+TEST(FixedBDedupStrips, PinnedCasesOnBothBackends) {
+  // Explicit fixed-B and the default, each on both backends.
+  const auto pinned = [](size_t n, size_t rows, size_t chips) {
+    const Relation a = DedupInput(n, 42);
+    const std::string what = "n=" + std::to_string(n) + " " +
+                             std::to_string(chips) + "x" +
+                             std::to_string(rows);
+    DeviceConfig device;
+    device.rows = rows;
+    device.num_chips = chips;
+    device.mode = FeedModePolicy::kFixedB;
+    const ExecStats fixed = DedupOnBothBackends(a, device, what);
+    device.mode = FeedModePolicy::kAuto;
+    return std::make_pair(fixed, DedupOnBothBackends(a, device, what));
+  };
+  // Strips run: 64 passes of n - 63q + 2 + 63 + 1 pulses, against the
+  // triangle's 2,080 passes and 266,272 pulses.
+  {
+    const auto [fixed, chosen] = pinned(4000, 63, 4);
+    for (const ExecStats& st : {fixed, chosen}) {
+      EXPECT_EQ(st.resolved_mode, FeedMode::kFixedB);
+      EXPECT_EQ(st.passes, 64u);
+      EXPECT_EQ(st.cycles, 133216u);
+      EXPECT_EQ(st.makespan_cycles, 33304u);
+      EXPECT_EQ(st.memory_makespan_cycles, 65070u);
+    }
+  }
+  // The triangle is kept where the first strip is the longest tile: 64
+  // tuples on 4 x 63 rows (makespan 129, strips 130) ...
+  {
+    const auto [fixed, chosen] = pinned(64, 63, 4);
+    for (const ExecStats& st : {fixed, chosen}) {
+      EXPECT_EQ(st.passes, 3u);
+      EXPECT_EQ(st.cycles, 263u);
+      EXPECT_EQ(st.makespan_cycles, 129u);
+    }
+  }
+  // ... and 1000 tuples on 1000 chips (makespan 129, strips 1,066), where
+  // the default runs marching, as before.
+  {
+    const auto [fixed, chosen] = pinned(1000, 63, 1000);
+    EXPECT_EQ(fixed.passes, 136u);
+    EXPECT_EQ(fixed.cycles, 17416u);
+    EXPECT_EQ(fixed.makespan_cycles, 129u);
+    EXPECT_EQ(chosen.resolved_mode, FeedMode::kMarching);
+    EXPECT_EQ(chosen.passes, 528u);
+    EXPECT_EQ(chosen.makespan_cycles, 129u);
+  }
+  // n <= R: fixed-B's one pass, strip and diagonal tile alike.
+  for (const size_t n : {size_t{1}, size_t{40}, size_t{63}}) {
+    const ExecStats fixed = pinned(n, 63, 4).first;
+    EXPECT_EQ(fixed.passes, 1u) << n;
+    EXPECT_EQ(fixed.cycles,
+              fastpath::MembershipCycles(FeedMode::kFixedB, n, n, 2, 63))
+        << n;
+  }
+}
+
+/// The block-pair triangle's schedule of a fixed-B dedup of `n` tuples of
+/// width `m`, computed here as MergePassInfos does: tiles (p, q <= p) in
+/// p-major order, each to the chip that frees first, through that chip's
+/// DmaQueue.
+ExecStats TriangleSchedule(size_t n, size_t m, size_t rows, size_t chips,
+                           bool overlap) {
+  ExecStats st;
+  const size_t cap = rows == 0 ? n : std::min(rows, n);
+  std::vector<size_t> busy(chips, 0);
+  std::vector<spad::DmaQueue> queues(chips, spad::DmaQueue(overlap));
+  size_t t = 0;
+  for (size_t p = 0; p * cap < n; ++p) {
+    const size_t rows_p = std::min(cap, n - p * cap);
+    for (size_t q = 0; q <= p; ++q, ++t) {
+      const size_t b = q == p ? rows_p : cap;
+      const size_t cycles =
+          fastpath::MembershipCycles(FeedMode::kFixedB, rows_p, b, m, rows);
+      ++st.passes;
+      st.cycles += cycles;
+      const auto chip = std::min_element(busy.begin(), busy.end());
+      *chip += cycles;
+      spad::DmaQueue& queue = queues[chip - busy.begin()];
+      queue.Mvin(t, spad::TupleBytes(rows_p, m));
+      queue.Preload(t, q == p ? 0 : spad::TupleBytes(b, m));
+      queue.Compute(t, cycles);
+      queue.Mvout(t, spad::BitDrainBytes(rows_p));
+    }
+  }
+  st.makespan_cycles = *std::max_element(busy.begin(), busy.end());
+  for (const spad::DmaQueue& queue : queues) {
+    st.dma_cycles += queue.TransferCycleTotal();
+    st.memory_makespan_cycles =
+        std::max(st.memory_makespan_cycles, queue.Makespan());
+  }
+  return st;
+}
+
+TEST(FixedBDedupStrips, NoCounterExceedsTheTriangleAndBackendsAgree) {
+  // Even rows and rows = 1 included: fixed-B runs on every row count.
+  size_t k = 0;
+  size_t strips = 0;
+  for (const size_t rows : {1, 2, 3, 4, 5, 8, 15, 63}) {
+    for (const size_t chips : {1, 2, 4}) {
+      for (const size_t n : {1, 9, 40, 130}) {
+        const bool overlap = ++k % 2 == 0;
+        const Relation a = DedupInput(n, 900 + k);
+        const std::string what =
+            "n=" + std::to_string(n) + " rows=" + std::to_string(rows) +
+            " chips=" + std::to_string(chips) +
+            " overlap=" + (overlap ? "on" : "off");
+        DeviceConfig device;
+        device.rows = rows;
+        device.num_chips = chips;
+        device.mode = FeedModePolicy::kFixedB;
+        device.overlap =
+            overlap ? spad::OverlapPolicy::kOn : spad::OverlapPolicy::kOff;
+        const ExecStats st = DedupOnBothBackends(a, device, what);
+        const ExecStats triangle = TriangleSchedule(n, 2, rows, chips, overlap);
+        EXPECT_LE(st.passes, triangle.passes) << what;
+        EXPECT_LE(st.cycles, triangle.cycles) << what;
+        EXPECT_LE(st.makespan_cycles, triangle.makespan_cycles) << what;
+        EXPECT_LE(st.memory_makespan_cycles, triangle.memory_makespan_cycles)
+            << what;
+        EXPECT_LE(st.dma_cycles, triangle.dma_cycles) << what;
+        if (st.passes < triangle.passes) {
+          ++strips;
+        } else {
+          // The triangle kept: the test's schedule is the engine's.
+          EXPECT_EQ(st.cycles, triangle.cycles) << what;
+          EXPECT_EQ(st.memory_makespan_cycles,
+                    triangle.memory_makespan_cycles)
+              << what;
+        }
+      }
+    }
+  }
+  EXPECT_GT(strips, 0u);
+}
 
 }  // namespace
 }  // namespace db

@@ -189,6 +189,40 @@ TEST(AnalyticTiming, MembershipCyclesEqualSimulated) {
   }
 }
 
+TEST(AnalyticTiming, DedupStripCyclesEqualSimulated) {
+  // §8's fixed-B dedup strip: the head of R tuples of A's suffix preloaded,
+  // the whole suffix of a > R tuples streamed past it under §5's strict
+  // lower triangle.
+  for (const size_t rows : {size_t{1}, size_t{3}, size_t{5}, size_t{63}}) {
+    for (const size_t a_count : {rows + 1, 2 * rows + 5}) {
+      for (const size_t m : {size_t{1}, size_t{2}, size_t{3}}) {
+        const Schema s = rel::MakeIntSchema(m);
+        const Relation a = MakeRel(s, a_count, m, 3, 8);
+        Relation head(s, rel::RelationKind::kMulti);
+        for (size_t j = 0; j < rows; ++j) {
+          ASSERT_STATUS_OK(head.Append(a.tuple(j)));
+        }
+        std::vector<size_t> cols;
+        for (size_t c = 0; c < m; ++c) cols.push_back(c);
+        arrays::MembershipOptions options;
+        options.mode = FeedMode::kFixedB;
+        options.rows = rows;
+        ArrayRunInfo info;
+        auto rtl = RunMembership(a, head, cols, cols,
+                                 EdgeRule::kStrictLowerTriangle, options,
+                                 &info);
+        ASSERT_OK(rtl);
+        EXPECT_EQ(info.cycles,
+                  MembershipCycles(FeedMode::kFixedB, a_count, rows, m, rows))
+            << "rows=" << rows << " a=" << a_count << " m=" << m;
+        EXPECT_EQ(*rtl, MembershipBits(a, head, cols, cols,
+                                       EdgeRule::kStrictLowerTriangle))
+            << "rows=" << rows << " a=" << a_count << " m=" << m;
+      }
+    }
+  }
+}
+
 TEST(AnalyticTiming, JoinCyclesEqualSimulated) {
   for (const FeedMode mode : {FeedMode::kMarching, FeedMode::kFixedB}) {
     for (const size_t n_a : {size_t{1}, size_t{3}, size_t{7}}) {

@@ -338,7 +338,7 @@ TEST(ServerTest, SessionCapacityBouncesConnections) {
 
 // ---- Command surface ------------------------------------------------------
 
-TEST(ServerTest, ExplainSurfacesSessionIdIsolationAndQueueDepth) {
+TEST(ServerTest, ExplainSurfacesSessionIdAndIsolation) {
   auto created = Server::Create(TestConfig());
   ASSERT_OK(created);
   Server& server = **created;
@@ -350,8 +350,9 @@ TEST(ServerTest, ExplainSurfacesSessionIdIsolationAndQueueDepth) {
   ASSERT_OK((*session)->Execute("LOAD B"));
   const auto explained = (*session)->Execute("EXPLAIN INTERSECT A B -> I");
   ASSERT_OK(explained);
-  EXPECT_NE(explained->find("-- session: id 1, isolation snapshot, "
-                            "admission queue depth 0"),
+  // Only the session's own state: a live admission-queue depth would make
+  // the transcript depend on what other sessions are doing.
+  EXPECT_NE(explained->find("-- session: id 1, isolation snapshot\n"),
             std::string::npos)
       << *explained;
 

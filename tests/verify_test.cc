@@ -9,7 +9,9 @@
 
 #include "verify/verifier.h"
 
+#include <algorithm>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -171,15 +173,29 @@ struct TimingFixture {
     devices.default_device.rows = device_rows;
     if (op == OpKind::kRemoveDuplicates) {
       txn.RemoveDuplicates("a", "out");
+    } else if (op == OpKind::kUnion) {
+      txn.Union("a", "b", "out");
+    } else if (op == OpKind::kProject) {
+      txn.Project("a", {1}, "out");
     } else {
       txn.Intersect("a", "b", "out");
     }
   }
 
-  StepSchedule Derive() {
-    auto schedule = DeriveStepSchedule(txn, 0, env, devices);
+  StepSchedule Derive(std::optional<arrays::FeedMode> mode = std::nullopt,
+                      bool strips = false) {
+    auto schedule = DeriveStepSchedule(txn, 0, env, devices, mode, strips);
     SYSTOLIC_CHECK(schedule.ok()) << schedule.status().ToString();
     return *schedule;
+  }
+
+  /// The fixed-B strips of this fixture's dedup-family step, checked clean
+  /// before a test corrupts them.
+  StepSchedule Strips() {
+    StepSchedule schedule = Derive(arrays::FeedMode::kFixedB, true);
+    SYSTOLIC_CHECK(
+        CheckStepSchedule(schedule, devices.default_device, nullptr).ok());
+    return schedule;
   }
 };
 
@@ -255,6 +271,90 @@ TEST(VerifyTiming, MutationMissingTriangleInitRejected) {
   ExpectVerifyFailed(
       CheckStepSchedule(schedule, fx.devices.default_device, nullptr),
       {"[timing]", "'out'", "lacks the §5 strict-lower-triangle"});
+}
+
+TEST(VerifyTiming, AcceptsFixedBStripsForTheDedupFamily) {
+  // §8 strips: strip q preloads block q of A, the head of A's suffix from
+  // q * rows, and streams the whole suffix past it. VerifyTiming audits
+  // them beside the block-pair triangle on every fixed-B dedup-family step.
+  for (const OpKind op :
+       {OpKind::kRemoveDuplicates, OpKind::kUnion, OpKind::kProject}) {
+    TimingFixture fx(/*device_rows=*/3, op);
+    fx.devices.default_device.mode = arrays::FeedModePolicy::kFixedB;
+    const StepSchedule strips = fx.Derive(arrays::FeedMode::kFixedB, true);
+    const size_t n = strips.n_a;
+    ASSERT_EQ(strips.tiles.size(), (n + 2) / 3) << machine::OpKindToString(op);
+    for (size_t q = 0; q < strips.tiles.size(); ++q) {
+      const TileModel& t = strips.tiles[q];
+      EXPECT_TRUE(t.diagonal);
+      EXPECT_EQ(t.a_start, 3 * q);
+      EXPECT_EQ(t.a_count, n - 3 * q);
+      EXPECT_EQ(t.b_start, 3 * q);
+      EXPECT_EQ(t.b_count, std::min<size_t>(3, n - 3 * q));
+    }
+    VerifyReport clean;
+    ASSERT_STATUS_OK(CheckStepSchedule(strips, fx.devices.default_device,
+                                       &clean));
+    const StepSchedule triangle = fx.Derive();
+    EXPECT_EQ(triangle.tiles.size(), strips.tiles.size() *
+                                         (strips.tiles.size() + 1) / 2);
+    VerifyReport report;
+    ASSERT_STATUS_OK(VerifyTiming(fx.txn, fx.env, fx.devices, &report));
+    EXPECT_EQ(report.tiles_checked,
+              triangle.tiles.size() + strips.tiles.size());
+    EXPECT_EQ(clean.tiles_checked, strips.tiles.size());
+  }
+}
+
+TEST(VerifyTiming, MutationStripHeadOffsetRejected) {
+  TimingFixture fx(3, OpKind::kRemoveDuplicates);
+  StepSchedule schedule = fx.Strips();
+  schedule.tiles[1].b_start += 1;  // B no longer the head of its A slice
+  ExpectVerifyFailed(
+      CheckStepSchedule(schedule, fx.devices.default_device, nullptr),
+      {"[timing]", "'out'", "(3,4)", "wrongly carries the lower-triangle"});
+}
+
+TEST(VerifyTiming, MutationStripHeadLongerThanSliceRejected) {
+  TimingFixture fx(3, OpKind::kUnion);
+  StepSchedule schedule = fx.Strips();
+  schedule.tiles[0].a_count = 2;  // a 3-tuple head over a 2-tuple slice
+  ExpectVerifyFailed(
+      CheckStepSchedule(schedule, fx.devices.default_device, nullptr),
+      {"[timing]", "'out'", "B block of 3 tuples", "2-tuple A slice"});
+}
+
+TEST(VerifyTiming, MutationOverlappingStripRejected) {
+  TimingFixture fx(3, OpKind::kProject);
+  StepSchedule schedule = fx.Strips();
+  schedule.tiles.push_back(schedule.tiles[1]);  // block 1 preloaded twice
+  ExpectVerifyFailed(
+      CheckStepSchedule(schedule, fx.devices.default_device, nullptr),
+      {"[timing]", "'out'", "overlap"});
+}
+
+TEST(VerifyTiming, MutationDroppedStripRejected) {
+  TimingFixture fx(3, OpKind::kRemoveDuplicates);
+  StepSchedule schedule = fx.Strips();
+  schedule.tiles.erase(schedule.tiles.begin() + 1);  // block 1 never preloaded
+  ExpectVerifyFailed(
+      CheckStepSchedule(schedule, fx.devices.default_device, nullptr),
+      {"[timing]", "'out'", "§8 coverage"});
+}
+
+TEST(VerifyTiming, MutationMarchingDiagonalHeadRejected) {
+  // Only a preloaded block can be the head of a longer A slice: a marching
+  // diagonal tile feeds both of its blocks whole.
+  TimingFixture fx(5, OpKind::kRemoveDuplicates);
+  fx.devices.default_device.mode = arrays::FeedModePolicy::kMarching;
+  StepSchedule schedule = fx.Derive();
+  ASSERT_STATUS_OK(
+      CheckStepSchedule(schedule, fx.devices.default_device, nullptr));
+  ASSERT_TRUE(schedule.tiles[0].diagonal);
+  schedule.tiles[0].b_count -= 1;
+  ExpectVerifyFailed(
+      CheckStepSchedule(schedule, fx.devices.default_device, nullptr),
+      {"[timing]", "'out'", "marching diagonal tile", "unequal sizes"});
 }
 
 TEST(VerifyTiming, MutationBlockCapacityRejected) {
