@@ -175,7 +175,7 @@ int main(int argc, char** argv) {
         device.rows = rows;
         device.num_chips = chips;
         device.mode = mode;
-        device.backend = fastpath::BackendPolicy::kFast;
+        device.backend = fastpath::Backend::kFast;
         const db::Engine engine(device);
         // Best of five: the fixed-B legs last about a millisecond.
         db::EngineResult result = Unwrap(body(engine));

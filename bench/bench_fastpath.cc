@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
 
   DeviceConfig device;  // unbounded grid: one tile, maximal simulation
   Engine rtl(device);
-  device.backend = fastpath::BackendPolicy::kFast;
+  device.backend = fastpath::Backend::kFast;
   Engine fast(device);
 
   std::printf("=== E24: fast-path executor vs RTL simulation (n=%zu, "
@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
   tiled_device.rows = 63;
   tiled_device.mode = arrays::FeedModePolicy::kMarching;
   tiled_device.num_chips = 4;
-  tiled_device.backend = fastpath::BackendPolicy::kFast;
+  tiled_device.backend = fastpath::Backend::kFast;
   Engine tiled(tiled_device);
   const size_t large = smoke ? 4000 : 10000;
   std::printf("\n=== E24b: fast backend over many tiles (rows=%zu, chips=%zu) "

@@ -25,10 +25,9 @@
 // crash-safe cross-session group commit. Each `--connect` client gets its
 // own session: private SET PLANNER/BACKEND/FAULTS settings, snapshot reads,
 // and STOREs that group-commit with other sessions. The client speaks
-// protocol v2 (request ids + reconnect-and-resume retry, DESIGN S26);
-// `--v1` falls back to the legacy bare-command protocol. The command line
-// `SHUTDOWN` stops the server hard; `DRAIN` stops it gracefully (finish
-// in-flight commands, flush group commit, then close).
+// protocol v2 (request ids + reconnect-and-resume retry, DESIGN S26). The
+// command line `SHUTDOWN` stops the server hard; `DRAIN` stops it gracefully
+// (finish in-flight commands, flush group commit, then close).
 
 #include <cstdio>
 #include <cstdlib>
@@ -184,32 +183,7 @@ int RunServer(uint16_t port, size_t num_chips, const char* durable_dir) {
   return 0;
 }
 
-// The legacy v1 client: one bare command per frame, no retry. Kept for
-// protocol-compatibility smoke testing (`--v1`).
-int RunClientV1(uint16_t port) {
-  Result<server::Client> connected = server::Client::Connect(port);
-  if (!connected.ok()) {
-    std::printf("FAILED to connect: %s\n",
-                connected.status().ToString().c_str());
-    return 1;
-  }
-  server::Client client = std::move(connected).ValueOrDie();
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    if (line.empty()) continue;
-    Result<server::Client::Reply> reply = client.Roundtrip(line);
-    if (!reply.ok()) {
-      std::printf("connection lost: %s\n", reply.status().ToString().c_str());
-      return 1;
-    }
-    if (!reply->ok) std::printf("ERR %s\n", reply->error.c_str());
-    std::fputs(reply->output.c_str(), stdout);
-    if (line == "SHUTDOWN") break;
-  }
-  return 0;
-}
-
-// The default client: protocol v2 through ReliableClient — request ids,
+// The client: protocol v2 through ReliableClient — request ids,
 // reconnect-and-resume with capped backoff, exactly-once command effects.
 int RunClient(uint16_t port) {
   server::ReliableClientOptions options;
@@ -256,7 +230,6 @@ int main(int argc, char** argv) {
   const char* durable_dir = nullptr;
   int serve_port = -1;
   int connect_port = -1;
-  bool legacy_v1 = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--chips") == 0 && i + 1 < argc) {
       num_chips = static_cast<size_t>(std::strtoul(argv[++i], nullptr, 10));
@@ -270,18 +243,13 @@ int main(int argc, char** argv) {
       serve_port = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--connect") == 0 && i + 1 < argc) {
       connect_port = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--v1") == 0) {
-      legacy_v1 = true;
     }
   }
   if (serve_port >= 0) {
     return RunServer(static_cast<uint16_t>(serve_port), num_chips,
                      durable_dir);
   }
-  if (connect_port > 0) {
-    return legacy_v1 ? RunClientV1(static_cast<uint16_t>(connect_port))
-                     : RunClient(static_cast<uint16_t>(connect_port));
-  }
+  if (connect_port > 0) return RunClient(static_cast<uint16_t>(connect_port));
   machine::Machine m = MakeDemoMachine(num_chips);
   machine::CommandInterpreter interpreter(&m, &std::cout);
   interpreter.set_planner_enabled(planner);

@@ -21,9 +21,11 @@
 #      src/util/ — everything else uses util::Mutex / util::MutexLock /
 #      util::CondVar (DESIGN §2.10), so clang thread-safety analysis and the
 #      debug lock-order checker see every acquisition.
-#   6. One tile-dispatch path (DESIGN §2.6): the deleted `auto` values of
-#      BackendPolicy and OverlapPolicy and the deleted per-tile fast
-#      drivers fastpath::Fast{Division,Select} stay deleted in src/, tests/,
+#   6. One tile-dispatch path (DESIGN §2.6): the deleted
+#      fastpath::BackendPolicy enum (a device names a fastpath::Backend;
+#      ParseBackendPolicy keeps its name and parses one), OverlapPolicy's
+#      deleted `auto` value and the deleted per-tile fast drivers
+#      fastpath::Fast{Division,Select} stay deleted in src/, tests/,
 #      examples/ and bench/, and the backend entry points — per RTL tile,
 #      RunMembership and arrays::Systolic{Join,Division,Select}; over whole
 #      operands, fastpath::MembershipBits, JoinMatches, MatchDivision,
@@ -38,6 +40,11 @@
 #      §8 estimates perf::FixedBMembershipPulses / MarchingMembershipPulses
 #      are called in src/ only from src/perfmodel (which defines them),
 #      src/planner (step costs, feed hints) and src/verify (hint audit).
+#   9. Protocol v2 is the only wire contract (DESIGN §2.9): the deleted v1
+#      session loop Server::HandleV1, the v1 client's Client::Connect and
+#      Roundtrip(, Session::last_output(), query_shell's RunClientV1 and its
+#      --v1 flag stay deleted in src/, tests/, examples/, scripts/ and
+#      bench/ (this file, which names them, excepted).
 
 set -u
 cd "$(dirname "$0")/.."
@@ -86,10 +93,10 @@ if [ -n "$hits" ]; then
 fi
 
 # --- rule 6: one tile-dispatch path, no `auto` backend/overlap policy -------
-hits=$(grep -rnE '(BackendPolicy|OverlapPolicy)::kAuto' src tests examples bench \
+hits=$(grep -rnE '\bBackendPolicy(ToString)?\b|OverlapPolicy::kAuto' src tests examples bench \
   --include='*.cc' --include='*.cpp' --include='*.h' || true)
 if [ -n "$hits" ]; then
-  report "deleted BackendPolicy/OverlapPolicy kAuto value (use kFast / kOn)" "$hits"
+  report "deleted BackendPolicy enum or OverlapPolicy kAuto value (use fastpath::Backend / kOn)" "$hits"
 fi
 hits=$(grep -rnE '\bFast(Division|Select)\b' src tests examples bench \
   --include='*.cc' --include='*.cpp' --include='*.h' || true)
@@ -118,6 +125,13 @@ hits=$(grep -rnE '\b(FixedB|Marching)MembershipPulses\(' src \
   | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
 if [ -n "$hits" ]; then
   report "§8 pulse estimate called outside src/perfmodel, src/planner and src/verify (kAuto decides from the exact schedule)" "$hits"
+fi
+
+# --- rule 9: protocol v2 is the only wire contract -------------------------
+hits=$(grep -rnIE '\b(HandleV1|RunClientV1|Client::Connect)\b|--v1\b|\bRoundtrip\(|\blast_output\(\)' \
+  src tests examples scripts bench | grep -v '^scripts/project_lint\.sh:' || true)
+if [ -n "$hits" ]; then
+  report "deleted protocol-v1 path (speak v2 through ReliableClient)" "$hits"
 fi
 
 if [ "$fail" -eq 0 ]; then

@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # Server smoke gate (DESIGN S24 + S26): boot the socket server, drive it with
 # 8 concurrent scripted clients, and diff every client's transcript against a
-# serial oracle run of the same scripts. Then the S26 reliability legs: the
-# same diff through the legacy --v1 protocol, a graceful-DRAIN-under-load
-# run, and one point of the chaos network-injection fuzz when its binary is
-# built.
+# serial oracle run of the same scripts. Then the S26 reliability legs: a
+# graceful-DRAIN-under-load run, and one point of the chaos network-injection
+# fuzz when its binary is built.
 #
 # Snapshot isolation plus session-private buffers make each script's output
 # a pure function of the script itself — concurrency must not be able to
@@ -119,17 +118,6 @@ for i in $(seq 1 "$CLIENTS"); do
   fi
 done
 
-# Legacy-protocol leg: the same script through `--v1` must produce the same
-# transcript as the v2 serial oracle (the reply format is shared).
-client_script 1 | "$SHELL_BIN" --connect "$PORT" --v1 >"$WORK/v1.out" 2>&1
-normalize "$WORK/v1.out" >"$WORK/v1.norm"
-if ! diff -u "$WORK/serial_1.norm" "$WORK/v1.norm" >"$WORK/diff_v1.txt" 2>&1
-then
-  echo "server_smoke: --v1 transcript diverged from the v2 oracle:" >&2
-  cat "$WORK/diff_v1.txt" >&2
-  fail=1
-fi
-
 # Orderly shutdown through the protocol, then wait for the server to print
 # its session/commit summary.
 printf 'SHUTDOWN\n' | "$SHELL_BIN" --connect "$PORT" >/dev/null 2>&1 || true
@@ -141,7 +129,7 @@ if [ "$fail" -ne 0 ]; then
   exit 1
 fi
 echo "server_smoke: OK — $CLIENTS concurrent clients byte-identical to the" \
-     "serial oracle (v2 and --v1)"
+     "serial oracle"
 
 # ---- S26 drain leg: graceful stop under load ------------------------------
 # Boot a fresh server, put clients on it, then DRAIN mid-flight. The server

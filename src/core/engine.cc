@@ -33,16 +33,20 @@ Engine::Engine(DeviceConfig device) : Engine(device, nullptr) {}
 
 Engine::Engine(DeviceConfig device, std::shared_ptr<ChipPool> shared_pool)
     : device_(device),
-      pool_(device.num_chips > 1
-                ? (shared_pool != nullptr
-                       ? std::move(shared_pool)
-                       : std::make_shared<ChipPool>(device.num_chips))
-                : nullptr),
       health_(device.faults != nullptr
                   ? std::make_shared<ChipHealth>(
                         std::max<size_t>(1, device.num_chips),
                         device.recovery.strike_limit)
-                  : nullptr) {}
+                  : nullptr) {
+  if (device_.num_chips <= 1) return;
+  // Only RTL tiles run on the pool (RunTiled); the fast backend computes
+  // whole operands on the caller's thread, so it starts no workers.
+  if (shared_pool != nullptr) {
+    pool_ = std::move(shared_pool);
+  } else if (ResolveBackend() == fastpath::Backend::kRtl) {
+    pool_ = std::make_shared<ChipPool>(device_.num_chips);
+  }
+}
 
 size_t Engine::num_chips() const { return std::max<size_t>(1, device_.num_chips); }
 
@@ -330,13 +334,9 @@ bool Engine::ResolveOverlap() const {
 
 fastpath::Backend Engine::ResolveBackend() const {
   // Fault injection corrupts words inside individual pulses; the analytic
-  // fast path simulates no pulses, so any fast policy silently falls back
-  // to the RTL simulator while a fault plan is installed.
-  if (device_.backend == fastpath::BackendPolicy::kRtl ||
-      device_.faults != nullptr) {
-    return fastpath::Backend::kRtl;
-  }
-  return fastpath::Backend::kFast;
+  // fast path simulates no pulses, so a fast device silently falls back to
+  // the RTL simulator while a fault plan is installed.
+  return device_.faults != nullptr ? fastpath::Backend::kRtl : device_.backend;
 }
 
 Engine Engine::WithMode(FeedMode mode) const {

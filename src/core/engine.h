@@ -71,7 +71,7 @@ struct DeviceConfig {
   /// falling back to the RTL simulator while `faults` is installed
   /// (injection corrupts individual pulses, which only the simulator
   /// models). Surfaced in the shell as `SET BACKEND`.
-  fastpath::BackendPolicy backend = fastpath::BackendPolicy::kRtl;
+  fastpath::Backend backend = fastpath::Backend::kRtl;
   /// Whether each chip's scratchpad/DMA layer double-buffers tile operand
   /// feeds (S25): with overlap on (the default), tile N+1's mvin streams
   /// into the idle bank while tile N computes and tile N−1's mvout drains;
@@ -100,7 +100,7 @@ struct ExecStats {
   /// The feed discipline the engine resolved for this operation (meaningful
   /// for the membership/join families; selection always streams fixed).
   arrays::FeedMode resolved_mode = arrays::FeedMode::kMarching;
-  /// Which executor ran the operation's passes (the device's backend policy
+  /// Which executor ran the operation's passes (the device's backend
   /// resolved per Engine::ResolveBackend).
   fastpath::Backend backend = fastpath::Backend::kRtl;
   /// True iff `cycles`/`makespan_cycles` were derived from the closed-form
@@ -228,10 +228,11 @@ class Engine {
   /// how the S24 server gives every session a view of the SAME physical
   /// device: sessions' passes interleave fairly inside the pool (see
   /// ChipPool::RunAll) rather than each session pretending to own a machine.
-  /// Null `shared_pool` falls back to a private pool; either way a
-  /// single-chip device spawns no threads. device.num_chips should match
-  /// shared_pool->num_chips() so tile scheduling and stats agree with the
-  /// worker count.
+  /// Null `shared_pool` falls back to a private pool, built only for a
+  /// device whose passes run on the RTL simulator (ResolveBackend); a
+  /// single-chip or fast device spawns no threads. device.num_chips should
+  /// match shared_pool->num_chips() so tile scheduling and stats agree with
+  /// the worker count.
   Engine(DeviceConfig device, std::shared_ptr<ChipPool> shared_pool);
 
   const DeviceConfig& device() const { return device_; }
@@ -273,9 +274,9 @@ class Engine {
       const rel::Relation& a,
       const std::vector<arrays::SelectionPredicate>& predicates) const;
 
-  /// The executor the engine's passes will run on: the device's backend
-  /// policy, with kFast forced back to the RTL simulator while a fault plan
-  /// is installed (fault injection needs pulse-level fidelity).
+  /// The executor the engine's passes will run on: the device's backend,
+  /// with kFast forced back to the RTL simulator while a fault plan is
+  /// installed (fault injection needs pulse-level fidelity).
   fastpath::Backend ResolveBackend() const;
 
   /// Whether the scratchpad layer will double-buffer this engine's tile
@@ -451,7 +452,8 @@ class Engine {
 
   DeviceConfig device_;
   /// Shared by engine copies (the §9 machine stores engines by value); null
-  /// when num_chips() == 1, so the default device costs no threads.
+  /// when num_chips() == 1, or on a fast device given no shared pool, so
+  /// neither costs threads.
   std::shared_ptr<ChipPool> pool_;
   /// Chip-health ledger for fault-tolerant scheduling; created iff the
   /// device has a fault plan, and shared by engine copies so strikes

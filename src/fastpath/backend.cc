@@ -3,19 +3,15 @@
 namespace systolic {
 namespace fastpath {
 
-const char* BackendPolicyToString(BackendPolicy policy) {
-  return policy == BackendPolicy::kFast ? "fast" : "rtl";
-}
-
 const char* BackendToString(Backend backend) {
   return backend == Backend::kFast ? "fast" : "rtl";
 }
 
-bool ParseBackendPolicy(const std::string& text, BackendPolicy* policy) {
+bool ParseBackendPolicy(const std::string& text, Backend* backend) {
   if (text == "rtl") {
-    *policy = BackendPolicy::kRtl;
+    *backend = Backend::kRtl;
   } else if (text == "fast") {
-    *policy = BackendPolicy::kFast;
+    *backend = Backend::kFast;
   } else {
     return false;
   }

@@ -6,7 +6,12 @@
 namespace systolic {
 namespace fastpath {
 
-/// Which executor a device runs its tile passes on.
+/// Which executor a device runs its tile passes on — both the device's
+/// selection and the executor an operation resolved to. A device set to
+/// kFast still runs the RTL simulator while a fault plan is installed
+/// (fault injection corrupts individual pulses, which only the simulator
+/// models); golden tracing and the array-level unit surface always drive the
+/// RTL arrays directly and are unaffected by the selection.
 enum class Backend {
   /// The cycle-accurate RTL simulator (the repo's correctness oracle).
   kRtl,
@@ -15,24 +20,11 @@ enum class Backend {
   kFast,
 };
 
-/// The user-facing selector. kFast falls back to the RTL simulator while a
-/// fault plan is installed (fault injection corrupts individual pulses,
-/// which only the simulator models); golden tracing and the array-level
-/// unit surface always drive the RTL arrays directly and are unaffected by
-/// the policy.
-enum class BackendPolicy {
-  kRtl,
-  kFast,
-};
-
-/// "rtl" | "fast".
-const char* BackendPolicyToString(BackendPolicy policy);
-
 /// "rtl" | "fast".
 const char* BackendToString(Backend backend);
 
-/// Parses a policy name; false on anything but rtl/fast.
-bool ParseBackendPolicy(const std::string& text, BackendPolicy* policy);
+/// Parses a backend name; false on anything but rtl/fast.
+bool ParseBackendPolicy(const std::string& text, Backend* backend);
 
 }  // namespace fastpath
 }  // namespace systolic

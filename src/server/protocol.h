@@ -29,8 +29,8 @@ namespace server {
 ///                                            off and resend the SAME id
 ///   client -> server  "BYE"                  clean end of session
 ///   client -> server  "DRAIN" | "SHUTDOWN"   server-wide control
-/// A first frame that is not HELLO runs the legacy v1 contract (each frame is
-/// one bare command line) so old clients keep working.
+/// A first frame that is not a HELLO gets one "ERR invalid-argument: ..."
+/// frame and the connection is closed; no session is admitted.
 
 /// Upper bound for one frame payload; a PRINT of anything fits.
 inline constexpr size_t kMaxFrameBytes = 16u << 20;
@@ -107,15 +107,16 @@ inline constexpr char kHelloMagic[] = "HELLO v2";
 /// "HELLO v2" (empty token = new session) or "HELLO v2 <token>".
 std::string EncodeHello(const std::string& token);
 
-/// Parses a HELLO payload; false when `payload` is not a HELLO at all
-/// (legacy v1 client). A HELLO with a malformed tail yields an empty token.
+/// Parses a HELLO payload; false when `payload` is not a HELLO at all (the
+/// server refuses such a connection). A HELLO with a malformed tail yields an
+/// empty token.
 bool ParseHello(const std::string& payload, std::string* token);
 
 /// "REQ <id>\n<command>".
 std::string EncodeRequest(uint64_t id, const std::string& line);
 
 /// Parses a request frame; false when `payload` is not "REQ ..."-shaped
-/// (control line or legacy command).
+/// (a control line, or a malformed frame the server answers with ERR).
 bool ParseRequest(const std::string& payload, uint64_t* id,
                   std::string* line);
 

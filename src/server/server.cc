@@ -9,7 +9,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <sstream>
 #include <utility>
 
 #include "util/strings.h"
@@ -376,102 +375,26 @@ void Server::HandleConnection(int fd) {
     wire_id = next_wire_id_++;
     live_wires_[wire_id] = &wire;
   }
+  const int io = BudgetMs(config_.io_timeout_ms);
   bool clean_eof = false;
   Result<std::string> first =
-      ReadFrame(wire, &clean_eof, BudgetMs(config_.idle_timeout_ms),
-                BudgetMs(config_.io_timeout_ms));
-  if (first.ok()) {
-    std::string token;
-    if (ParseHello(*first, &token)) {
-      HandleV2(wire, token);
-    } else {
-      HandleV1(wire, std::move(*first));
-    }
+      ReadFrame(wire, &clean_eof, BudgetMs(config_.idle_timeout_ms), io);
+  std::string token;
+  if (first.ok() && ParseHello(*first, &token)) {
+    HandleV2(wire, token);
+  } else if (first.ok()) {
+    // Not a HELLO: refuse before admitting anything, so a stray peer never
+    // holds a session slot and a bare SHUTDOWN or DRAIN controls nothing.
+    const Status refused =
+        Status::InvalidArgument("the first frame must be HELLO v2 [<token>]");
+    (void)WriteFrame(wire, "ERR " + refused.ToString() + "\n", io);
   } else if (first.status().IsDataCorruption()) {
     // Unframeable garbage: the stream cannot be resynchronised, but the
     // offender still gets a clean verdict before the close.
-    (void)WriteFrame(wire, "ERR " + first.status().ToString() + "\n",
-                     BudgetMs(config_.io_timeout_ms));
+    (void)WriteFrame(wire, "ERR " + first.status().ToString() + "\n", io);
   }
   util::MutexLock lock(&mutex_);
   live_wires_.erase(wire_id);
-}
-
-void Server::HandleV1(Wire& wire, std::string line) {
-  const int io = BudgetMs(config_.io_timeout_ms);
-  std::shared_ptr<Session> session;
-  {
-    util::MutexLock lock(&mutex_);
-    Result<std::shared_ptr<Session>> connected = AdmitLocked(/*network=*/true);
-    if (!connected.ok()) {
-      lock.Unlock();
-      // Best-effort refusal; the admission verdict is the payload.
-      (void)WriteFrame(wire, "ERR " + connected.status().ToString() + "\n",
-                       io);
-      return;
-    }
-    session = std::move(connected).ValueOrDie();
-    Slot& slot = slots_[session->id()];
-    slot.attached = true;
-    slot.wire = &wire;
-  }
-  const uint64_t sid = session->id();
-  for (;;) {
-    if (line == "SHUTDOWN") {
-      (void)WriteFrame(wire, "OK\n-- server stopping\n", io);
-      RequestShutdown();
-      break;
-    }
-    if (line == "DRAIN") {
-      (void)WriteFrame(wire, "OK\n-- server draining\n", io);
-      RequestDrain();
-      break;
-    }
-    {
-      util::MutexLock lock(&mutex_);
-      const auto it = slots_.find(sid);
-      if (it != slots_.end()) {
-        it->second.busy = true;
-        it->second.last_active = Now();
-      }
-    }
-    const Result<std::string> output = session->Execute(line);
-    std::string payload;
-    if (output.ok()) {
-      payload = "OK\n" + *output;
-    } else {
-      payload = "ERR " + output.status().ToString() + "\n" +
-                session->last_output();
-    }
-    bool close_now = false;
-    {
-      util::MutexLock lock(&mutex_);
-      const auto it = slots_.find(sid);
-      if (it != slots_.end()) {
-        it->second.busy = false;
-        it->second.last_active = Now();
-        close_now = it->second.close_after_reply;
-      }
-    }
-    slots_cv_.NotifyAll();
-    if (!WriteReply(wire, payload).ok()) break;
-    if (close_now) break;
-    bool clean_eof = false;
-    Result<std::string> next =
-        ReadFrame(wire, &clean_eof, BudgetMs(config_.idle_timeout_ms), io);
-    if (!next.ok()) {
-      if (next.status().IsDataCorruption()) {
-        (void)WriteFrame(wire, "ERR " + next.status().ToString() + "\n", io);
-      }
-      if (IsWireTimeout(next.status())) {
-        util::MutexLock lock(&mutex_);
-        ++sessions_reaped_;
-      }
-      break;
-    }
-    line = std::move(*next);
-  }
-  Disconnect(sid);  // v1 sessions die with their connection
 }
 
 Result<std::shared_ptr<Session>> Server::AttachV2(const std::string& token,
@@ -666,8 +589,6 @@ void Server::HandleV2(Wire& wire, const std::string& token) {
   ReleaseV2(sid, disconnect);
 }
 
-// ---- Client ----------------------------------------------------------------
-
 Result<Client::Reply> ParseReplyPayload(const std::string& payload) {
   const size_t newline = payload.find('\n');
   const std::string verdict =
@@ -684,25 +605,6 @@ Result<Client::Reply> ParseReplyPayload(const std::string& payload) {
                                   "'");
   }
   return reply;
-}
-
-void Client::Close() { wire_.reset(); }
-
-Result<Client> Client::Connect(uint16_t port) {
-  SYSTOLIC_ASSIGN_OR_RETURN(std::unique_ptr<PosixWire> wire,
-                            PosixWire::Dial(port));
-  return Client(std::move(wire));
-}
-
-Result<Client::Reply> Client::Roundtrip(const std::string& line) {
-  if (wire_ == nullptr) {
-    return Status::InvalidArgument("client is not connected");
-  }
-  SYSTOLIC_RETURN_NOT_OK(WriteFrame(*wire_, line, io_timeout_ms_));
-  SYSTOLIC_ASSIGN_OR_RETURN(
-      const std::string payload,
-      ReadFrame(*wire_, nullptr, io_timeout_ms_, io_timeout_ms_));
-  return ParseReplyPayload(payload);
 }
 
 }  // namespace server

@@ -90,8 +90,9 @@ struct ServerStats {
 ///
 /// Embedded use (tests, benches): Create + Connect/Resume, drive sessions
 /// from your own threads. Network use: Listen + Serve accept length-framed
-/// connections ([u32 LE payload length][payload]); see protocol.h for the
-/// v2 frame grammar and the legacy v1 fallback.
+/// connections ([u32 LE payload length][payload]) speaking protocol v2 —
+/// see protocol.h for the frame grammar; a connection whose first frame is
+/// not a HELLO gets one ERR frame and is closed.
 class Server {
  public:
   static Result<std::unique_ptr<Server>> Create(ServerConfig config);
@@ -160,8 +161,6 @@ class Server {
   void HandleConnection(int fd) EXCLUDES(mutex_);
   /// The v2 session loop (after a HELLO); `token` empty = new session.
   void HandleV2(Wire& wire, const std::string& token) EXCLUDES(mutex_);
-  /// The legacy v1 loop; `first` is the already-read first command frame.
-  void HandleV1(Wire& wire, std::string first) EXCLUDES(mutex_);
 
   /// Writes `payload`, substituting a well-formed truncated ERR reply when
   /// it exceeds the frame limit (the connection survives oversized PRINTs).
@@ -223,11 +222,10 @@ class Server {
   bool reaper_stop_ GUARDED_BY(mutex_) = false;
 };
 
-/// Minimal blocking v1 client for the length-framed protocol; used by the
-/// legacy smoke path and the protocol-robustness tests. New code should use
-/// ReliableClient (reliable_client.h).
-class Client {
- public:
+/// Scope of Reply, one command's verdict as ReliableClient::Execute returns
+/// it. The connection itself is ReliableClient (reliable_client.h), the one
+/// client of protocol v2.
+struct Client {
   /// One command's round trip.
   struct Reply {
     bool ok = false;
@@ -236,34 +234,10 @@ class Client {
     /// Everything the command printed on the server.
     std::string output;
   };
-
-  Client() = default;
-  ~Client() = default;
-  Client(Client&&) noexcept = default;
-  Client& operator=(Client&&) noexcept = default;
-  Client(const Client&) = delete;
-  Client& operator=(const Client&) = delete;
-
-  /// Connects to 127.0.0.1:`port`.
-  static Result<Client> Connect(uint16_t port);
-
-  /// Bounds every send/recv poll; <= 0 = block indefinitely (the default).
-  /// With a budget set, a stalled server surfaces as IOError instead of a
-  /// hang.
-  void set_io_timeout_ms(int ms) { io_timeout_ms_ = ms; }
-
-  Result<Reply> Roundtrip(const std::string& line);
-
-  void Close();
-
- private:
-  explicit Client(std::unique_ptr<Wire> wire) : wire_(std::move(wire)) {}
-  std::unique_ptr<Wire> wire_;
-  int io_timeout_ms_ = -1;
 };
 
 /// Splits a reply payload into Client::Reply; DataCorruption on a malformed
-/// verdict line. Shared by Client and ReliableClient.
+/// verdict line. ReliableClient parses every HELLO ack and reply with it.
 Result<Client::Reply> ParseReplyPayload(const std::string& payload);
 
 }  // namespace server

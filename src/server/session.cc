@@ -18,7 +18,7 @@ Session::Session(uint64_t id, SharedCatalog* catalog,
   machine_.set_commit_sink(
       [this](const std::vector<std::pair<std::string, const rel::Relation*>>&
                  puts) -> Result<size_t> {
-        // Tag v2 requests so the WAL ack makes the dedup crash-safe; v1 and
+        // Tag v2 requests so the WAL ack makes the dedup crash-safe;
         // embedded commits (current_request_id_ == 0) go untagged.
         CommitTag tag;
         if (current_request_id_ > 0) {
@@ -66,9 +66,7 @@ void Session::RefreshSnapshot() {
 
 Status Session::RunAdmitted(const std::string& line) {
   out_.str("");
-  const Status status = interpreter_.Execute(line);
-  last_output_ = out_.str();
-  return status;
+  return interpreter_.Execute(line);
 }
 
 Result<std::string> Session::Execute(const std::string& line) {
@@ -78,7 +76,7 @@ Result<std::string> Session::Execute(const std::string& line) {
   SYSTOLIC_ASSIGN_OR_RETURN(const AdmissionTicket ticket,
                             scheduler_->Admit(id_));
   SYSTOLIC_RETURN_NOT_OK(RunAdmitted(line));
-  return last_output_;
+  return out_.str();
 }
 
 void Session::AdoptRecoveredAck(uint64_t request_id, uint64_t records) {
@@ -137,9 +135,9 @@ Result<Session::RequestOutcome> Session::ExecuteRequest(
   const Status status = RunAdmitted(line);
   current_request_id_ = 0;
   if (status.ok()) {
-    outcome.payload = "OK\n" + last_output_;
+    outcome.payload = "OK\n" + out_.str();
   } else {
-    outcome.payload = "ERR " + status.ToString() + "\n" + last_output_;
+    outcome.payload = "ERR " + status.ToString() + "\n" + out_.str();
   }
   last_request_id_ = id;
   last_reply_ = outcome.payload;

@@ -52,9 +52,9 @@ class Session {
   void set_token(std::string token) { token_ = std::move(token); }
 
   /// Executes one command line after admission through the fair-share
-  /// scheduler; returns everything the command printed. Errors carry the
-  /// printed output in the session's last_output() so protocol layers can
-  /// still relay partial results.
+  /// scheduler; returns everything the command printed. The embedded entry
+  /// point (tests, benches); network requests go through ExecuteRequest,
+  /// whose ERR replies also carry what a failed command printed.
   Result<std::string> Execute(const std::string& line);
 
   /// One protocol-v2 request (DESIGN S26): the full wire payload for request
@@ -88,9 +88,6 @@ class Session {
   /// The last request id consumed (0 before any v2 request).
   uint64_t last_request_id() const { return last_request_id_; }
 
-  /// Output printed by the most recent Execute (even a failed one).
-  const std::string& last_output() const { return last_output_; }
-
   /// Per-session durability counters: records THIS session pushed through
   /// the shared group-commit pipeline (never another session's).
   const durability::DurabilityStats& durability_stats() const {
@@ -108,8 +105,8 @@ class Session {
   /// the machine's disk source). Called only between transactions.
   void RefreshSnapshot();
 
-  /// Snapshot refresh + interpreter run (admission already granted); the
-  /// command status, with output in last_output_.
+  /// Runs one line on the interpreter once the snapshot is pinned and
+  /// admission granted; the command status, with its output in out_.
   Status RunAdmitted(const std::string& line);
 
   uint64_t id_;
@@ -125,14 +122,13 @@ class Session {
   /// equality with the pinned entry means the disk copy is current.
   std::map<std::string, std::shared_ptr<const rel::Relation>> mirrored_;
   durability::DurabilityStats durability_stats_;
-  std::string last_output_;
 
   // ---- S26 request-reliability state ----
   uint64_t last_request_id_ = 0;
   std::string last_reply_;
   bool have_last_reply_ = false;
   /// In-flight v2 request id, visible to the commit sink for WAL ack
-  /// tagging; 0 outside ExecuteRequest (v1/embedded commits go untagged).
+  /// tagging; 0 outside ExecuteRequest (embedded commits go untagged).
   uint64_t current_request_id_ = 0;
   uint64_t recovered_ack_id_ = 0;
   uint64_t recovered_ack_records_ = 0;

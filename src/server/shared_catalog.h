@@ -39,7 +39,7 @@ struct CatalogImage {
 /// present, the group-commit leader stages a WAL `ack` record into the same
 /// sealed group, so the (token, request id) pair becomes durable atomically
 /// with the commit and a post-crash retry can be answered from recovery
-/// instead of re-executed. An empty token = untagged (v1 / embedded paths).
+/// instead of re-executed. An empty token = untagged (embedded paths).
 struct CommitTag {
   std::string token;
   uint64_t request_id = 0;

@@ -278,9 +278,9 @@ void CommandInterpreter::PrintFaultCounters(const db::ExecStats& exec) {
 }
 
 void CommandInterpreter::PrintBackendPolicy() {
-  const fastpath::BackendPolicy policy = machine_->backend_policy();
-  if (policy == fastpath::BackendPolicy::kRtl) return;
-  (*out_) << "-- backend: " << fastpath::BackendPolicyToString(policy)
+  const fastpath::Backend backend = machine_->backend_policy();
+  if (backend == fastpath::Backend::kRtl) return;
+  (*out_) << "-- backend: " << fastpath::BackendToString(backend)
           << " (packed bitwise kernels, analytic pulse counts";
   if (machine_->config().device.faults != nullptr) {
     (*out_) << "; falls back to rtl while faults are installed";
@@ -594,13 +594,13 @@ Status CommandInterpreter::Execute(const std::string& line) {
       return SetSession(tokens);
     }
     if (tokens[1] == "BACKEND") {
-      fastpath::BackendPolicy policy;
+      fastpath::Backend backend;
       if (tokens.size() != 3 || !fastpath::ParseBackendPolicy(tokens[2],
-                                                              &policy)) {
+                                                              &backend)) {
         return Status::InvalidArgument(
             "usage: SET BACKEND <value>; valid values: rtl, fast");
       }
-      machine_->SetBackendPolicy(policy);
+      machine_->SetBackendPolicy(backend);
       (*out_) << "-- backend " << tokens[2] << "\n";
       return Status::OK();
     }

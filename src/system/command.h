@@ -133,13 +133,12 @@ class CommandInterpreter {
   /// policy (printed by EXPLAIN); no-op without a plan.
   void PrintFaultPolicy();
 
-  /// "-- backend: ..." policy line for EXPLAIN; silent on the default
-  /// (rtl) policy, matching PrintFaultPolicy's silence on perfect hardware.
+  /// "-- backend: ..." line for EXPLAIN; silent on the default (rtl)
+  /// backend, matching PrintFaultPolicy's silence on perfect hardware.
   void PrintBackendPolicy();
 
-  /// "-- memory: ..." scratchpad overlap-policy line for EXPLAIN; silent on
-  /// the default (auto) policy, matching PrintBackendPolicy's silence on
-  /// the default backend.
+  /// "-- memory: ..." scratchpad overlap-policy line for EXPLAIN; printed
+  /// under every policy, the default (overlap on) included.
   void PrintMemoryPolicy();
   /// Durably commits the named buffers as one atomic WAL group, mirrors
   /// them to the modeled disk and prints a "-- durability:" line; no-op

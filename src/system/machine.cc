@@ -42,9 +42,9 @@ void Machine::InstallFaultPlan(std::shared_ptr<const faults::FaultPlan> plan,
   });
 }
 
-void Machine::SetBackendPolicy(fastpath::BackendPolicy policy) {
+void Machine::SetBackendPolicy(fastpath::Backend backend) {
   ReconfigureDevices(
-      [policy](db::DeviceConfig& device) { device.backend = policy; });
+      [backend](db::DeviceConfig& device) { device.backend = backend; });
 }
 
 void Machine::SetMemoryPolicy(spad::OverlapPolicy policy) {

@@ -167,13 +167,11 @@ class Machine {
                         faults::RecoveryOptions recovery = {});
 
   /// Selects the execution backend for every device of the machine and
-  /// rebuilds the engines. Fast policies still fall back to the RTL
+  /// rebuilds the engines. A fast device still falls back to the RTL
   /// simulator per Engine::ResolveBackend whenever a fault plan is
   /// installed. Surfaced in the shell as `SET BACKEND rtl|fast`.
-  void SetBackendPolicy(fastpath::BackendPolicy policy);
-  fastpath::BackendPolicy backend_policy() const {
-    return config_.device.backend;
-  }
+  void SetBackendPolicy(fastpath::Backend backend);
+  fastpath::Backend backend_policy() const { return config_.device.backend; }
 
   /// Selects the scratchpad overlap policy (S25) for every device of the
   /// machine and rebuilds the engines. Purely a memory-timing model: results

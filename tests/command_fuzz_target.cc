@@ -86,8 +86,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   config.num_memories = 16;
   config.device.rows = kRows[pick % 6];
   config.device.num_chips = 1 + pick / 6 % 4;
-  config.device.backend = pick / 24 % 2 == 0 ? fastpath::BackendPolicy::kRtl
-                                              : fastpath::BackendPolicy::kFast;
+  config.device.backend = pick / 24 % 2 == 0 ? fastpath::Backend::kRtl
+                                              : fastpath::Backend::kFast;
   if (config.device.num_chips > 1) {
     config.shared_pool = PoolFor(config.device.num_chips);
   }

@@ -139,8 +139,8 @@ TEST(AutoModeTest, MarchingOnEvenRowsIsAUsageError) {
   const Relation empty = systolic::testing::Rel(schema, {});
   const Relation three = systolic::testing::Rel(schema, {{1}, {2}, {3}});
   const rel::JoinSpec spec{{0}, {0}, rel::ComparisonOp::kEq};
-  for (const fastpath::BackendPolicy backend :
-       {fastpath::BackendPolicy::kRtl, fastpath::BackendPolicy::kFast}) {
+  for (const fastpath::Backend backend :
+       {fastpath::Backend::kRtl, fastpath::Backend::kFast}) {
     DeviceConfig device;
     device.rows = 4;
     device.backend = backend;
@@ -388,7 +388,7 @@ TEST_P(AutoModeGuardSweep, NoWorseThanMarchingAndSameOnBothBackends) {
   device.num_chips = s.chips;
   device.overlap =
       s.overlap ? spad::OverlapPolicy::kOn : spad::OverlapPolicy::kOff;
-  device.backend = fastpath::BackendPolicy::kFast;
+  device.backend = fastpath::Backend::kFast;
   const auto run_mode = [&](FeedModePolicy mode) {
     DeviceConfig pinned = device;
     pinned.mode = mode;
@@ -426,7 +426,7 @@ TEST_P(AutoModeGuardSweep, NoWorseThanMarchingAndSameOnBothBackends) {
       d.resolved_mode == FeedMode::kMarching ? *m : fixed.stats, d,
       what + " vs its explicit mode");
 
-  device.backend = fastpath::BackendPolicy::kRtl;
+  device.backend = fastpath::Backend::kRtl;
   auto rtl = run(Engine(device));
   ASSERT_OK(rtl);
   EXPECT_EQ(rtl->relation.tuples(), chosen.relation.tuples()) << what;
@@ -467,9 +467,9 @@ ExecStats DedupOnBothBackends(const Relation& a, DeviceConfig device,
                 : nullptr;
   const auto oracle = rel::reference::RemoveDuplicates(a);
   SYSTOLIC_CHECK(oracle.ok());
-  device.backend = fastpath::BackendPolicy::kFast;
+  device.backend = fastpath::Backend::kFast;
   auto fast = Engine(device, pool).RemoveDuplicates(a);
-  device.backend = fastpath::BackendPolicy::kRtl;
+  device.backend = fastpath::Backend::kRtl;
   auto rtl = Engine(device, pool).RemoveDuplicates(a);
   SYSTOLIC_CHECK(fast.ok() && rtl.ok()) << what;
   EXPECT_EQ(fast->relation.tuples(), oracle->tuples()) << what;

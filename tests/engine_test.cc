@@ -1,7 +1,12 @@
 #include "core/engine.h"
 
+#include <chrono>
+#include <fstream>
 #include <initializer_list>
+#include <limits>
 #include <memory>
+#include <string>
+#include <thread>
 #include <utility>
 
 #include "gtest/gtest.h"
@@ -108,7 +113,7 @@ TEST(EngineTest, EmptyOperandsStampTheDeviceFields) {
   device.rows = 5;  // marching capacity 3: A splits into two blocks
   device.mode = FeedModePolicy::kMarching;
   device.num_chips = 3;
-  device.backend = fastpath::BackendPolicy::kFast;
+  device.backend = fastpath::Backend::kFast;
   Engine engine(device);
   const auto expect_stamped = [](const Result<EngineResult>& result,
                                  size_t passes) {
@@ -157,6 +162,65 @@ TEST(EngineTest, ZeroChipsBehavesAsOneChip) {
   auto result = engine.RemoveDuplicates(a);
   ASSERT_OK(result);
   EXPECT_EQ(result->relation.num_tuples(), 2u);
+}
+
+/// This process's thread count from /proc/self/status; 0 when unreadable.
+size_t ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "Threads:") {
+      size_t threads = 0;
+      status >> threads;
+      return threads;
+    }
+    status.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+  }
+  return 0;
+}
+
+/// This process's thread count once two reads 10 ms apart agree (a joined
+/// worker leaves the count a moment after join returns), or after 2 s.
+size_t SteadyThreads() {
+  size_t threads = ProcessThreads();
+  for (int tries = 0; tries < 200; ++tries) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const size_t again = ProcessThreads();
+    if (again == threads) break;
+    threads = again;
+  }
+  return threads;
+}
+
+TEST(EngineTest, OnlyRtlEnginesStartChipThreads) {
+  // A sanitizer runtime may start a helper thread along with the process's
+  // first thread; start one first, so the baseline counts the helper.
+  std::thread([] {}).join();
+  const size_t before = SteadyThreads();
+  if (before == 0) GTEST_SKIP() << "/proc/self/status is not readable";
+  DeviceConfig fast;
+  fast.num_chips = 8;
+  fast.backend = fastpath::Backend::kFast;
+  {
+    // Fast tiles run whole operands on the caller's thread.
+    const Engine engine(fast);
+    EXPECT_EQ(SteadyThreads(), before);
+  }
+  DeviceConfig rtl = fast;
+  rtl.backend = fastpath::Backend::kRtl;
+  {
+    const Engine engine(rtl);
+    EXPECT_EQ(SteadyThreads(), before + 8);
+  }
+  ASSERT_EQ(SteadyThreads(), before);
+  DeviceConfig faulted = fast;
+  faulted.faults = std::make_shared<faults::FaultPlan>(
+      faults::FaultPlan::Uniform(61, 8, 0.0, 0.0, 0.0));
+  {
+    // A fault plan sends fast tiles back to the RTL simulator.
+    const Engine engine(faulted);
+    EXPECT_EQ(SteadyThreads(), before + 8);
+  }
 }
 
 TEST(EngineTest, SerialMakespanEqualsCycleSum) {

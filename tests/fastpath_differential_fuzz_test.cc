@@ -81,7 +81,7 @@ class FastpathDifferentialFuzz
     device.mode = p.mode;
     device.num_chips = p.num_chips;
     rtl_ = std::make_unique<Engine>(device);
-    device.backend = fastpath::BackendPolicy::kFast;
+    device.backend = fastpath::Backend::kFast;
     fast_ = std::make_unique<Engine>(device);
   }
 
@@ -211,7 +211,7 @@ TEST_P(FastpathMachineFuzz, TransactionsMatchRtl) {
   auto pair = rel::GenerateOverlappingPair(schema, options);
   ASSERT_OK(pair);
 
-  const auto run = [&](fastpath::BackendPolicy policy)
+  const auto run = [&](fastpath::Backend policy)
       -> Result<machine::TransactionReport> {
     machine::MachineConfig config;
     config.device.rows = p.device_rows;
@@ -231,8 +231,8 @@ TEST_P(FastpathMachineFuzz, TransactionsMatchRtl) {
     return m.Execute(txn);
   };
 
-  auto rtl = run(fastpath::BackendPolicy::kRtl);
-  auto fast = run(fastpath::BackendPolicy::kFast);
+  auto rtl = run(fastpath::Backend::kRtl);
+  auto fast = run(fastpath::Backend::kFast);
   ASSERT_OK(rtl);
   ASSERT_OK(fast);
   ASSERT_EQ(rtl->steps.size(), fast->steps.size());
@@ -307,7 +307,7 @@ TEST_P(FastpathManyTileFuzz, WholeOperandMatchesEveryTile) {
   device.num_chips = p.num_chips;
   device.overlap = p.overlap;
   const Engine rtl(device);
-  device.backend = fastpath::BackendPolicy::kFast;
+  device.backend = fastpath::Backend::kFast;
   const Engine fast(device);
 
   const auto check = [](const Result<EngineResult>& rtl_run,

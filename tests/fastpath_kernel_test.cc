@@ -305,19 +305,18 @@ TEST(AnalyticTiming, DivisionCyclesEqualSimulated) {
 }
 
 // ---------------------------------------------------------------------------
-// Backend plumbing: policy parsing and the ExecStats analytic guards.
+// Backend plumbing: name parsing and the ExecStats analytic guards.
 // ---------------------------------------------------------------------------
 
 TEST(Backend, ParseAndPrintPolicies) {
-  BackendPolicy policy;
-  EXPECT_TRUE(ParseBackendPolicy("rtl", &policy));
-  EXPECT_EQ(policy, BackendPolicy::kRtl);
-  EXPECT_TRUE(ParseBackendPolicy("fast", &policy));
-  EXPECT_EQ(policy, BackendPolicy::kFast);
-  EXPECT_FALSE(ParseBackendPolicy("auto", &policy));
-  EXPECT_FALSE(ParseBackendPolicy("turbo", &policy));
-  EXPECT_STREQ(BackendPolicyToString(BackendPolicy::kRtl), "rtl");
-  EXPECT_STREQ(BackendPolicyToString(BackendPolicy::kFast), "fast");
+  Backend backend;
+  EXPECT_TRUE(ParseBackendPolicy("rtl", &backend));
+  EXPECT_EQ(backend, Backend::kRtl);
+  EXPECT_TRUE(ParseBackendPolicy("fast", &backend));
+  EXPECT_EQ(backend, Backend::kFast);
+  EXPECT_FALSE(ParseBackendPolicy("auto", &backend));
+  EXPECT_FALSE(ParseBackendPolicy("turbo", &backend));
+  EXPECT_STREQ(BackendToString(Backend::kRtl), "rtl");
   EXPECT_STREQ(BackendToString(Backend::kFast), "fast");
 }
 
@@ -343,10 +342,9 @@ TEST(Backend, UtilizationGuardedUnderAnalyticTiming) {
 // ---------------------------------------------------------------------------
 
 TEST(Backend, FallbackPolicyNameAndRtlName) {
-  EXPECT_STREQ(BackendPolicyToString(BackendPolicy::kRtl), "rtl");
-  // A policy value from a newer build must print, not crash.
-  EXPECT_STREQ(BackendPolicyToString(static_cast<BackendPolicy>(99)), "rtl");
   EXPECT_STREQ(BackendToString(Backend::kRtl), "rtl");
+  // A backend value from a newer build must print, not crash.
+  EXPECT_STREQ(BackendToString(static_cast<Backend>(99)), "rtl");
 }
 
 TEST(Backend, FastIntersectRejectsZeroColumnOperandsLikeRtl) {
@@ -356,19 +354,18 @@ TEST(Backend, FastIntersectRejectsZeroColumnOperandsLikeRtl) {
   Relation a(none, rel::RelationKind::kMulti);
   SYSTOLIC_CHECK(a.Append({}).ok());
   const Relation empty(none, rel::RelationKind::kMulti);
-  for (const BackendPolicy policy :
-       {BackendPolicy::kRtl, BackendPolicy::kFast}) {
+  for (const Backend backend : {Backend::kRtl, Backend::kFast}) {
     db::DeviceConfig device;
-    device.backend = policy;
+    device.backend = backend;
     const db::Engine engine(device);
     auto intersect = engine.Intersect(a, a);
     EXPECT_TRUE(intersect.status().IsInvalidArgument())
-        << BackendPolicyToString(policy);
+        << BackendToString(backend);
     auto subtract = engine.Subtract(a, a);
     EXPECT_TRUE(subtract.status().IsInvalidArgument())
-        << BackendPolicyToString(policy);
+        << BackendToString(backend);
     // No B tuples, no tile, nothing to refuse.
-    EXPECT_OK(engine.Intersect(a, empty)) << BackendPolicyToString(policy);
+    EXPECT_OK(engine.Intersect(a, empty)) << BackendToString(backend);
   }
 }
 
@@ -382,7 +379,7 @@ TEST(Backend, WholeOperandRecordsMatchRtlOnAutoSizedFixedB) {
   db::DeviceConfig device;
   device.mode = arrays::FeedModePolicy::kFixedB;
   const db::Engine rtl(device);
-  device.backend = BackendPolicy::kFast;
+  device.backend = Backend::kFast;
   const db::Engine fast(device);
   const auto expect_same = [](const Result<db::EngineResult>& r,
                               const Result<db::EngineResult>& f,
@@ -428,7 +425,7 @@ template <typename Op>
 void ExpectFastMatchesRtl(const db::DeviceConfig& device, const Op& op,
                           const char* what) {
   db::DeviceConfig fast_device = device;
-  fast_device.backend = BackendPolicy::kFast;
+  fast_device.backend = Backend::kFast;
   const Result<db::EngineResult> rtl = op(db::Engine(device));
   const Result<db::EngineResult> fast = op(db::Engine(fast_device));
   ASSERT_OK(rtl);
@@ -519,12 +516,12 @@ TEST(FastpathKernels, MatchMaskDiesEarlyOnFirstColumn) {
 
 TEST(Backend, EngineResolvesFaultFallback) {
   db::DeviceConfig device;
-  device.backend = BackendPolicy::kFast;
+  device.backend = Backend::kFast;
   EXPECT_EQ(db::Engine(device).ResolveBackend(), Backend::kFast);
-  device.backend = BackendPolicy::kRtl;
+  device.backend = Backend::kRtl;
   EXPECT_EQ(db::Engine(device).ResolveBackend(), Backend::kRtl);
   // Fault injection needs pulse-level fidelity: the fast policy falls back.
-  device.backend = BackendPolicy::kFast;
+  device.backend = Backend::kFast;
   device.faults = std::make_shared<faults::FaultPlan>(
       faults::FaultPlan::Uniform(7, 2, 0.01, 0.0, 0.0));
   EXPECT_EQ(db::Engine(device).ResolveBackend(), Backend::kRtl);

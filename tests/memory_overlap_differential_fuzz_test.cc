@@ -49,7 +49,7 @@ struct OverlapFuzzParam {
   size_t device_rows;
   arrays::FeedModePolicy mode;
   size_t num_chips;
-  fastpath::BackendPolicy backend;
+  fastpath::Backend backend;
 };
 
 /// The default fuzz points rotate device shape, feed-mode policy, chip
@@ -63,8 +63,8 @@ std::vector<OverlapFuzzParam> OverlapFuzzPoints() {
       arrays::FeedModePolicy::kMarching, arrays::FeedModePolicy::kFixedB,
       arrays::FeedModePolicy::kAuto};
   static constexpr size_t kChips[] = {1, 2, 3, 7};
-  static constexpr fastpath::BackendPolicy kBackends[] = {
-      fastpath::BackendPolicy::kRtl, fastpath::BackendPolicy::kFast};
+  static constexpr fastpath::Backend kBackends[] = {
+      fastpath::Backend::kRtl, fastpath::Backend::kFast};
   for (size_t k = 0; k < count; ++k) {
     points.push_back(OverlapFuzzParam{701 + k, kRows[k % 6], kModes[k % 3],
                                       kChips[k % 4], kBackends[k % 2]});

@@ -2,7 +2,7 @@
 // snapshot isolation over immutable catalog images, first-committer-wins
 // conflict detection, cross-session group commit, the command surface
 // (SET SESSION, EXPLAIN session line), and the length-framed socket
-// protocol.
+// protocol v2.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -23,6 +23,7 @@
 #include "gtest/gtest.h"
 #include "relational/builder.h"
 #include "server/protocol.h"
+#include "server/reliable_client.h"
 #include "server/scheduler.h"
 #include "server/server.h"
 #include "server/session.h"
@@ -429,6 +430,26 @@ TEST(ServerTest, PerSessionStatsCountOnlyOwnCommits) {
 
 // ---- Socket protocol ------------------------------------------------------
 
+// One frame out and its reply back, parsed: a bare protocol-v2 exchange with
+// no retry in between, so the test sees exactly what the server answered.
+Result<Client::Reply> Exchange(Wire& wire, const std::string& frame) {
+  SYSTOLIC_RETURN_NOT_OK(WriteFrame(wire, frame, 5'000));
+  bool clean_eof = false;
+  SYSTOLIC_ASSIGN_OR_RETURN(const std::string payload,
+                            ReadFrame(wire, &clean_eof, 5'000, 5'000));
+  return ParseReplyPayload(payload);
+}
+
+// A ReliableClient that never retries, so a reconnect cannot hide a failure
+// the test exists to see.
+Result<ReliableClient> DialOnce(uint16_t port) {
+  ReliableClientOptions options;
+  options.port = port;
+  options.io_timeout_ms = 5'000;
+  options.max_attempts = 1;
+  return ReliableClient::Connect(std::move(options));
+}
+
 TEST(ServerTest, SocketRoundTripAndShutdown) {
   auto created = Server::Create(TestConfig());
   ASSERT_OK(created);
@@ -438,22 +459,25 @@ TEST(ServerTest, SocketRoundTripAndShutdown) {
   std::thread serving([&server] { EXPECT_TRUE(server.Serve().ok()); });
 
   {
-    auto client = Client::Connect(server.port());
-    ASSERT_OK(client);
-    auto loaded = client->Roundtrip("LOAD A");
+    auto wire = PosixWire::Dial(server.port());
+    ASSERT_OK(wire);
+    auto hello = Exchange(**wire, EncodeHello(""));
+    ASSERT_OK(hello);
+    EXPECT_TRUE(hello->ok) << hello->error;
+    auto loaded = Exchange(**wire, EncodeRequest(1, "LOAD A"));
     ASSERT_OK(loaded);
     EXPECT_TRUE(loaded->ok) << loaded->error;
     EXPECT_NE(loaded->output.find("loaded A"), std::string::npos)
         << loaded->output;
 
     // Errors relay the status text and any partial output.
-    auto missing = client->Roundtrip("PRINT nothing");
+    auto missing = Exchange(**wire, EncodeRequest(2, "PRINT nothing"));
     ASSERT_OK(missing);
     EXPECT_FALSE(missing->ok);
     EXPECT_NE(missing->error.find("not-found"), std::string::npos)
         << missing->error;
 
-    auto stopped = client->Roundtrip("SHUTDOWN");
+    auto stopped = Exchange(**wire, "SHUTDOWN");
     ASSERT_OK(stopped);
     EXPECT_TRUE(stopped->ok);
   }
@@ -507,10 +531,9 @@ TEST(ProtocolRobustness, OverLimitFrameLengthGetsCleanErrorNotServerDeath) {
   (*wire)->Close();
 
   // The offending connection died alone: a fresh client still gets service.
-  auto client = Client::Connect(served.server->port());
+  auto client = DialOnce(served.server->port());
   ASSERT_OK(client);
-  client->set_io_timeout_ms(5'000);
-  auto loaded = client->Roundtrip("LOAD A");
+  auto loaded = client->Execute("LOAD A");
   ASSERT_OK(loaded);
   EXPECT_TRUE(loaded->ok) << loaded->error;
 }
@@ -529,10 +552,41 @@ TEST(ProtocolRobustness, TruncatedPayloadDropsConnectionNotServer) {
     (*wire)->Close();
   }
 
-  auto client = Client::Connect(served.server->port());
+  auto client = DialOnce(served.server->port());
   ASSERT_OK(client);
-  client->set_io_timeout_ms(5'000);
-  auto loaded = client->Roundtrip("LOAD A");
+  auto loaded = client->Execute("LOAD A");
+  ASSERT_OK(loaded);
+  EXPECT_TRUE(loaded->ok) << loaded->error;
+}
+
+TEST(ProtocolRobustness, NonHelloFirstFrameIsRefusedCleanly) {
+  ServedServer served(TestConfig());
+  const size_t admitted = served.server->stats().sessions_admitted;
+
+  // A bare command and a bare control line as the first frame: each gets
+  // one ERR frame and a close, and neither admits a session or stops the
+  // server.
+  for (const char* first : {"LOAD A", "SHUTDOWN"}) {
+    SCOPED_TRACE(first);
+    auto wire = PosixWire::Dial(served.server->port());
+    ASSERT_OK(wire);
+    auto refused = Exchange(**wire, first);
+    ASSERT_OK(refused);
+    EXPECT_FALSE(refused->ok);
+    EXPECT_EQ(refused->error.rfind("invalid-argument", 0), 0u)
+        << refused->error;
+    EXPECT_EQ(refused->output, "");
+    bool clean_eof = false;
+    auto after = ReadFrame(**wire, &clean_eof, 5'000, 5'000);
+    EXPECT_FALSE(after.ok());
+    EXPECT_TRUE(clean_eof) << after.status().ToString();
+    (*wire)->Close();
+  }
+  EXPECT_EQ(served.server->stats().sessions_admitted, admitted);
+
+  auto client = DialOnce(served.server->port());
+  ASSERT_OK(client);
+  auto loaded = client->Execute("LOAD A");
   ASSERT_OK(loaded);
   EXPECT_TRUE(loaded->ok) << loaded->error;
 }
@@ -551,8 +605,9 @@ TEST(ProtocolRobustness, MalformedReplyVerdictIsDataCorruptionNotHang) {
   ASSERT_FALSE(bogus.ok());
   EXPECT_TRUE(bogus.status().IsDataCorruption()) << bogus.status().ToString();
 
-  // End to end: a fake server answering garbage must surface as
-  // DataCorruption from Roundtrip, not a hang or a crash.
+  // End to end: a fake server that acks the HELLO and answers the request
+  // with garbage must surface as DataCorruption from Execute, not a hang or
+  // a crash.
   int listener = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(listener, 0);
   sockaddr_in addr{};
@@ -572,16 +627,17 @@ TEST(ProtocolRobustness, MalformedReplyVerdictIsDataCorruptionNotHang) {
     if (fd >= 0) {
       PosixWire wire(fd);
       bool clean_eof = false;
-      (void)ReadFrame(wire, &clean_eof, 5'000, 5'000);
+      (void)ReadFrame(wire, &clean_eof, 5'000, 5'000);  // HELLO v2
+      (void)WriteFrame(wire, "OK\ntoken fake last 0\n", 5'000);
+      (void)ReadFrame(wire, &clean_eof, 5'000, 5'000);  // REQ 1
       (void)WriteFrame(wire, "WHAT\nnot a verdict\n", 5'000);
       wire.Close();
     }
     ::close(listener);
   });
-  auto client = Client::Connect(port);
+  auto client = DialOnce(port);
   ASSERT_OK(client);
-  client->set_io_timeout_ms(5'000);
-  auto reply = client->Roundtrip("LOAD A");
+  auto reply = client->Execute("LOAD A");
   ASSERT_FALSE(reply.ok());
   EXPECT_TRUE(reply.status().IsDataCorruption()) << reply.status().ToString();
   EXPECT_NE(reply.status().ToString().find("malformed reply verdict"),
@@ -624,10 +680,9 @@ TEST(ProtocolRobustness, SlowLorisSessionIsReapedNotServedForever) {
   (*wire)->Close();
 
   // And the server still serves the polite.
-  auto client = Client::Connect(served.server->port());
+  auto client = DialOnce(served.server->port());
   ASSERT_OK(client);
-  client->set_io_timeout_ms(5'000);
-  auto loaded = client->Roundtrip("LOAD A");
+  auto loaded = client->Execute("LOAD A");
   ASSERT_OK(loaded);
   EXPECT_TRUE(loaded->ok) << loaded->error;
 }
@@ -647,16 +702,15 @@ TEST(ProtocolRobustness, OversizeReplyIsTruncatedIntoWellFormedError) {
   ASSERT_STATUS_OK(server.Listen(0));
   std::thread serving([&server] { EXPECT_TRUE(server.Serve().ok()); });
 
-  auto client = Client::Connect(server.port());
+  auto client = DialOnce(server.port());
   ASSERT_OK(client);
-  client->set_io_timeout_ms(5'000);
-  auto loaded = client->Roundtrip("LOAD big");
+  auto loaded = client->Execute("LOAD big");
   ASSERT_OK(loaded);
   ASSERT_TRUE(loaded->ok) << loaded->error;
 
   // The PRINT would exceed the reply limit: the connection must survive and
   // carry a well-formed truncated ERR instead.
-  auto printed = client->Roundtrip("PRINT big");
+  auto printed = client->Execute("PRINT big");
   ASSERT_OK(printed);
   EXPECT_FALSE(printed->ok);
   EXPECT_NE(printed->error.find("capacity"), std::string::npos)
@@ -668,9 +722,10 @@ TEST(ProtocolRobustness, OversizeReplyIsTruncatedIntoWellFormedError) {
       << printed->output;
 
   // Same connection, next command still works.
-  auto again = client->Roundtrip("LOAD small");
+  auto again = client->Execute("LOAD small");
   ASSERT_OK(again);
   EXPECT_TRUE(again->ok) << again->error;
+  EXPECT_EQ(client->stats().dials, 1u);
   EXPECT_EQ(server.stats().oversize_replies, 1u);
 
   server.RequestShutdown();
@@ -750,10 +805,9 @@ TEST(LockDiscipline, ReaperShutdownIsPromptDespiteLongTick) {
   std::thread serving([&server] { EXPECT_TRUE(server.Serve().ok()); });
 
   // Prove the server (and its reaper) is actually up before stopping it.
-  auto client = Client::Connect(server.port());
+  auto client = DialOnce(server.port());
   ASSERT_OK(client);
-  client->set_io_timeout_ms(5'000);
-  auto loaded = client->Roundtrip("LOAD A");
+  auto loaded = client->Execute("LOAD A");
   ASSERT_OK(loaded);
   EXPECT_TRUE(loaded->ok) << loaded->error;
 
@@ -811,18 +865,17 @@ TEST(LockDiscipline, DrainRacesReaperRacesGroupCommitLeader) {
   std::vector<std::thread> writers;
   for (size_t i = 0; i < kWriters; ++i) {
     writers.emplace_back([&, i] {
-      auto client = Client::Connect(port);
+      auto client = DialOnce(port);
       if (!client.ok()) return;  // drain beat the dial
-      client->set_io_timeout_ms(5'000);
-      auto loaded = client->Roundtrip("LOAD A");
+      auto loaded = client->Execute("LOAD A");
       if (!loaded.ok() || !loaded->ok) return;
       const std::string buf = "buf" + std::to_string(i);
-      auto made = client->Roundtrip("DEDUP A -> " + buf);
+      auto made = client->Execute("DEDUP A -> " + buf);
       if (!made.ok() || !made->ok) return;
       for (size_t j = 0; j < kStoresPerWriter; ++j) {
         const std::string name =
             "w" + std::to_string(i) + "_" + std::to_string(j);
-        auto stored = client->Roundtrip("STORE " + buf + " AS " + name);
+        auto stored = client->Execute("STORE " + buf + " AS " + name);
         if (!stored.ok() || !stored->ok) break;  // drain cut the session
         acked[i].push_back(name);
         progress.fetch_add(1);
