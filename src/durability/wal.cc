@@ -51,6 +51,17 @@ uint32_t GetU32(std::string_view bytes, size_t offset) {
              << 24;
 }
 
+/// rel::UnescapeIdentifier, with a malformed escape reported as the
+/// record's corruption like every other malformed field.
+Result<std::string> UnescapeField(std::string_view token) {
+  auto unescaped = rel::UnescapeIdentifier(token);
+  if (!unescaped.ok()) {
+    return Status::DataCorruption("WAL record: " +
+                                  unescaped.status().message());
+  }
+  return unescaped;
+}
+
 /// Splits `payload` at the first k newlines into header lines plus the CSV
 /// remainder. Record layouts are positional (line 1 = kind, line 2 =
 /// columns, line 3 = "data"), so CSV content can never be mistaken for
@@ -88,8 +99,8 @@ Result<std::vector<WalRecord::ColumnSpec>> ParseColumnsLine(
                                     "'");
     }
     WalRecord::ColumnSpec spec;
-    SYSTOLIC_ASSIGN_OR_RETURN(spec.column, rel::UnescapeIdentifier(parts[0]));
-    SYSTOLIC_ASSIGN_OR_RETURN(spec.domain, rel::UnescapeIdentifier(parts[1]));
+    SYSTOLIC_ASSIGN_OR_RETURN(spec.column, UnescapeField(parts[0]));
+    SYSTOLIC_ASSIGN_OR_RETURN(spec.domain, UnescapeField(parts[1]));
     SYSTOLIC_ASSIGN_OR_RETURN(spec.type, ParseValueType(parts[2]));
     specs.push_back(std::move(spec));
   }
@@ -202,7 +213,7 @@ Result<WalRecord> DecodeWalRecord(std::string_view payload) {
     }
     record.kind = WalRecord::Kind::kCreateDomain;
     SYSTOLIC_ASSIGN_OR_RETURN(record.name,
-                              rel::UnescapeIdentifier(name_token));
+                              UnescapeField(name_token));
     SYSTOLIC_ASSIGN_OR_RETURN(record.type, ParseValueType(type_token));
     return record;
   }
@@ -213,7 +224,7 @@ Result<WalRecord> DecodeWalRecord(std::string_view payload) {
     }
     record.kind = WalRecord::Kind::kDrop;
     SYSTOLIC_ASSIGN_OR_RETURN(record.name,
-                              rel::UnescapeIdentifier(name_token));
+                              UnescapeField(name_token));
     return record;
   }
   if (kind == "ack") {
@@ -226,7 +237,7 @@ Result<WalRecord> DecodeWalRecord(std::string_view payload) {
     }
     record.kind = WalRecord::Kind::kAck;
     SYSTOLIC_ASSIGN_OR_RETURN(record.name,
-                              rel::UnescapeIdentifier(token_token));
+                              UnescapeField(token_token));
     record.request_id = static_cast<uint64_t>(id);
     record.ack_records = static_cast<uint64_t>(records);
     return record;
@@ -252,7 +263,7 @@ Result<WalRecord> DecodeWalRecord(std::string_view payload) {
   std::istringstream header(lines[0]);
   std::string name_token, kind_token;
   header >> kind_token >> name_token;
-  SYSTOLIC_ASSIGN_OR_RETURN(record.name, rel::UnescapeIdentifier(name_token));
+  SYSTOLIC_ASSIGN_OR_RETURN(record.name, UnescapeField(name_token));
   if (record.kind == WalRecord::Kind::kPut) {
     std::string set_token;
     if (!(header >> set_token) || (set_token != "set" && set_token != "multi")) {

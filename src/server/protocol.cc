@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -183,10 +184,17 @@ Result<std::string> ReadFrame(Wire& wire, bool* clean_eof,
     return Status::DataCorruption("frame length " + std::to_string(size) +
                                   " exceeds the protocol maximum");
   }
-  std::string payload(size, '\0');
-  if (size > 0) {
-    SYSTOLIC_RETURN_NOT_OK(RecvAll(wire, payload.data(), size, nullptr,
-                                   timeout_ms, timeout_ms));
+  // The buffer grows as bytes arrive, 64 KiB first and then doubling, so a
+  // peer that sends only a header pins one chunk, not the length it claims.
+  constexpr size_t kFirstChunkBytes = 64u << 10;
+  std::string payload;
+  while (payload.size() < size) {
+    const size_t got = payload.size();
+    payload.resize(
+        std::min<size_t>(size, std::max(kFirstChunkBytes, 2 * got)));
+    SYSTOLIC_RETURN_NOT_OK(RecvAll(wire, payload.data() + got,
+                                   payload.size() - got, nullptr, timeout_ms,
+                                   timeout_ms));
   }
   return payload;
 }

@@ -95,7 +95,8 @@ Status WriteFrame(Wire& wire, const std::string& payload, int timeout_ms = -1);
 /// subsequent poll once bytes are flowing (the io budget). NotFound with
 /// `*clean_eof = true` = the stream ended cleanly between frames;
 /// DataCorruption = over-limit length (the connection is unusable: the
-/// stream cannot be resynchronised).
+/// stream cannot be resynchronised). The payload buffer grows with the
+/// bytes that arrive, so a length header alone pins at most 64 KiB.
 Result<std::string> ReadFrame(Wire& wire, bool* clean_eof,
                               int first_byte_timeout_ms = -1,
                               int timeout_ms = -1);

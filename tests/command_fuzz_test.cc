@@ -17,12 +17,10 @@
 #include <utility>
 #include <vector>
 
+#include "fuzz_harness.h"
 #include "gtest/gtest.h"
-#include "test_util.h"
 #include "util/rng.h"
 #include "util/strings.h"
-
-extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size);
 
 namespace systolic {
 namespace {
@@ -129,27 +127,17 @@ TEST(CommandInterpreterFuzz, MutatedCorpusNeverAborts) {
   const std::vector<std::string> corpus = Corpus();
   ASSERT_GE(corpus.size(), 3u);
   // About 1 s in Release at the default 20 seeds.
-  constexpr size_t kMutantsPerScript = 50;
-  const size_t seeds = testing::FuzzSeedCount(20);
-  for (size_t seed = 0; seed < seeds; ++seed) {
-    Rng rng(0xC0FFEE + seed);
-    for (size_t mutant = 0; mutant < kMutantsPerScript * corpus.size();
-         ++mutant) {
-      std::vector<std::string> lines =
-          SplitLines(corpus[mutant % corpus.size()]);
-      const int64_t mutations = rng.Uniform(0, 6);
-      for (int64_t k = 0; k < mutations; ++k) Mutate(rng, &lines);
-      std::string input(1, static_cast<char>(rng.Uniform(0, 255)));
-      for (const std::string& line : lines) input += line + "\n";
-      SCOPED_TRACE("seed " + std::to_string(seed) + ", device byte " +
-                   std::to_string(static_cast<uint8_t>(input[0])) +
-                   ", input:\n" + input.substr(1));
-      EXPECT_EQ(LLVMFuzzerTestOneInput(
-                    reinterpret_cast<const uint8_t*>(input.data()),
-                    input.size()),
-                0);
-    }
-  }
+  fuzz::RunMutants(0xC0FFEE, /*mutants_per_entry=*/50, corpus,
+                   [](Rng& rng, const std::string& script) {
+                     std::vector<std::string> lines = SplitLines(script);
+                     const int64_t mutations = rng.Uniform(0, 6);
+                     for (int64_t k = 0; k < mutations; ++k) {
+                       Mutate(rng, &lines);
+                     }
+                     std::string body;
+                     for (const std::string& line : lines) body += line + "\n";
+                     return body;
+                   });
 }
 
 }  // namespace

@@ -92,6 +92,11 @@ TEST(WalRecordTest, DomainDropCommitRoundTrip) {
   EXPECT_FALSE(DecodeWalRecord("frobnicate x\n").ok());
   EXPECT_FALSE(DecodeWalRecord("commit -3\n").ok());
   EXPECT_FALSE(DecodeWalRecord("").ok());
+  // A malformed identifier escape is corruption like any other bad field.
+  EXPECT_TRUE(DecodeWalRecord("drop r%zz\n").status().IsDataCorruption());
+  EXPECT_TRUE(DecodeWalRecord("put p set\ncolumns a%:d:int64\ndata\na\n")
+                  .status()
+                  .IsDataCorruption());
 }
 
 rel::Relation StringRelation() {

@@ -2,24 +2,24 @@
 // both tilings of every membership-family operation and join exactly as it
 // would report them, and runs fixed-B only where it is no worse than
 // marching on cycles, makespan and memory makespan. The choice never changes
-// results, and it is the same on both backends.
+// results, and it is the same on both backends. The seeded guard sweep is
+// engine_fuzz_test's Auto lane.
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 
 #include "core/engine.h"
 #include "fastpath/analytic_timing.h"
 #include "faults/fault_plan.h"
+#include "fuzz_harness.h"
 #include "gtest/gtest.h"
 #include "relational/builder.h"
 #include "relational/generator.h"
 #include "relational/ops_reference.h"
 #include "system/scratchpad/scratchpad.h"
 #include "test_util.h"
-#include "util/rng.h"
 
 namespace systolic {
 namespace db {
@@ -201,242 +201,6 @@ TEST(AutoModeTest, EmptyOperandsResolveTheDeviceDiscipline) {
 }
 
 // ---------------------------------------------------------------------------
-// The guard sweep: for every shape, results equal the software oracle,
-// fixed-B never needs more pulses than marching, the default is no worse
-// than explicit marching on cycles / makespan / memory makespan, its whole
-// ExecStats equal an explicit run of the mode it resolved, and the fast and
-// RTL backends agree on every counter. Marching needs an odd row count, so
-// an even-row device must resolve to fixed-B.
-// ---------------------------------------------------------------------------
-
-enum class SweepOp {
-  kIntersect,
-  kSubtract,
-  kDedup,
-  kUnion,
-  kEquiJoin,
-  kThetaJoin,
-};
-
-const char* SweepOpName(SweepOp op) {
-  switch (op) {
-    case SweepOp::kIntersect: return "intersect";
-    case SweepOp::kSubtract: return "subtract";
-    case SweepOp::kDedup: return "dedup";
-    case SweepOp::kUnion: return "union";
-    case SweepOp::kEquiJoin: return "equi-join";
-    case SweepOp::kThetaJoin: return "theta-join";
-  }
-  return "?";
-}
-
-struct Shape {
-  SweepOp op = SweepOp::kIntersect;
-  size_t arity = 1;
-  size_t rows = 0;
-  size_t chips = 1;
-  bool overlap = true;
-  size_t n_a = 0;
-  size_t n_b = 0;
-  uint64_t seed = 0;
-  /// Set on the sweep's losing shapes: fixed-B's fewer tiles spread worse,
-  /// so the default must stay marching.
-  bool expect_marching = false;
-};
-
-std::string Describe(const Shape& s) {
-  return std::string(SweepOpName(s.op)) + " arity=" + std::to_string(s.arity) +
-         " rows=" + std::to_string(s.rows) +
-         " chips=" + std::to_string(s.chips) +
-         " overlap=" + (s.overlap ? "on" : "off") +
-         " n_a=" + std::to_string(s.n_a) + " n_b=" + std::to_string(s.n_b) +
-         " seed=" + std::to_string(s.seed);
-}
-
-std::vector<Shape> SweepShapes() {
-  constexpr SweepOp kOps[] = {SweepOp::kIntersect, SweepOp::kSubtract,
-                              SweepOp::kDedup,     SweepOp::kUnion,
-                              SweepOp::kEquiJoin,  SweepOp::kThetaJoin};
-  constexpr size_t kRows[] = {1, 2, 3, 5, 9, 15, 63};
-  constexpr size_t kChips[] = {1, 2, 4};
-  std::vector<Shape> shapes;
-  const size_t count = systolic::testing::FuzzSeedCount(252);
-  Rng rng(2020);
-  for (size_t k = 0; k < count; ++k) {
-    Shape s;
-    s.op = kOps[k % 6];
-    s.rows = kRows[k % 7];
-    s.arity = 1 + k / 7 % 3;
-    s.chips = kChips[k / 3 % 3];
-    s.overlap = k / 2 % 2 == 0;
-    s.seed = 5000 + k;
-    // Asymmetric operands; every third shape has a B of 1-3 tuples.
-    s.n_a = 1 + static_cast<size_t>(rng.Uniform(0, 63));
-    s.n_b = k % 3 == 0 ? 1 + static_cast<size_t>(rng.Uniform(0, 3))
-                       : 1 + static_cast<size_t>(rng.Uniform(0, 63));
-    shapes.push_back(s);
-  }
-  // Losing shapes: streaming all of a long A into one fixed-B tile costs
-  // more memory makespan than marching's many short tiles over 4 chips
-  // (the θ-join: 1,761 pulses against 371, 119 matches drained).
-  Shape theta;
-  theta.op = SweepOp::kThetaJoin;
-  theta.arity = 3;
-  theta.rows = 15;
-  theta.chips = 4;
-  theta.n_a = 257;
-  theta.n_b = 1;
-  theta.seed = 77;
-  theta.expect_marching = true;
-  shapes.push_back(theta);
-  Shape intersect = theta;
-  intersect.op = SweepOp::kIntersect;
-  intersect.overlap = false;
-  intersect.seed = 78;
-  shapes.push_back(intersect);
-  return shapes;
-}
-
-/// Every ExecStats field of `actual` equals `expected`'s.
-void ExpectSameStats(const ExecStats& expected, const ExecStats& actual,
-                     const std::string& what) {
-  EXPECT_EQ(expected.passes, actual.passes) << what;
-  EXPECT_EQ(expected.resolved_mode, actual.resolved_mode) << what;
-  EXPECT_EQ(expected.backend, actual.backend) << what;
-  EXPECT_EQ(expected.analytic_timing, actual.analytic_timing) << what;
-  EXPECT_EQ(expected.cycles, actual.cycles) << what;
-  EXPECT_EQ(expected.makespan_cycles, actual.makespan_cycles) << what;
-  EXPECT_EQ(expected.busy_cell_cycles, actual.busy_cell_cycles) << what;
-  EXPECT_EQ(expected.num_compute_cells, actual.num_compute_cells) << what;
-  EXPECT_EQ(expected.num_chips, actual.num_chips) << what;
-  EXPECT_EQ(expected.faults_detected, actual.faults_detected) << what;
-  EXPECT_EQ(expected.tile_retries, actual.tile_retries) << what;
-  EXPECT_EQ(expected.shadow_runs, actual.shadow_runs) << what;
-  EXPECT_EQ(expected.shadow_mismatches, actual.shadow_mismatches) << what;
-  EXPECT_EQ(expected.healthy_chips, actual.healthy_chips) << what;
-  EXPECT_EQ(expected.wal_records, actual.wal_records) << what;
-  EXPECT_EQ(expected.checkpoints, actual.checkpoints) << what;
-  EXPECT_EQ(expected.recovered_records, actual.recovered_records) << what;
-  EXPECT_EQ(expected.dma_cycles, actual.dma_cycles) << what;
-  EXPECT_EQ(expected.overlap_cycles, actual.overlap_cycles) << what;
-  EXPECT_EQ(expected.memory_makespan_cycles, actual.memory_makespan_cycles)
-      << what;
-  EXPECT_EQ(expected.overlap_enabled, actual.overlap_enabled) << what;
-}
-
-/// The RTL run's ExecStats equal the fast run's on every counter; only the
-/// simulator measures cell occupancy.
-void ExpectSameAcrossBackends(const ExecStats& fast, ExecStats rtl,
-                              const std::string& what) {
-  EXPECT_EQ(rtl.backend, fastpath::Backend::kRtl) << what;
-  rtl.backend = fast.backend;
-  rtl.analytic_timing = fast.analytic_timing;
-  rtl.busy_cell_cycles = fast.busy_cell_cycles;
-  rtl.num_compute_cells = fast.num_compute_cells;
-  ExpectSameStats(fast, rtl, what + " rtl vs fast");
-}
-
-class AutoModeGuardSweep : public ::testing::TestWithParam<Shape> {};
-
-TEST_P(AutoModeGuardSweep, NoWorseThanMarchingAndSameOnBothBackends) {
-  const Shape s = GetParam();
-  const std::string what = Describe(s);
-  rel::PairOptions options;
-  options.base.num_tuples = s.n_a;
-  options.base.domain_size = 3 + static_cast<int64_t>(s.seed % 5);
-  options.base.seed = s.seed;
-  options.b_num_tuples = s.n_b;
-  options.overlap_fraction = 0.5;
-  auto pair =
-      rel::GenerateOverlappingPair(rel::MakeIntSchema(s.arity), options);
-  ASSERT_OK(pair);
-  const Relation& a = pair->a;
-  const Relation& b = pair->b;
-  // A's fresh tuples carry first codes above B's domain, so the θ-join
-  // compares with > to match about half of them.
-  const rel::JoinSpec spec{
-      {0}, {0},
-      s.op == SweepOp::kThetaJoin ? rel::ComparisonOp::kGt
-                                  : rel::ComparisonOp::kEq};
-
-  const auto run = [&](const Engine& engine) -> Result<EngineResult> {
-    switch (s.op) {
-      case SweepOp::kIntersect: return engine.Intersect(a, b);
-      case SweepOp::kSubtract: return engine.Subtract(a, b);
-      case SweepOp::kDedup: return engine.RemoveDuplicates(a);
-      case SweepOp::kUnion: return engine.Union(a, b);
-      case SweepOp::kEquiJoin:
-      case SweepOp::kThetaJoin: return engine.Join(a, b, spec);
-    }
-    return Status::Internal("unknown op");
-  };
-  const Result<Relation> oracle = [&]() -> Result<Relation> {
-    switch (s.op) {
-      case SweepOp::kIntersect: return rel::reference::Intersection(a, b);
-      case SweepOp::kSubtract: return rel::reference::Difference(a, b);
-      case SweepOp::kDedup: return rel::reference::RemoveDuplicates(a);
-      case SweepOp::kUnion: return rel::reference::Union(a, b);
-      case SweepOp::kEquiJoin:
-      case SweepOp::kThetaJoin: return rel::reference::Join(a, b, spec);
-    }
-    return Status::Internal("unknown op");
-  }();
-  ASSERT_OK(oracle);
-
-  DeviceConfig device;
-  device.rows = s.rows;
-  device.num_chips = s.chips;
-  device.overlap =
-      s.overlap ? spad::OverlapPolicy::kOn : spad::OverlapPolicy::kOff;
-  device.backend = fastpath::Backend::kFast;
-  const auto run_mode = [&](FeedModePolicy mode) {
-    DeviceConfig pinned = device;
-    pinned.mode = mode;
-    auto result = run(Engine(pinned));
-    SYSTOLIC_CHECK(result.ok()) << result.status().ToString() << " " << what;
-    return *std::move(result);
-  };
-  const EngineResult chosen = run_mode(FeedModePolicy::kAuto);
-  const EngineResult fixed = run_mode(FeedModePolicy::kFixedB);
-  const ExecStats& d = chosen.stats;
-  std::optional<ExecStats> m;  // explicit marching's, where it can run
-
-  EXPECT_EQ(chosen.relation.tuples(), oracle->tuples()) << what;
-  if (s.rows % 2 == 0 && s.rows != 0) {
-    // Marching pairs never meet on an even row count: explicit marching is
-    // a usage error there.
-    DeviceConfig pinned = device;
-    pinned.mode = FeedModePolicy::kMarching;
-    EXPECT_TRUE(run(Engine(pinned)).status().IsInvalidArgument()) << what;
-    ASSERT_EQ(d.resolved_mode, FeedMode::kFixedB) << what;
-  } else {
-    m = run_mode(FeedModePolicy::kMarching).stats;
-    EXPECT_LE(fixed.stats.cycles, m->cycles) << what;
-    EXPECT_LE(d.cycles, m->cycles) << what;
-    EXPECT_LE(d.makespan_cycles, m->makespan_cycles) << what;
-    EXPECT_LE(d.memory_makespan_cycles, m->memory_makespan_cycles) << what;
-  }
-  if (s.expect_marching) {
-    ASSERT_TRUE(m.has_value()) << what;
-    EXPECT_EQ(d.resolved_mode, FeedMode::kMarching) << what;
-    EXPECT_GT(fixed.stats.memory_makespan_cycles, m->memory_makespan_cycles)
-        << what;
-  }
-  ExpectSameStats(
-      d.resolved_mode == FeedMode::kMarching ? *m : fixed.stats, d,
-      what + " vs its explicit mode");
-
-  device.backend = fastpath::Backend::kRtl;
-  auto rtl = run(Engine(device));
-  ASSERT_OK(rtl);
-  EXPECT_EQ(rtl->relation.tuples(), chosen.relation.tuples()) << what;
-  ExpectSameAcrossBackends(d, rtl->stats, what);
-}
-
-INSTANTIATE_TEST_SUITE_P(Shapes, AutoModeGuardSweep,
-                         ::testing::ValuesIn(SweepShapes()));
-
-// ---------------------------------------------------------------------------
 // Fixed-B dedup in §8 strips: strip q preloads block q of A and streams A's
 // suffix past it, one pass per block instead of one per block pair. The
 // strips run only where their exact schedule is no worse than the
@@ -474,7 +238,9 @@ ExecStats DedupOnBothBackends(const Relation& a, DeviceConfig device,
   SYSTOLIC_CHECK(fast.ok() && rtl.ok()) << what;
   EXPECT_EQ(fast->relation.tuples(), oracle->tuples()) << what;
   EXPECT_EQ(rtl->relation.tuples(), oracle->tuples()) << what;
-  ExpectSameAcrossBackends(fast->stats, rtl->stats, what);
+  EXPECT_EQ(rtl->stats.backend, fastpath::Backend::kRtl) << what;
+  fuzz::ExpectSameStats(fuzz::Axis::kBackend, fast->stats, rtl->stats,
+                        what + " rtl vs fast");
   return fast->stats;
 }
 

@@ -13,12 +13,10 @@
 #include <utility>
 #include <vector>
 
+#include "fuzz_harness.h"
 #include "gtest/gtest.h"
 #include "server/protocol.h"
-#include "test_util.h"
 #include "util/rng.h"
-
-extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size);
 
 namespace systolic {
 namespace server {
@@ -152,33 +150,23 @@ void MutateBytes(Rng& rng, std::string* bytes) {
 }
 
 TEST(ProtocolFuzz, MutatedFramesNeverAbortAndRoundTrip) {
-  const std::vector<Stream> corpus = Corpus();
-  constexpr size_t kMutantsPerStream = 40;
-  const size_t seeds = testing::FuzzSeedCount(20);
-  for (size_t seed = 0; seed < seeds; ++seed) {
-    Rng rng(0xF8A3E + seed);
-    for (size_t mutant = 0; mutant < kMutantsPerStream * corpus.size();
-         ++mutant) {
-      Stream stream = corpus[mutant % corpus.size()];
-      const int64_t frame_mutations = rng.Uniform(0, 6);
-      for (int64_t k = 0; k < frame_mutations; ++k) MutateFrames(rng, &stream);
-      std::string bytes;
-      for (const Frame& frame : stream.frames) {
-        bytes += Header(frame.length) + frame.payload;
-      }
-      bytes += stream.tail;
-      const int64_t byte_mutations = rng.Uniform(0, 2);
-      for (int64_t k = 0; k < byte_mutations; ++k) MutateBytes(rng, &bytes);
-      const std::string input =
-          std::string(1, static_cast<char>(rng.Uniform(0, 255))) + bytes;
-      SCOPED_TRACE("seed " + std::to_string(seed) + ", mutant " +
-                   std::to_string(mutant));
-      EXPECT_EQ(LLVMFuzzerTestOneInput(
-                    reinterpret_cast<const uint8_t*>(input.data()),
-                    input.size()),
-                0);
-    }
-  }
+  fuzz::RunMutants(0xF8A3E, /*mutants_per_entry=*/40, Corpus(),
+                   [](Rng& rng, Stream stream) {
+                     const int64_t frame_mutations = rng.Uniform(0, 6);
+                     for (int64_t k = 0; k < frame_mutations; ++k) {
+                       MutateFrames(rng, &stream);
+                     }
+                     std::string bytes;
+                     for (const Frame& frame : stream.frames) {
+                       bytes += Header(frame.length) + frame.payload;
+                     }
+                     bytes += stream.tail;
+                     const int64_t byte_mutations = rng.Uniform(0, 2);
+                     for (int64_t k = 0; k < byte_mutations; ++k) {
+                       MutateBytes(rng, &bytes);
+                     }
+                     return bytes;
+                   });
 }
 
 }  // namespace

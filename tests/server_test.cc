@@ -9,8 +9,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <malloc.h>
+
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <condition_variable>
 #include <filesystem>
 #include <memory>
@@ -536,6 +540,84 @@ TEST(ProtocolRobustness, OverLimitFrameLengthGetsCleanErrorNotServerDeath) {
   auto loaded = client->Execute("LOAD A");
   ASSERT_OK(loaded);
   EXPECT_TRUE(loaded->ok) << loaded->error;
+}
+
+/// Heap the process holds: arena bytes in use plus mmapped blocks.
+size_t HeapInUse() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+
+/// Hands out `bytes` at most `chunk` per Recv, then a clean end of stream,
+/// and records the most heap held above `baseline` at each Recv after the
+/// first, while the reader waits for bytes.
+class ScriptedWire final : public Wire {
+ public:
+  ScriptedWire(std::string bytes, size_t chunk)
+      : bytes_(std::move(bytes)), chunk_(chunk) {}
+
+  Result<size_t> Send(const char*, size_t size, int) override { return size; }
+  Result<size_t> Recv(char* data, size_t size, int) override {
+    if (read_ > 0) {
+      const size_t heap = HeapInUse();
+      const size_t held = heap > baseline ? heap - baseline : 0;
+      held_while_waiting = std::max(held_while_waiting, held);
+    }
+    const size_t n = std::min({size, chunk_, bytes_.size() - read_});
+    std::memcpy(data, bytes_.data() + read_, n);
+    read_ += n;
+    return n;
+  }
+  void ShutdownBoth() override {}
+  void Close() override {}
+
+  size_t baseline = 0;
+  size_t held_while_waiting = 0;
+
+ private:
+  std::string bytes_;
+  size_t chunk_;
+  size_t read_ = 0;
+};
+
+std::string LengthHeader(uint32_t length) {
+  std::string header(4, '\0');
+  for (size_t i = 0; i < 4; ++i) {
+    header[i] = static_cast<char>(length >> (8 * i) & 0xff);
+  }
+  return header;
+}
+
+TEST(ProtocolRobustness, HeaderAloneDoesNotPinTheClaimedPayload) {
+  // A peer sends the header of a kMaxFrameBytes frame and nothing more:
+  // while the reader waits for the payload it holds under 1 MiB, and the
+  // torn frame is an IOError, not a clean end of stream.
+  ScriptedWire wire(LengthHeader(kMaxFrameBytes), 4);
+  bool clean_eof = false;
+  wire.baseline = HeapInUse();
+  const Result<std::string> frame = ReadFrame(wire, &clean_eof);
+  EXPECT_TRUE(frame.status().IsIOError()) << frame.status().ToString();
+  EXPECT_FALSE(clean_eof);
+  EXPECT_LT(wire.held_while_waiting, size_t{1} << 20);
+}
+
+TEST(ProtocolRobustness, FullSizeFrameReadsBackByteForByte) {
+  std::string payload(kMaxFrameBytes, '\0');
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<char>(i * 131 + i / 65536);
+  }
+  ScriptedWire wire(LengthHeader(kMaxFrameBytes) + payload +
+                        LengthHeader(kMaxFrameBytes + 1),
+                    1 << 20);
+  bool clean_eof = false;
+  const Result<std::string> frame = ReadFrame(wire, &clean_eof);
+  ASSERT_OK(frame);
+  EXPECT_TRUE(*frame == payload);
+  // An over-limit length is DataCorruption; then the stream ends cleanly.
+  EXPECT_TRUE(ReadFrame(wire, &clean_eof).status().IsDataCorruption());
+  EXPECT_FALSE(clean_eof);
+  EXPECT_TRUE(ReadFrame(wire, &clean_eof).status().IsNotFound());
+  EXPECT_TRUE(clean_eof);
 }
 
 TEST(ProtocolRobustness, TruncatedPayloadDropsConnectionNotServer) {
