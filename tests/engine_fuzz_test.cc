@@ -1,10 +1,10 @@
 // The engine fuzz sweep. §8 claims that cutting T into tiles, spreading the
 // tiles over chips and holding one relation fixed never change a result,
-// and §3.2 and §8 give exact pulse counts. One body checks both: every op
-// of a lane runs on a reference engine and on variants that differ from it
-// along one axis, each result must equal the software oracle tuple for
-// tuple, and the two runs' whole ExecStats must agree on every field that
-// axis may not move. The axes:
+// and §3.2 and §8 give exact pulse counts. One body checks both: a case
+// runs one group of a lane's ops at one point, on a reference engine and on
+// variants that differ from it along one axis; each result must equal the
+// software oracle tuple for tuple, and the two runs' whole ExecStats must
+// agree on every field that axis may not move. The axes:
 //   * Backend:  RTL simulation against the fast path's packed kernels and
 //     closed-form timing (and Backend/ManyTiles, thousands of tiles);
 //   * Overlap:  serialised scratchpad feeds against double-buffered ones;
@@ -49,12 +49,20 @@ using rel::Relation;
 
 constexpr ComparisonOp kEq = ComparisonOp::kEq;
 
+/// Ops that one case runs in turn on the same engines; a named group's
+/// cases print its name before the point.
+struct OpGroup {
+  std::string name;
+  std::vector<LaneOp> ops;
+};
+
 struct Lane {
   Axis axis;
   std::vector<Point> points;
   Operands (*operands)(const Point&, uint64_t seed);
-  /// Empty for the guard sweep, whose shapes name their one op.
-  std::vector<LaneOp> ops;
+  /// One case per group and point. The guard sweep's one group is empty:
+  /// its shapes name their one op.
+  std::vector<OpGroup> groups;
   /// Whether the oracle may refuse an op of this lane (a join across
   /// domains, a division that leaves no quotient); the engines must then
   /// refuse it too. Elsewhere every op must succeed.
@@ -63,60 +71,77 @@ struct Lane {
 
 struct Case {
   const Lane* lane;
+  const OpGroup* group;
   Point point;
 };
 
-void PrintTo(const Case& c, std::ostream* os) { PrintTo(c.point, os); }
+void PrintTo(const Case& c, std::ostream* os) {
+  if (!c.group->name.empty()) *os << c.group->name << " ";
+  PrintTo(c.point, os);
+}
 
 std::vector<Case> Cases(const Lane& lane) {
   std::vector<Case> cases;
-  for (const Point& p : lane.points) cases.push_back({&lane, p});
+  for (const OpGroup& group : lane.groups) {
+    for (const Point& p : lane.points) cases.push_back({&lane, &group, p});
+  }
   return cases;
 }
 
-const std::vector<LaneOp> kSeededOps = {
-    {Op::kIntersect}, {Op::kSubtract},   {Op::kDedup},  {Op::kUnion},
-    {Op::kProject},   {Op::kSeededJoin}, {Op::kDivide}, {Op::kSelect}};
+const OpGroup kSetOperations{
+    "SetOperations", {{Op::kIntersect}, {Op::kSubtract}, {Op::kUnion}}};
+const OpGroup kDedupAndProjection{"DedupAndProjection",
+                                  {{Op::kDedup}, {Op::kProject}}};
+
+const OpGroup kSeededOps{
+    "",
+    {{Op::kIntersect}, {Op::kSubtract}, {Op::kDedup}, {Op::kUnion},
+     {Op::kProject}, {Op::kSeededJoin}, {Op::kDivide}, {Op::kSelect}}};
 
 const Lane kBackendLane{
     Axis::kBackend, fuzz::RotationPoints(501), fuzz::WideOperands,
-    {{Op::kIntersect}, {Op::kSubtract}, {Op::kUnion}, {Op::kDedup},
-     {Op::kProject}, {Op::kJoin}, {Op::kJoin, ComparisonOp::kLt},
-     {Op::kJoin, ComparisonOp::kGe}, {Op::kJoin, ComparisonOp::kNe},
-     {Op::kDivide}, {Op::kDivideEmpty}, {Op::kSelect}}};
+    {kSetOperations, kDedupAndProjection,
+     {"JoinAllOps",
+      {{Op::kJoin}, {Op::kJoin, ComparisonOp::kLt},
+       {Op::kJoin, ComparisonOp::kGe}, {Op::kJoin, ComparisonOp::kNe}}},
+     {"Division", {{Op::kDivide}, {Op::kDivideEmpty}}},
+     {"Selection", {{Op::kSelect}}}}};
 
 /// At least 101 tiles behind every membership operator and join; at least
 /// 6 keys on 5 rows and 3 small values on 2 columns for division.
 const Lane kManyTileLane{
     Axis::kBackend, fuzz::ManyTilePoints(), fuzz::ManyTileOperands,
-    {{Op::kIntersect, kEq, 101}, {Op::kSubtract, kEq, 101},
-     {Op::kDedup, kEq, 101}, {Op::kUnion, kEq, 101}, {Op::kJoin, kEq, 101},
-     {Op::kThetaLt, kEq, 101}, {Op::kDivide, kEq, 6},
-     {Op::kDivideSmall, kEq, 4}, {Op::kDivideEmpty, kEq, 2},
-     {Op::kSelect, kEq, 1}}};
+    {{"",
+      {{Op::kIntersect, kEq, 101}, {Op::kSubtract, kEq, 101},
+       {Op::kDedup, kEq, 101}, {Op::kUnion, kEq, 101}, {Op::kJoin, kEq, 101},
+       {Op::kThetaLt, kEq, 101}, {Op::kDivide, kEq, 6},
+       {Op::kDivideSmall, kEq, 4}, {Op::kDivideEmpty, kEq, 2},
+       {Op::kSelect, kEq, 1}}}}};
 
 const Lane kOverlapLane{
     Axis::kOverlap, fuzz::OverlapPoints(), fuzz::WideOperands,
-    {{Op::kIntersect}, {Op::kSubtract}, {Op::kUnion}, {Op::kDedup},
-     {Op::kProject}, {Op::kJoin}, {Op::kThetaLt},
-     {Op::kJoin, ComparisonOp::kNe}, {Op::kDivide}, {Op::kSelect}}};
+    {kSetOperations, kDedupAndProjection,
+     {"JoinAllOps",
+      {{Op::kJoin}, {Op::kThetaLt}, {Op::kJoin, ComparisonOp::kNe}}},
+     {"DivisionAndSelection", {{Op::kDivide}, {Op::kSelect}}}}};
 
 const Lane kChipLane{Axis::kChips, fuzz::ChipPoints(), fuzz::ChipOperands,
-                     kSeededOps, /*refusals=*/true};
+                     {kSeededOps}, /*refusals=*/true};
 
 /// One faulted engine runs the ops in turn, so chip health carries over.
 const Lane kFaultLane{Axis::kFaults, fuzz::FaultPoints(), fuzz::FaultOperands,
-                      kSeededOps, /*refusals=*/true};
+                      {kSeededOps}, /*refusals=*/true};
 
 /// A tile retried under faults replays its scratchpad feed from scratch,
 /// and only accepted attempts' feeds are costed, so with overlap on the
 /// faulted run's passes and dma_cycles equal the fault-free run's: the
 /// fault axis does not move them.
 const Lane kOverlapFaultLane{Axis::kFaults, fuzz::OverlapFaultPoints(),
-                             fuzz::OverlapFaultOperands, {{Op::kIntersect}}};
+                             fuzz::OverlapFaultOperands,
+                             {{"", {{Op::kIntersect}}}}};
 
 const Lane kGuardLane{Axis::kAuto, fuzz::GuardPoints(), fuzz::GuardOperands,
-                      {}};
+                      {{"", {}}}};
 
 /// An engine and the device it was built from; every run's stats are
 /// checked against the device.
@@ -308,8 +333,9 @@ TEST_P(EngineFuzz, EveryOpMatchesTheOracleAndAgreesAlongTheAxis) {
   const Rig ref(ref_device);
   std::deque<Rig> variants;
   for (const DeviceConfig& d : variant_devices) variants.emplace_back(d);
+  const std::vector<LaneOp>& group = GetParam().group->ops;
   const std::vector<LaneOp> ops =
-      lane.ops.empty() ? std::vector<LaneOp>{p.op} : lane.ops;
+      group.empty() ? std::vector<LaneOp>{p.op} : group;
 
   for (uint64_t seed = p.seed; seed < p.seed + p.draws; ++seed) {
     const Operands o = lane.operands(p, seed);
@@ -381,18 +407,26 @@ TEST(EngineFuzzOperands, StraddlingJoinsMatchPairs) {
 // with the reference oracle.
 // ---------------------------------------------------------------------------
 
-class SoftwareBaselines : public ::testing::TestWithParam<Point> {};
+/// The baseline lane's variants are software operators, which its body
+/// runs itself.
+const Lane kBaselineLane{
+    Axis::kBackend, fuzz::BaselinePoints(), fuzz::BaselineOperands,
+    {{"IntersectionAllBackends", {{Op::kIntersect}}},
+     {"DifferenceAllBackends", {{Op::kSubtract}}},
+     {"DedupUnionProjection", {{Op::kDedup}, {Op::kUnion}, {Op::kProject}}},
+     {"JoinAllOps",
+      {{Op::kJoin}, {Op::kJoin, ComparisonOp::kLt},
+       {Op::kJoin, ComparisonOp::kGe}}},
+     {"Division", {{Op::kDivide}}},
+     {"Selection", {{Op::kSelect}}}}};
+
+class SoftwareBaselines : public ::testing::TestWithParam<Case> {};
 
 TEST_P(SoftwareBaselines, EveryBackendAgreesWithTheOracle) {
-  const Point& p = GetParam();
-  const Operands o = fuzz::BaselineOperands(p, p.seed);
+  const Point& p = GetParam().point;
+  const Operands o = kBaselineLane.operands(p, p.seed);
   const Rig rig(fuzz::Device(p));
-  for (const LaneOp op :
-       std::vector<LaneOp>{{Op::kIntersect}, {Op::kSubtract}, {Op::kDedup},
-                           {Op::kUnion}, {Op::kProject}, {Op::kJoin},
-                           {Op::kJoin, ComparisonOp::kLt},
-                           {Op::kJoin, ComparisonOp::kGe}, {Op::kDivide},
-                           {Op::kSelect}}) {
+  for (const LaneOp& op : GetParam().group->ops) {
     const EngineOp engine_op = fuzz::MakeOp(op, o);
     const std::string& what = engine_op.name;
     const Result<Relation> oracle = engine_op.oracle();
@@ -410,7 +444,17 @@ TEST_P(SoftwareBaselines, EveryBackendAgreesWithTheOracle) {
       }
     }
   }
+}
+
+INSTANTIATE_TEST_SUITE_P(Workloads, SoftwareBaselines,
+                         ::testing::ValuesIn(Cases(kBaselineLane)));
+
+class BitLevelDecomposition : public ::testing::TestWithParam<Point> {};
+
+TEST_P(BitLevelDecomposition, SelectsWhatTheWordLevelArrayDoes) {
   // The bit-level decomposition selects what the word-level array does.
+  const Point& p = GetParam();
+  const Operands o = kBaselineLane.operands(p, p.seed);
   const Relation& a = o.ab.a;
   const Relation& b = o.ab.b;
   auto bits_a = arrays::MinimumBitsFor(a);
@@ -427,8 +471,8 @@ TEST_P(SoftwareBaselines, EveryBackendAgreesWithTheOracle) {
   EXPECT_EQ(word->selected, bit->selected);
 }
 
-INSTANTIATE_TEST_SUITE_P(Workloads, SoftwareBaselines,
-                         ::testing::ValuesIn(fuzz::BaselinePoints()));
+INSTANTIATE_TEST_SUITE_P(Workloads, BitLevelDecomposition,
+                         ::testing::ValuesIn(kBaselineLane.points));
 
 // ---------------------------------------------------------------------------
 // Planner transactions: random multi-step transactions run literally on the
