@@ -81,16 +81,9 @@ TEST(AutoModeTest, ManyBBlocksAgainstTinyACanFavorMarching) {
 }
 
 TEST(AutoModeTest, ResultsIdenticalUnderAllPolicies) {
-  const Schema schema = rel::MakeIntSchema(2);
-  rel::PairOptions options;
-  options.base.num_tuples = 40;
-  options.base.domain_size = 6;
-  options.base.seed = 99;
-  options.b_num_tuples = 25;
-  options.overlap_fraction = 0.5;
-  auto pair = rel::GenerateOverlappingPair(schema, options);
-  ASSERT_OK(pair);
-  auto oracle = rel::reference::Intersection(pair->a, pair->b);
+  const rel::RelationPair pair =
+      fuzz::Pair(rel::MakeIntSchema(2), fuzz::FixedOptions(99, 40, 25, 6));
+  auto oracle = rel::reference::Intersection(pair.a, pair.b);
   ASSERT_OK(oracle);
 
   for (FeedModePolicy policy : {FeedModePolicy::kMarching,
@@ -101,7 +94,7 @@ TEST(AutoModeTest, ResultsIdenticalUnderAllPolicies) {
       device.mode = policy;
       device.rows = rows;
       Engine engine(device);
-      auto result = engine.Intersect(pair->a, pair->b);
+      auto result = engine.Intersect(pair.a, pair.b);
       ASSERT_OK(result);
       EXPECT_EQ(result->relation.tuples(), oracle->tuples());
     }

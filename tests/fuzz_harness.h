@@ -8,8 +8,9 @@
 // tests.
 //
 // SYSTOLIC_FUZZ_SEEDS=n sizes every sweep at n/20 of its default (at least
-// one point): the nightly 200 runs each lane at ten times its default
-// points, and 1 narrows every lane for smoke runs.
+// one point), and the many-tile lane at n points or more: the nightly 200
+// runs each lane at ten times its default points or more, and 1 narrows
+// every lane for smoke runs.
 
 #include <algorithm>
 #include <cstddef>
@@ -82,6 +83,12 @@ enum class Op {
   kSelect,
 };
 
+/// The catalogue's names, in Op order; a join's name adds its comparison.
+inline constexpr const char* kOpNames[] = {
+    "intersect", "subtract",     "union",        "dedup",
+    "project",   "join",         "seeded join",  "straddling join",
+    "divide",    "divide small", "divide empty", "select"};
+
 /// One operation of a lane: the catalogue entry, kJoin's comparison, and
 /// the fewest passes the variant run may take.
 struct LaneOp {
@@ -93,24 +100,16 @@ struct LaneOp {
 /// What a variant changes against its reference.
 enum class Axis { kBackend, kOverlap, kChips, kFaults, kAuto };
 
-/// One fuzz point: where its operands come from and the device they run on.
-/// `draws` consecutive seeds from `seed` on share the point's engines.
+/// One fuzz point: the seed its operands are drawn from and the device
+/// they run on.
 struct Point {
   uint64_t seed = 0;
-  size_t draws = 1;
-  size_t rows = 0;
-  size_t columns = 0;
-  FeedModePolicy mode = FeedModePolicy::kMarching;
-  size_t chips = 1;
-  fastpath::Backend backend = fastpath::Backend::kRtl;
-  spad::OverlapPolicy overlap = spad::OverlapPolicy::kOn;
+  DeviceConfig device;
   /// A fault plan of transient flips at `rate` per decision (drops at half
   /// and stuck lines at a quarter of it), its last `dead` chips dead.
   bool faults = false;
   double rate = 0;
   size_t dead = 0;
-  /// Machine lanes: route the transaction through the query planner.
-  bool planner = false;
   /// Guard-sweep shapes: the one operation, the operand arity and sizes,
   /// and whether kAuto must keep marching.
   LaneOp op;
@@ -122,13 +121,20 @@ struct Point {
 
 inline void PrintTo(const Point& p, std::ostream* os) {
   const char* kModes[] = {"marching", "fixed-B", "auto"};
-  *os << "seed=" << p.seed << " rows=" << p.rows
-      << " mode=" << kModes[static_cast<size_t>(p.mode)]
-      << " chips=" << p.chips
-      << " backend=" << fastpath::BackendToString(p.backend) << " overlap="
-      << (p.overlap == spad::OverlapPolicy::kOn ? "on" : "off");
+  const DeviceConfig& d = p.device;
+  *os << "seed=" << p.seed << " rows=" << d.rows
+      << " mode=" << kModes[static_cast<size_t>(d.mode)]
+      << " chips=" << d.num_chips
+      << " backend=" << fastpath::BackendToString(d.backend) << " overlap="
+      << (d.overlap == spad::OverlapPolicy::kOn ? "on" : "off");
   if (p.faults) *os << " rate=" << p.rate << " dead=" << p.dead;
-  if (p.n_a > 0) *os << " n_a=" << p.n_a << " n_b=" << p.n_b;
+  if (p.n_a > 0) {
+    *os << " op=" << kOpNames[static_cast<size_t>(p.op.op)];
+    if (p.op.op == Op::kJoin) {
+      *os << " " << rel::ComparisonOpToString(p.op.cmp);
+    }
+    *os << " arity=" << p.arity << " n_a=" << p.n_a << " n_b=" << p.n_b;
+  }
 }
 
 /// Generous strike limit: several points leave one usable chip, and the
@@ -142,21 +148,16 @@ inline faults::RecoveryOptions FuzzRecovery() {
 
 /// A fresh copy of the point's fault plan; chip 0 always survives.
 inline std::shared_ptr<faults::FaultPlan> FaultPlanFor(const Point& p) {
+  const size_t chips = p.device.num_chips;
   auto plan = std::make_shared<faults::FaultPlan>(faults::FaultPlan::Uniform(
-      p.seed, p.chips, p.rate, p.rate / 2, p.rate / 4));
-  for (size_t d = 0; d < p.dead; ++d) plan->chip(p.chips - 1 - d).dead = true;
+      p.seed, chips, p.rate, p.rate / 2, p.rate / 4));
+  for (size_t d = 0; d < p.dead; ++d) plan->chip(chips - 1 - d).dead = true;
   return plan;
 }
 
 /// The point's device, fault plan included.
 inline DeviceConfig Device(const Point& p) {
-  DeviceConfig device;
-  device.rows = p.rows;
-  device.columns = p.columns;
-  device.mode = p.mode;
-  device.num_chips = p.chips;
-  device.backend = p.backend;
-  device.overlap = p.overlap;
+  DeviceConfig device = p.device;
   if (p.faults) {
     device.faults = FaultPlanFor(p);
     device.recovery = FuzzRecovery();
@@ -173,9 +174,9 @@ inline std::vector<Point> Rotate(uint64_t first_seed, size_t count,
   std::vector<Point> points(count);
   for (size_t k = 0; k < count; ++k) {
     points[k].seed = first_seed + k;
-    points[k].rows = rows[k % rows.size()];
-    points[k].mode = modes[k % modes.size()];
-    points[k].chips = chips[k % chips.size()];
+    points[k].device.rows = rows[k % rows.size()];
+    points[k].device.mode = modes[k % modes.size()];
+    points[k].device.num_chips = chips[k % chips.size()];
   }
   return points;
 }
@@ -195,7 +196,7 @@ inline std::vector<Point> RotationPoints(uint64_t first_seed) {
 inline std::vector<Point> OverlapPoints() {
   std::vector<Point> points = RotationPoints(701);
   for (size_t k = 1; k < points.size(); k += 2) {
-    points[k].backend = fastpath::Backend::kFast;
+    points[k].device.backend = fastpath::Backend::kFast;
   }
   return points;
 }
@@ -205,8 +206,9 @@ inline std::vector<Point> OverlapPoints() {
 inline std::vector<Point> OverlapFaultPoints() {
   std::vector<Point> points = RotationPoints(701);
   for (Point& p : points) {
-    if (p.rows == 0) p.rows = 5;
-    p.chips = std::max<size_t>(2, p.chips);
+    DeviceConfig& d = p.device;
+    if (d.rows == 0) d.rows = 5;
+    d.num_chips = std::max<size_t>(2, d.num_chips);
     p.faults = true;
     p.rate = 0.0002;
   }
@@ -232,32 +234,35 @@ inline std::vector<Point> BaselinePoints() {
       Rotate(11, LaneCount(std::size(kPicked)), {0, 3, 5, 7, 9, 13},
              {kMarching, kFixedB, kAuto}, {1, 2, 3, 7});
   for (size_t k = 0; k < std::min(points.size(), std::size(kPicked)); ++k) {
-    points[k].rows = kPicked[k].rows;
-    points[k].mode = kPicked[k].mode;
-    points[k].chips = kPicked[k].chips;
+    points[k].device.rows = kPicked[k].rows;
+    points[k].device.mode = kPicked[k].mode;
+    points[k].device.num_chips = kPicked[k].chips;
   }
   return points;
 }
 
-/// Serial against parallel: shards of 125 seeds each on 5-row marching
-/// chips, every pair run on 1, 2 and 7 chips.
+/// Seeds per shard of the chips lane.
+inline constexpr size_t kShardSeeds = 125;
+
+/// Serial against parallel: shards of kShardSeeds seeds each on 5-row
+/// marching chips, every pair run on 1, 2 and 7 chips.
 inline std::vector<Point> ChipPoints() {
   std::vector<Point> points(LaneCount(8));
   for (size_t shard = 0; shard < points.size(); ++shard) {
-    points[shard].seed = 1000 + shard * 125;
-    points[shard].draws = 125;
-    points[shard].rows = 5;
+    points[shard].seed = 1000 + shard * kShardSeeds;
+    points[shard].device.rows = 5;
+    points[shard].device.mode = kMarching;
   }
   return points;
 }
 
 /// Fault recovery: shapes, chip counts, fault intensities and the planner
-/// toggle cycle on different small periods. Odd rows only (plus 0):
-/// marching needs a center row. A tile attempt makes hundreds to a few
-/// thousand injection decisions, so 2e-4 already corrupts a healthy share
-/// of attempts on the larger shapes; much hotter rates trip the strike
-/// limit on every chip, and the engine then rightly degrades to
-/// Unavailable.
+/// toggle (even seeds plan) cycle on different small periods. Odd rows
+/// only (plus 0): marching needs a center row. A tile attempt makes
+/// hundreds to a few thousand injection decisions, so 2e-4 already
+/// corrupts a healthy share of attempts on the larger shapes; much hotter
+/// rates trip the strike limit on every chip, and the engine then rightly
+/// degrades to Unavailable.
 inline std::vector<Point> FaultPoints() {
   static constexpr double kRates[] = {0.0, 0.0001, 0.0002, 0.0005};
   std::vector<Point> points =
@@ -265,22 +270,23 @@ inline std::vector<Point> FaultPoints() {
              {kFixedB, kMarching, kAuto}, {1, 2, 3, 7});
   for (size_t k = 0; k < points.size(); ++k) {
     points[k].faults = true;
-    points[k].dead = k % points[k].chips;
+    points[k].dead = k % points[k].device.num_chips;
     points[k].rate = kRates[(k / 2) % 4];
-    points[k].planner = k % 2 == 0;
   }
   return points;
 }
 
 /// Many tiles: 3- and 5-row marching chips two columns wide, on 1 and 4
-/// chips, overlap on and off.
+/// chips, overlap on and off. The lane checks fast against RTL over
+/// thousands of tiles per operator, so the nightly 200 runs 200 points.
 inline std::vector<Point> ManyTilePoints() {
   std::vector<Point> points =
-      Rotate(901, LaneCount(4), {3, 5}, {kMarching}, {1, 1, 4, 4});
+      Rotate(901, std::max(LaneCount(4), testing::FuzzSeedCount(4)), {3, 5},
+             {kMarching}, {1, 1, 4, 4});
   for (size_t k = 0; k < points.size(); ++k) {
-    points[k].columns = 2;
+    points[k].device.columns = 2;
     if (k % 4 == 1 || k % 4 == 2) {
-      points[k].overlap = spad::OverlapPolicy::kOff;
+      points[k].device.overlap = spad::OverlapPolicy::kOff;
     }
   }
   return points;
@@ -303,10 +309,10 @@ inline std::vector<Point> GuardPoints() {
   for (size_t k = 0; k < points.size(); ++k) {
     Point& p = points[k];
     p.op = kOps[k % 6];
-    p.rows = kRows[k % 7];
+    p.device.rows = kRows[k % 7];
     p.arity = 1 + k / 7 % 3;
-    p.chips = kChips[k / 3 % 3];
-    if (k / 2 % 2 == 1) p.overlap = spad::OverlapPolicy::kOff;
+    p.device.num_chips = kChips[k / 3 % 3];
+    if (k / 2 % 2 == 1) p.device.overlap = spad::OverlapPolicy::kOff;
     p.seed = 5000 + k;
     p.n_a = 1 + static_cast<size_t>(rng.Uniform(0, 63));
     p.n_b = k % 3 == 0 ? 1 + static_cast<size_t>(rng.Uniform(0, 3))
@@ -314,8 +320,8 @@ inline std::vector<Point> GuardPoints() {
   }
   Point theta;
   theta.seed = 77;
-  theta.rows = 15;
-  theta.chips = 4;
+  theta.device.rows = 15;
+  theta.device.num_chips = 4;
   theta.op = kOps[5];
   theta.arity = 3;
   theta.n_a = 257;
@@ -324,12 +330,12 @@ inline std::vector<Point> GuardPoints() {
   points.push_back(theta);
   Point intersect = theta;
   intersect.seed = 78;
-  intersect.overlap = spad::OverlapPolicy::kOff;
+  intersect.device.overlap = spad::OverlapPolicy::kOff;
   intersect.op = kOps[0];
   points.push_back(intersect);
   for (Point& p : points) {
-    p.mode = kAuto;
-    p.backend = fastpath::Backend::kFast;
+    p.device.mode = kAuto;
+    p.device.backend = fastpath::Backend::kFast;
   }
   return points;
 }
@@ -345,8 +351,8 @@ inline std::vector<Point> PlannerPoints() {
       Rotate(101, LaneCount(std::size(kPicked)), {0, 1, 3, 5, 7, 9, 11, 13},
              {kAuto}, {1, 2, 3, 7});
   for (size_t k = 0; k < std::min(points.size(), std::size(kPicked)); ++k) {
-    points[k].rows = kPicked[k][0];
-    points[k].chips = kPicked[k][1];
+    points[k].device.rows = kPicked[k][0];
+    points[k].device.num_chips = kPicked[k][1];
   }
   return points;
 }
@@ -525,21 +531,22 @@ struct EngineOp {
 
 /// `op` over `o`, which must outlive the result.
 inline EngineOp MakeOp(const LaneOp& op, const Operands& o) {
+  const std::string name = kOpNames[static_cast<size_t>(op.op)];
   const Relation* a = &o.ab.a;
   const Relation* b = &o.ab.b;
-  const auto join = [](const char* name, const rel::RelationPair* pair,
-                       rel::JoinSpec spec) {
+  const auto join = [&name](const rel::RelationPair* pair,
+                            rel::JoinSpec spec) {
     const Relation* l = &pair->a;
     const Relation* r = &pair->b;
     return EngineOp{
-        name + std::string(rel::ComparisonOpToString(spec.op)),
+        name + " " + rel::ComparisonOpToString(spec.op),
         [=](const Engine& e) { return e.Join(*l, *r, spec); },
         [=] { return rel::reference::Join(*l, *r, spec); },
         {{"hash", [=] { return rel::hashops::Join(*l, *r, spec); }, false}}};
   };
   switch (op.op) {
     case Op::kIntersect:
-      return {"intersect", [=](const Engine& e) { return e.Intersect(*a, *b); },
+      return {name, [=](const Engine& e) { return e.Intersect(*a, *b); },
               [=] { return rel::reference::Intersection(*a, *b); },
               {{"hash", [=] { return rel::hashops::Intersection(*a, *b); },
                 true},
@@ -553,26 +560,25 @@ inline EngineOp MakeOp(const LaneOp& op, const Operands& o) {
                 },
                 true}}};
     case Op::kSubtract:
-      return {"subtract", [=](const Engine& e) { return e.Subtract(*a, *b); },
+      return {name, [=](const Engine& e) { return e.Subtract(*a, *b); },
               [=] { return rel::reference::Difference(*a, *b); },
               {{"hash", [=] { return rel::hashops::Difference(*a, *b); },
                 true}}};
     case Op::kUnion:
-      return {"union", [=](const Engine& e) { return e.Union(*a, *b); },
+      return {name, [=](const Engine& e) { return e.Union(*a, *b); },
               [=] { return rel::reference::Union(*a, *b); }, {}};
     case Op::kDedup:
-      return {"dedup", [=](const Engine& e) { return e.RemoveDuplicates(*a); },
+      return {name, [=](const Engine& e) { return e.RemoveDuplicates(*a); },
               [=] { return rel::reference::RemoveDuplicates(*a); }, {}};
     case Op::kProject:
-      return {"project", [=](const Engine& e) { return e.Project(*a, {0}); },
+      return {name, [=](const Engine& e) { return e.Project(*a, {0}); },
               [=] { return rel::reference::Projection(*a, {0}); }, {}};
     case Op::kJoin:
-      return join("join ", &o.ab, {{0}, {0}, op.cmp});
+      return join(&o.ab, {{0}, {0}, op.cmp});
     case Op::kSeededJoin:
-      return join("seeded join ", &o.ab, o.join);
+      return join(&o.ab, o.join);
     case Op::kThetaLt:
-      return join("straddling join ", &*o.theta,
-                  {{0}, {0}, ComparisonOp::kLt});
+      return join(&*o.theta, {{0}, {0}, ComparisonOp::kLt});
     case Op::kDivide:
     case Op::kDivideSmall:
     case Op::kDivideEmpty: {
@@ -589,9 +595,7 @@ inline EngineOp MakeOp(const LaneOp& op, const Operands& o) {
         divisor = Relation(divisor.schema(), rel::RelationKind::kSet);
       }
       const rel::DivisionSpec spec{{a->arity() - 1}, {0}};
-      return {op.op == Op::kDivide        ? "divide"
-              : op.op == Op::kDivideSmall ? "divide small"
-                                          : "divide empty",
+      return {name,
               [=](const Engine& e) { return e.Divide(*a, divisor, spec); },
               [=] { return rel::reference::Division(*a, divisor, spec); },
               {{"hash",
@@ -603,7 +607,7 @@ inline EngineOp MakeOp(const LaneOp& op, const Operands& o) {
     }
     case Op::kSelect: {
       const auto* predicates = &o.predicates;
-      return {"select",
+      return {name,
               [=](const Engine& e) { return e.Select(*a, *predicates); },
               [=] { return SelectOracle(*a, *predicates); }, {}};
     }
@@ -760,11 +764,28 @@ inline Result<MachineRun> RunTransaction(
 
 // ---- the decoder mutation loop --------------------------------------------
 
+/// `bytes` as text: printable ASCII and newlines as they are, every other
+/// byte and the backslash as \xHH.
+inline std::string Printable(std::string_view bytes) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto u = static_cast<unsigned char>(c);
+    if (c == '\n' || (u >= 0x20 && u < 0x7f && c != '\\')) {
+      out += c;
+    } else {
+      out += {'\\', 'x', kHex[u >> 4], kHex[u & 0xf]};
+    }
+  }
+  return out;
+}
+
 /// Runs LLVMFuzzerTestOneInput over mutants of `corpus`: seed s draws from
 /// Rng(rng_base + s), mutant i mutates entry i % corpus.size() through
 /// `mutate(rng, entry)`, and one configuration byte drawn after it leads
 /// the input. SYSTOLIC_FUZZ_SEEDS sets the seed count (20 by default); a
-/// failing seed and mutant reproduce exactly.
+/// failing seed and mutant reproduce exactly, and the trace prints the
+/// mutant.
 template <typename Entry, typename Mutate>
 void RunMutants(uint64_t rng_base, size_t mutants_per_entry,
                 const std::vector<Entry>& corpus, const Mutate& mutate) {
@@ -778,7 +799,8 @@ void RunMutants(uint64_t rng_base, size_t mutants_per_entry,
           std::string(1, static_cast<char>(rng.Uniform(0, 255))) + body;
       SCOPED_TRACE("seed " + std::to_string(seed) + ", mutant " +
                    std::to_string(mutant) + ", config byte " +
-                   std::to_string(static_cast<uint8_t>(input[0])));
+                   std::to_string(static_cast<uint8_t>(input[0])) +
+                   ", input:\n" + Printable(body));
       EXPECT_EQ(LLVMFuzzerTestOneInput(
                     reinterpret_cast<const uint8_t*>(input.data()),
                     input.size()),

@@ -9,8 +9,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <malloc.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -542,15 +540,9 @@ TEST(ProtocolRobustness, OverLimitFrameLengthGetsCleanErrorNotServerDeath) {
   EXPECT_TRUE(loaded->ok) << loaded->error;
 }
 
-/// Heap the process holds: arena bytes in use plus mmapped blocks.
-size_t HeapInUse() {
-  const struct mallinfo2 info = mallinfo2();
-  return info.uordblks + info.hblkhd;
-}
-
 /// Hands out `bytes` at most `chunk` per Recv, then a clean end of stream,
-/// and records the most heap held above `baseline` at each Recv after the
-/// first, while the reader waits for bytes.
+/// and records the largest read the caller asks for after the 4-byte
+/// frame header: the most payload buffer it could be filling at once.
 class ScriptedWire final : public Wire {
  public:
   ScriptedWire(std::string bytes, size_t chunk)
@@ -558,11 +550,7 @@ class ScriptedWire final : public Wire {
 
   Result<size_t> Send(const char*, size_t size, int) override { return size; }
   Result<size_t> Recv(char* data, size_t size, int) override {
-    if (read_ > 0) {
-      const size_t heap = HeapInUse();
-      const size_t held = heap > baseline ? heap - baseline : 0;
-      held_while_waiting = std::max(held_while_waiting, held);
-    }
+    if (read_ >= 4) largest_payload_read = std::max(largest_payload_read, size);
     const size_t n = std::min({size, chunk_, bytes_.size() - read_});
     std::memcpy(data, bytes_.data() + read_, n);
     read_ += n;
@@ -571,8 +559,7 @@ class ScriptedWire final : public Wire {
   void ShutdownBoth() override {}
   void Close() override {}
 
-  size_t baseline = 0;
-  size_t held_while_waiting = 0;
+  size_t largest_payload_read = 0;
 
  private:
   std::string bytes_;
@@ -590,15 +577,16 @@ std::string LengthHeader(uint32_t length) {
 
 TEST(ProtocolRobustness, HeaderAloneDoesNotPinTheClaimedPayload) {
   // A peer sends the header of a kMaxFrameBytes frame and nothing more:
-  // while the reader waits for the payload it holds under 1 MiB, and the
-  // torn frame is an IOError, not a clean end of stream.
+  // the reader asks for the payload in chunks it grows as bytes arrive, so
+  // the buffer it waits on stays under 1 MiB, and the torn frame is an
+  // IOError, not a clean end of stream.
   ScriptedWire wire(LengthHeader(kMaxFrameBytes), 4);
   bool clean_eof = false;
-  wire.baseline = HeapInUse();
   const Result<std::string> frame = ReadFrame(wire, &clean_eof);
   EXPECT_TRUE(frame.status().IsIOError()) << frame.status().ToString();
   EXPECT_FALSE(clean_eof);
-  EXPECT_LT(wire.held_while_waiting, size_t{1} << 20);
+  EXPECT_GT(wire.largest_payload_read, 0u);
+  EXPECT_LT(wire.largest_payload_read, size_t{1} << 20);
 }
 
 TEST(ProtocolRobustness, FullSizeFrameReadsBackByteForByte) {
