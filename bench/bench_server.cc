@@ -27,12 +27,24 @@
 // cache), no chaos, no network — the happy-path cost of exactly-once
 // bookkeeping. Asserted: v2 wall time <= 1.10x embedded Execute (best of 3
 // trials each).
+//
+// Experiment E28 — session memory over a shared catalog: eight in-process
+// sessions each LOAD every relation of a catalog of 4000-tuple relations.
+// Relations are copy-on-write, so a LOAD shares the pinned image's tuples
+// instead of copying them onto the session's disk unit and memory module.
+// Asserted, in --smoke too: the process's VmRSS growth per session stays
+// under one flat copy of the catalog (machine::RelationBytes: 8 bytes per
+// element). One deep copy of a 2-column tuple costs about 3.5 flat copies
+// (a vector header plus a heap block per tuple), so any per-session copy
+// fails the bar. The leg runs before E25 and E27, whose freed memory could
+// otherwise absorb the growth it measures.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -41,6 +53,7 @@
 #include "bench_util.h"
 #include "server/server.h"
 #include "server/session.h"
+#include "system/scratchpad/memory.h"
 #include "util/logging.h"
 
 namespace {
@@ -119,6 +132,46 @@ double MeasureRequestPath(server::Session* session, size_t reps, bool v2,
       .count();
 }
 
+/// This process's resident set size in bytes (VmRSS of /proc/self/status).
+double ResidentBytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) {
+      return 1024.0 * std::stod(line.substr(6));  // reported in kB
+    }
+  }
+  SYSTOLIC_CHECK(false) << "no VmRSS line in /proc/self/status";
+  return 0;
+}
+
+/// E28: VmRSS growth per session, over the catalog's flat bytes, when
+/// `num_sessions` sessions each LOAD every relation in `names`.
+double SessionRssPerCatalog(server::Server* srv,
+                            const std::vector<std::string>& names,
+                            double catalog_bytes, size_t num_sessions) {
+  const auto load_all = [&names](server::Session* session) {
+    for (const std::string& name : names) MustRun(session, "LOAD " + name);
+  };
+  // Warm-up: the first LOAD faults in code and allocator state once.
+  auto warm = srv->Connect();
+  SYSTOLIC_CHECK(warm.ok()) << warm.status().ToString();
+  load_all(warm->get());
+  srv->Disconnect((*warm)->id());
+
+  const double before = ResidentBytes();
+  std::vector<std::shared_ptr<server::Session>> sessions;
+  for (size_t i = 0; i < num_sessions; ++i) {
+    auto session = srv->Connect();
+    SYSTOLIC_CHECK(session.ok()) << session.status().ToString();
+    sessions.push_back(*session);
+    load_all(session->get());
+  }
+  const double growth = ResidentBytes() - before;
+  for (const auto& session : sessions) srv->Disconnect(session->id());
+  return growth / static_cast<double>(num_sessions) / catalog_bytes;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -132,8 +185,6 @@ int main(int argc, char** argv) {
   const auto pair = MakePair(schema, 16, 8, 0.4, 25);
 
   systolic::bench::JsonWriter json("bench_server");
-  std::printf("=== E25: concurrent serving — group commit and throughput "
-              "===\n");
 
   const std::string dir = FreshDir("systolic_bench_server");
   server::ServerConfig config;
@@ -149,6 +200,31 @@ int main(int argc, char** argv) {
   std::unique_ptr<server::Server> srv = std::move(*created);
   SYSTOLIC_CHECK(srv->catalog().Seed("A", pair.a).ok());
 
+  // ---- E28: session memory over a shared catalog --------------------------
+  std::printf("=== E28: session memory over a shared catalog ===\n");
+  constexpr size_t kCatalogRelations = 4;
+  constexpr size_t kCatalogTuples = 4000;
+  std::vector<std::string> names;
+  double catalog_bytes = 0;
+  for (size_t r = 0; r < kCatalogRelations; ++r) {
+    const auto big = MakePair(schema, kCatalogTuples, 1, 0.0, 101 + r);
+    names.push_back("C" + std::to_string(r));
+    catalog_bytes += machine::RelationBytes(big.a);
+    SYSTOLIC_CHECK(srv->catalog().Seed(names.back(), big.a).ok());
+  }
+  const double rss_ratio =
+      SessionRssPerCatalog(srv.get(), names, catalog_bytes, kClients);
+  std::printf("%-26s %zu x %zu tuples, %.0f flat bytes\n", "catalog",
+              kCatalogRelations, kCatalogTuples, catalog_bytes);
+  std::printf("VmRSS growth per session %.3f x the flat catalog "
+              "(< 1 asserted)\n", rss_ratio);
+  SYSTOLIC_CHECK(rss_ratio < 1.0)
+      << "each session grew VmRSS by " << rss_ratio
+      << "x the catalog's flat bytes: a LOAD is copying tuples again";
+  json.Case("session_rss_per_catalog_x1000", 0, rss_ratio * 1000.0);
+
+  std::printf("\n=== E25: concurrent serving — group commit and throughput "
+              "===\n");
   // Warm-up (allocators, file growth), then the two legs.
   MeasureThroughput(srv.get(), 1, 4);
   const server::GroupCommitStats before_serial = srv->stats().group_commit;
@@ -239,6 +315,7 @@ int main(int argc, char** argv) {
 
   std::filesystem::remove_all(dir);
   std::printf("\nall serving bars held: one fsync now carries %.1f "
-              "sessions' commits; v2 ids cost %.3fx\n", mean_batch, overhead);
+              "sessions' commits; v2 ids cost %.3fx; a session costs "
+              "%.3fx the catalog\n", mean_batch, overhead, rss_ratio);
   return 0;
 }

@@ -14,11 +14,7 @@ using machine::OpKind;
 using machine::Transaction;
 
 bool ProvablyDuplicateFree(const rel::Relation& r) {
-  const std::vector<rel::Tuple> sorted = r.SortedTuples();
-  for (size_t i = 1; i < sorted.size(); ++i) {
-    if (sorted[i] == sorted[i - 1]) return false;
-  }
-  return true;
+  return r.IsDuplicateFree();
 }
 
 bool AlwaysDuplicateFree(OpKind op) {

@@ -121,8 +121,9 @@ class LogicalPlan {
 };
 
 /// Whether `r` is provably duplicate-free: an O(n log n) exact check via
-/// sorted adjacent comparison (Relation::kind() is declared intent, not
-/// proof, so the planner never trusts it).
+/// sorted adjacent comparison of pointers into `r`, copying no tuple
+/// (Relation::kind() is declared intent, not proof, so the planner never
+/// trusts it).
 bool ProvablyDuplicateFree(const rel::Relation& r);
 
 /// True iff the op's output is duplicate-free regardless of its inputs

@@ -1,6 +1,7 @@
 #ifndef SYSTOLIC_RELATIONAL_RELATION_H_
 #define SYSTOLIC_RELATIONAL_RELATION_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -34,20 +35,41 @@ enum class RelationKind {
 /// kSet declares intent; it is not enforced on insertion (checking would be
 /// O(n) per insert). Use IsDuplicateFree() to verify, or the dedup operators
 /// to establish it.
+///
+/// Storage is shared and copy-on-write. Copying a relation copies its schema
+/// and shares its tuples: O(1) in the tuple count, so a disk read, a memory
+/// load, a commit or a snapshot image holds the tuples another holder
+/// already has. Append and Concatenate, the only mutators, first copy the
+/// tuples when another relation still shares them, so no copy ever sees
+/// another's writes. Copies may live on different threads: a writer that
+/// finds itself the sole owner reads the owner count with acquire ordering,
+/// which orders its writes after every read the last other owner made
+/// before letting go.
 class Relation {
  public:
   /// Constructs an empty relation over `schema`.
   explicit Relation(Schema schema, RelationKind kind = RelationKind::kSet)
       : schema_(std::move(schema)), kind_(kind) {}
 
+  /// Shares `other`'s tuples.
+  Relation(const Relation& other);
+  Relation& operator=(const Relation& other);
+  /// Takes `other`'s schema and tuples. `other` is left with no tuples; it
+  /// may still be read, assigned or destroyed.
+  Relation(Relation&& other) noexcept;
+  Relation& operator=(Relation&& other) noexcept;
+  ~Relation() { Release(); }
+
   const Schema& schema() const { return schema_; }
   RelationKind kind() const { return kind_; }
-  size_t num_tuples() const { return tuples_.size(); }
+  size_t num_tuples() const { return tuples().size(); }
   size_t arity() const { return schema_.num_columns(); }
-  bool empty() const { return tuples_.empty(); }
+  bool empty() const { return tuples().empty(); }
 
-  const Tuple& tuple(size_t i) const { return tuples_.at(i); }
-  const std::vector<Tuple>& tuples() const { return tuples_; }
+  const Tuple& tuple(size_t i) const { return tuples().at(i); }
+  const std::vector<Tuple>& tuples() const {
+    return storage_ != nullptr ? storage_->tuples : NoTuples();
+  }
 
   /// Appends a tuple of codes. Fails with InvalidArgument on arity mismatch.
   Status Append(Tuple tuple);
@@ -60,7 +82,8 @@ class Relation {
   /// True iff `t` equals some stored tuple.
   bool Contains(const Tuple& t) const;
 
-  /// True iff no two stored tuples are equal.
+  /// True iff no two stored tuples are equal. Sorts pointers to the tuples,
+  /// copying none.
   bool IsDuplicateFree() const;
 
   /// New relation keeping tuple i iff selection.Get(i). The paper's arrays
@@ -88,9 +111,29 @@ class Relation {
   std::string ToString() const;
 
  private:
+  /// One tuple vector and the number of relations sharing it.
+  struct Storage {
+    std::atomic<size_t> owners{1};
+    std::vector<Tuple> tuples;
+  };
+
+  static const std::vector<Tuple>& NoTuples();
+
+  /// This relation's tuples, first copied onto fresh storage if another
+  /// relation shares them.
+  std::vector<Tuple>& MutableTuples();
+
+  /// Replaces this relation's storage with a share of `shared` (null for
+  /// none), which may be the current storage.
+  void Share(Storage* shared);
+
+  /// Drops this relation's share of its storage, freeing it with the last.
+  void Release();
+
   Schema schema_;
   RelationKind kind_;
-  std::vector<Tuple> tuples_;
+  /// Null before the first write, and after a move.
+  Storage* storage_ = nullptr;
 };
 
 /// Renders one tuple of codes as "(c1, c2, ...)" without decoding.

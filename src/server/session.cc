@@ -32,8 +32,8 @@ Session::Session(uint64_t id, SharedCatalog* catalog,
         return result.records;
       });
   // Reads fault in lazily from the pinned image: a relation another session
-  // committed is copied onto this session's disk unit only when (and each
-  // time) a newer version of it is actually LOADed.
+  // committed reaches this session's disk unit only when (and each time) a
+  // newer version of it is actually LOADed, sharing the image's tuples.
   machine_.set_disk_source(
       [this](const std::string& name) -> const rel::Relation* {
         if (pinned_ == nullptr) return nullptr;

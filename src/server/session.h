@@ -23,8 +23,9 @@ namespace server {
 ///
 /// Snapshot discipline: before every command executed OUTSIDE a transaction
 /// the session re-pins the newest published image (an O(1) pointer swap —
-/// relations are copied onto the private disk unit lazily, when a LOAD
-/// actually reads them); between BEGIN and COMMIT the pin is frozen, so a
+/// a relation reaches the private disk unit lazily, when a LOAD actually
+/// reads it, and shares the image's tuples rather than copying them);
+/// between BEGIN and COMMIT the pin is frozen, so a
 /// transaction's reads are repeatable and its COMMIT is conflict-checked
 /// against exactly the snapshot it read. Commits that lose
 /// first-committer-wins surface as Aborted — the transaction's effects stay

@@ -84,7 +84,8 @@ Result<SharedCatalog::CommitResult> SharedCatalog::CommitGroup(
   request.tag = std::move(tag);
   request.puts.reserve(puts.size());
   for (const auto& [name, relation] : puts) {
-    // Copy once; an accepted group's copies become the image entries.
+    // O(1): the entry shares the buffer's tuples, and an accepted group's
+    // entries become the image's.
     request.puts.emplace_back(
         name, std::make_shared<const rel::Relation>(*relation));
   }

@@ -142,6 +142,13 @@ class SharedCatalog {
 
   bool durable() const { return durable_ != nullptr; }
 
+  /// The durable catalog behind the images; null when in-memory. Read it
+  /// only while no commit or checkpoint runs: the group-commit leader
+  /// writes it without mutex_.
+  const durability::DurableCatalog* durable_catalog() const {
+    return durable_.get();
+  }
+
   GroupCommitStats stats() const EXCLUDES(mutex_);
 
   /// Counters of the underlying durable catalog (server-wide, cached under

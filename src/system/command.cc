@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <vector>
 
@@ -204,7 +205,9 @@ Result<rel::Schema> CommandInterpreter::OperandSchema(
   if (in_transaction_) {
     // A pending step's output: compile the queued steps into a logical plan
     // and read the annotated schema off the producing node.
-    SYSTOLIC_ASSIGN_OR_RETURN(auto inputs, Catalog());
+    // Schemas need no duplicate-freedom proofs: an empty read set skips
+    // them.
+    SYSTOLIC_ASSIGN_OR_RETURN(auto inputs, Catalog(Transaction()));
     const Result<planner::LogicalPlan> plan =
         planner::LogicalPlan::FromTransaction(pending_, inputs);
     if (plan.ok()) {
@@ -216,8 +219,13 @@ Result<rel::Schema> CommandInterpreter::OperandSchema(
   return Status::NotFound("no buffer named '" + name + "'");
 }
 
-Result<std::map<std::string, planner::InputInfo>> CommandInterpreter::Catalog()
-    const {
+Result<std::map<std::string, planner::InputInfo>> CommandInterpreter::Catalog(
+    const Transaction& txn) const {
+  std::set<std::string> reads;
+  for (const PlanStep& step : txn.steps()) {
+    reads.insert(step.left);
+    if (IsBinaryOp(step.op)) reads.insert(step.right);
+  }
   std::map<std::string, planner::InputInfo> inputs;
   for (const std::string& name : machine_->BufferNames()) {
     SYSTOLIC_ASSIGN_OR_RETURN(const rel::Relation* relation,
@@ -225,7 +233,8 @@ Result<std::map<std::string, planner::InputInfo>> CommandInterpreter::Catalog()
     planner::InputInfo info;
     info.schema = relation->schema();
     info.num_tuples = relation->num_tuples();
-    info.duplicate_free = planner::ProvablyDuplicateFree(*relation);
+    info.duplicate_free =
+        reads.count(name) != 0 && planner::ProvablyDuplicateFree(*relation);
     inputs.emplace(name, std::move(info));
   }
   return inputs;
@@ -233,7 +242,7 @@ Result<std::map<std::string, planner::InputInfo>> CommandInterpreter::Catalog()
 
 Result<planner::PlannedTransaction> CommandInterpreter::Plan(
     const Transaction& txn) const {
-  SYSTOLIC_ASSIGN_OR_RETURN(auto inputs, Catalog());
+  SYSTOLIC_ASSIGN_OR_RETURN(auto inputs, Catalog(txn));
   planner::PlannerOptions options;
   options.enable_rewrites = planner_on_;
   const MachineConfig& config = machine_->config();
@@ -396,8 +405,8 @@ Status CommandInterpreter::SetSession(const std::vector<std::string>& tokens) {
 }
 
 Status CommandInterpreter::PrintVerify(
-    const planner::PlannedTransaction& planned) {
-  SYSTOLIC_ASSIGN_OR_RETURN(auto catalog, Catalog());
+    const Transaction& txn, const planner::PlannedTransaction& planned) {
+  SYSTOLIC_ASSIGN_OR_RETURN(auto catalog, Catalog(txn));
   verify::DeviceTable devices;
   devices.default_device = machine_->config().device;
   devices.overrides = machine_->config().device_configs;
@@ -678,7 +687,7 @@ Status CommandInterpreter::Execute(const std::string& line) {
       SYSTOLIC_ASSIGN_OR_RETURN(planner::PlannedTransaction planned,
                                 Plan(parsed.first));
       PrintPrefixed(out_, planned.ToString());
-      SYSTOLIC_RETURN_NOT_OK(PrintVerify(planned));
+      SYSTOLIC_RETURN_NOT_OK(PrintVerify(parsed.first, planned));
       PrintBackendPolicy();
       PrintMemoryPolicy();
       PrintFaultPolicy();
@@ -705,7 +714,7 @@ Status CommandInterpreter::Execute(const std::string& line) {
     SYSTOLIC_ASSIGN_OR_RETURN(planner::PlannedTransaction planned,
                               Plan(pending_));
     PrintPrefixed(out_, planned.ToString());
-    SYSTOLIC_RETURN_NOT_OK(PrintVerify(planned));
+    SYSTOLIC_RETURN_NOT_OK(PrintVerify(pending_, planned));
     PrintBackendPolicy();
     PrintMemoryPolicy();
     PrintFaultPolicy();
@@ -725,7 +734,7 @@ Status CommandInterpreter::Execute(const std::string& line) {
       SYSTOLIC_ASSIGN_OR_RETURN(auto parsed, ParseRelational(rest));
       SYSTOLIC_ASSIGN_OR_RETURN(planner::PlannedTransaction planned,
                                 Plan(parsed.first));
-      return PrintVerify(planned);
+      return PrintVerify(parsed.first, planned);
     }
     if (!in_transaction_) {
       return Status::InvalidArgument(
@@ -733,7 +742,7 @@ Status CommandInterpreter::Execute(const std::string& line) {
     }
     SYSTOLIC_ASSIGN_OR_RETURN(planner::PlannedTransaction planned,
                               Plan(pending_));
-    return PrintVerify(planned);
+    return PrintVerify(pending_, planned);
   }
   if (verb == "COMMIT") {
     if (!in_transaction_) {

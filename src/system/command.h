@@ -157,10 +157,12 @@ class CommandInterpreter {
   /// SET SESSION <key> ...: introspection over the server session; unknown
   /// keys name the valid ones (PR 4/6 error-message convention).
   Status SetSession(const std::vector<std::string>& tokens);
-  /// Runs the S22 static verifier over a planned transaction (certificates
-  /// against the catalog, then typing + timing) and prints its one-line
-  /// report; rejects with kVerifyFailed naming pass, node and invariant.
-  Status PrintVerify(const planner::PlannedTransaction& planned);
+  /// Runs the S22 static verifier over `planned`, the plan of `txn`
+  /// (certificates against the catalog, then typing + timing) and prints
+  /// its one-line report; rejects with kVerifyFailed naming pass, node and
+  /// invariant.
+  Status PrintVerify(const Transaction& txn,
+                     const planner::PlannedTransaction& planned);
   /// The HELP verb: one line per command family.
   void PrintHelp();
 
@@ -171,8 +173,13 @@ class CommandInterpreter {
   Result<std::pair<Transaction, std::string>> ParseRelational(
       const std::vector<std::string>& tokens);
 
-  /// Snapshot of the machine's buffers as the planner's catalog.
-  Result<std::map<std::string, planner::InputInfo>> Catalog() const;
+  /// Snapshot of the machine's buffers as the planner's catalog: every
+  /// buffer's name, schema and count, since Transaction::Schedule checks
+  /// output names against all of them. Duplicate-freedom costs a sort, so
+  /// it is proven only for the buffers some step of `txn` reads; the rest
+  /// read as unproven.
+  Result<std::map<std::string, planner::InputInfo>> Catalog(
+      const Transaction& txn) const;
   /// Schema of `name`: a materialised buffer, or — inside a transaction — a
   /// pending step's output (derived via the planner's logical plan).
   Result<rel::Schema> OperandSchema(const std::string& name) const;

@@ -181,7 +181,7 @@ class Machine {
   spad::OverlapPolicy memory_policy() const { return config_.device.overlap; }
 
   /// Opens (creating or crash-recovering) a durable catalog directory
-  /// (DESIGN S21), copies every recovered relation onto the disk unit, and
+  /// (DESIGN S21), puts every recovered relation on the disk unit, and
   /// enables durability: STORE and durable COMMITs are WAL-logged and
   /// fsync'd before they are acknowledged. Surfaced in the shell as
   /// `OPEN <dir>`. `injector`, when non-null, must outlive the machine; the
@@ -232,7 +232,7 @@ class Machine {
   /// copy of this name is missing or stale — mirror this one first";
   /// returning null falls through to the disk unit. The S24 session backs
   /// this with its pinned snapshot image, so relations committed by other
-  /// sessions fault in lazily (copied only when actually loaded) instead of
+  /// sessions fault in lazily (mirrored only when actually loaded) instead of
   /// being mirrored eagerly on every snapshot refresh.
   using DiskSource = std::function<const rel::Relation*(const std::string&)>;
 

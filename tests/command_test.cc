@@ -428,6 +428,13 @@ TEST_F(CommandFixture, VerifyCommandAndTransactionForms) {
   // In-transaction VERIFY checks the pending steps.
   ASSERT_STATUS_OK(
       Run("BEGIN\nINTERSECT A B -> I\nVERIFY\nABORT\n"));
+  // An interior dedup over A is elided; its certificate rests on the
+  // catalog's proof that A, which a step reads, is duplicate-free.
+  ASSERT_STATUS_OK(
+      Run("BEGIN\nDEDUP A -> D\nINTERSECT D B -> I\nVERIFY\nABORT\n"));
+  EXPECT_NE(out_.str().find("1 rewrite certificates re-proved"),
+            std::string::npos)
+      << out_.str();
 }
 
 TEST_F(CommandFixture, CommitWithPlannerOffReportsFaultCounters) {

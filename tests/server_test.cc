@@ -430,6 +430,94 @@ TEST(ServerTest, PerSessionStatsCountOnlyOwnCommits) {
   EXPECT_EQ((*s2)->durability_stats().wal_records, 0u);
 }
 
+// ---- Zero-copy relation hand-offs -----------------------------------------
+
+// Relations are copy-on-write, so a LOAD, a STORE and crash recovery hand a
+// relation on without copying its tuples. These tests pin that by address:
+// a deep copy on any of the paths fails here instead of silently doubling
+// what every session holds.
+
+const rel::Tuple* DataOf(const rel::Relation& r) { return r.tuples().data(); }
+
+const rel::Tuple* BufferData(Session& session, const std::string& name) {
+  const auto buffer = session.machine().Buffer(name);
+  EXPECT_OK(buffer);
+  return buffer.ok() ? DataOf(**buffer) : nullptr;
+}
+
+const rel::Tuple* ImageData(Server& server, const std::string& name) {
+  return DataOf(*server.catalog().Snapshot()->relations.at(name).relation);
+}
+
+TEST(ZeroCopyTest, LoadSharesThePinnedImage) {
+  auto created = Server::Create(TestConfig());
+  ASSERT_OK(created);
+  Server& server = **created;
+  SeedDemo(&server);
+  auto s1 = server.Connect();
+  auto s2 = server.Connect();
+  ASSERT_OK(s1);
+  ASSERT_OK(s2);
+  ASSERT_OK((*s1)->Execute("LOAD A"));
+  ASSERT_OK((*s2)->Execute("LOAD A"));
+  EXPECT_EQ(BufferData(**s1, "A"), ImageData(server, "A"));
+  EXPECT_EQ(BufferData(**s2, "A"), ImageData(server, "A"));
+}
+
+TEST(ZeroCopyTest, StoreSharesTheBufferWithTheNextImage) {
+  auto created = Server::Create(TestConfig());
+  ASSERT_OK(created);
+  Server& server = **created;
+  SeedDemo(&server);
+  auto writer = server.Connect();
+  auto reader = server.Connect();
+  ASSERT_OK(writer);
+  ASSERT_OK(reader);
+  ASSERT_OK((*writer)->Execute("LOAD A"));
+  ASSERT_OK((*writer)->Execute("LOAD B"));
+  ASSERT_OK((*writer)->Execute("INTERSECT A B -> I"));
+  ASSERT_OK((*writer)->Execute("STORE I AS shared_i"));
+  EXPECT_EQ(ImageData(server, "shared_i"), BufferData(**writer, "I"));
+  ASSERT_OK((*reader)->Execute("LOAD shared_i"));
+  EXPECT_EQ(BufferData(**reader, "shared_i"), BufferData(**writer, "I"));
+}
+
+TEST(ZeroCopyTest, RecoveredCatalogIsSharedByImageAndSessions) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "systolic_server_zero_copy")
+          .string();
+  std::filesystem::remove_all(dir);
+  {
+    auto opened = SharedCatalog::Open(dir);
+    ASSERT_OK(opened);
+    const rel::Relation r = Rel(rel::MakeIntSchema(2), {{1, 2}, {3, 4}});
+    ASSERT_OK((*opened)->CommitGroup((*opened)->Snapshot()->version,
+                                     {{"r", &r}}));
+  }
+  {
+    ServerConfig config = TestConfig();
+    config.durable_dir = dir;
+    auto created = Server::Create(std::move(config));
+    ASSERT_OK(created);
+    Server& server = **created;
+    auto s1 = server.Connect();
+    auto s2 = server.Connect();
+    ASSERT_OK(s1);
+    ASSERT_OK(s2);
+    ASSERT_OK((*s1)->Execute("LOAD r"));
+    ASSERT_OK((*s2)->Execute("LOAD r"));
+    // Open built the image from the recovered catalog without copying.
+    const auto recovered =
+        server.catalog().durable_catalog()->catalog().GetRelation("r");
+    ASSERT_OK(recovered);
+    EXPECT_EQ((*recovered)->num_tuples(), 2u);
+    EXPECT_EQ(ImageData(server, "r"), DataOf(**recovered));
+    EXPECT_EQ(BufferData(**s1, "r"), ImageData(server, "r"));
+    EXPECT_EQ(BufferData(**s2, "r"), ImageData(server, "r"));
+  }
+  std::filesystem::remove_all(dir);
+}
+
 // ---- Socket protocol ------------------------------------------------------
 
 // One frame out and its reply back, parsed: a bare protocol-v2 exchange with

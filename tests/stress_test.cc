@@ -2,6 +2,11 @@
 // (quiescence bounds, tag ranges, tiling arithmetic) that small tests miss.
 // Kept to a few seconds of runtime in Release.
 
+#include <algorithm>
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "arrays/division_array.h"
 #include "arrays/pattern_match.h"
 #include "core/engine.h"
@@ -256,6 +261,47 @@ TEST(StressTest, DeepDedupChainStaysStable) {
     current = next->relation;
   }
   EXPECT_EQ(current.num_tuples(), 10u);  // domain has 10 values
+}
+
+TEST(StressTest, CopyOnWriteDetachRacesTheLastOtherOwnersRelease) {
+  // Writers copy one shared relation and append to their copies while a
+  // reader drops its own. The writer that finds itself the sole owner
+  // appends in place, so under TSan this checks that its writes are ordered
+  // after every other owner's reads. Each writer must see the original
+  // tuples plus its own, whichever way its append went.
+  const Schema schema = rel::MakeIntSchema(2);
+  std::vector<rel::Tuple> base;
+  for (int64_t i = 0; i < 64; ++i) base.push_back({i, 2 * i});
+  constexpr size_t kWriters = 3;
+  for (int round = 0; round < 100; ++round) {
+    Relation original = testing::Rel(schema, base);
+    std::vector<Relation> slots(kWriters, original);
+    Relation reader_copy = std::move(original);
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    threads.emplace_back([&] {
+      while (!go.load()) std::this_thread::yield();
+      int64_t sum = 0;
+      for (const rel::Tuple& t : reader_copy.tuples()) sum += t[1];
+      EXPECT_EQ(sum, 64 * 63);
+      reader_copy = Relation(schema);  // drops this owner's share
+    });
+    for (size_t w = 0; w < kWriters; ++w) {
+      threads.emplace_back([&, w] {
+        while (!go.load()) std::this_thread::yield();
+        Relation copy = slots[w];
+        slots[w] = Relation(schema);
+        const rel::Tuple mine = {-1, static_cast<int64_t>(w)};
+        EXPECT_TRUE(copy.Append(mine).ok());
+        ASSERT_EQ(copy.num_tuples(), base.size() + 1);
+        EXPECT_TRUE(
+            std::equal(base.begin(), base.end(), copy.tuples().begin()));
+        EXPECT_EQ(copy.tuples().back(), mine);
+      });
+    }
+    go = true;
+    for (std::thread& thread : threads) thread.join();
+  }
 }
 
 }  // namespace
