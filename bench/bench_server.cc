@@ -10,14 +10,15 @@
 //      group-commit leader drains every queued COMMIT into one append +
 //      fsync.
 //
-// Asserted, in --smoke too (the ISSUE's acceptance bars):
+// The legs run in 5 rounds, the serial leg first in every other round.
+// Asserted, in --smoke too:
 //
-//   * mean group-commit batch size on the concurrent leg > 1.5 — the fsync
+//   * mean group-commit batch size on the concurrent legs > 1.5 — the fsync
 //     must actually be amortized across sessions, and
-//   * concurrent-leg script throughput >= 2x the serial leg. On a
-//     single-core box this speedup can ONLY come from commit batching
-//     (compute does not parallelize), which is exactly the property worth
-//     gating: N clients, one disk synchronization.
+//   * the median round's concurrent-leg script throughput >= 2x its serial
+//     leg's. On a single-core box this speedup can ONLY come from commit
+//     batching (compute does not parallelize), which is exactly the
+//     property worth gating: N clients, one disk synchronization.
 //
 // `--smoke` shrinks repetition counts for CI; both bars stay asserted.
 //
@@ -25,8 +26,11 @@
 // command stream through the embedded Session::Execute and the protocol-v2
 // request path (Session::ExecuteRequest: request-id admission + reply
 // cache), no chaos, no network — the happy-path cost of exactly-once
-// bookkeeping. Asserted: v2 wall time <= 1.10x embedded Execute (best of 3
-// trials each).
+// bookkeeping. Each trial runs at least ~20 ms of commands, sized from a
+// warm-up timing. A pair's embedded and v2 trials alternate in blocks of
+// 64 commands (which path leads alternates from pair to pair), so host
+// noise lasting a few milliseconds lands on both; the median of the
+// per-pair v2/embedded ratios is asserted <= 1.10x, in --smoke too.
 //
 // Experiment E28 — session memory over a shared catalog: eight in-process
 // sessions each LOAD every relation of a catalog of 4000-tuple relations.
@@ -132,6 +136,12 @@ double MeasureRequestPath(server::Session* session, size_t reps, bool v2,
       .count();
 }
 
+/// The median of `samples` (an odd count).
+double Median(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  return samples[samples.size() / 2];
+}
+
 /// This process's resident set size in bytes (VmRSS of /proc/self/status).
 double ResidentBytes() {
   std::ifstream status("/proc/self/status");
@@ -225,34 +235,56 @@ int main(int argc, char** argv) {
 
   std::printf("\n=== E25: concurrent serving — group commit and throughput "
               "===\n");
-  // Warm-up (allocators, file growth), then the two legs.
+  // Warm-up (allocators, file growth), then kRounds rounds of the two
+  // legs, the serial leg first in even rounds. Where fsync is cheap a leg
+  // lasts milliseconds, so one round's speedup is at the mercy of host
+  // noise; the bar holds the median round.
   MeasureThroughput(srv.get(), 1, 4);
-  const server::GroupCommitStats before_serial = srv->stats().group_commit;
-  const double serial_rate = MeasureThroughput(srv.get(), 1, reps);
-  const server::GroupCommitStats before_concurrent =
-      srv->stats().group_commit;
-  const double concurrent_rate =
-      MeasureThroughput(srv.get(), kClients, reps);
+  constexpr size_t kRounds = 5;
+  std::vector<double> serial_rates, concurrent_rates, speedups;
+  size_t serial_batches = 0;
+  size_t commits = 0;
+  size_t batches = 0;
+  for (size_t r = 0; r < kRounds; ++r) {
+    double serial = 0;
+    double concurrent = 0;
+    for (const bool serial_leg : {r % 2 == 0, r % 2 != 0}) {
+      const server::GroupCommitStats before = srv->stats().group_commit;
+      const double rate =
+          MeasureThroughput(srv.get(), serial_leg ? 1 : kClients, reps);
+      const server::GroupCommitStats after = srv->stats().group_commit;
+      // Batching on the concurrent leg only (the serial leg batches at 1
+      // by construction).
+      if (serial_leg) {
+        serial = rate;
+        serial_batches += after.batches - before.batches;
+      } else {
+        concurrent = rate;
+        commits += after.commits - before.commits;
+        batches += after.batches - before.batches;
+      }
+    }
+    serial_rates.push_back(serial);
+    concurrent_rates.push_back(concurrent);
+    speedups.push_back(concurrent / serial);
+  }
   const server::GroupCommitStats after = srv->stats().group_commit;
-
-  // Batching on the concurrent leg only (the serial leg batches at 1 by
-  // construction).
-  const size_t commits = after.commits - before_concurrent.commits;
-  const size_t batches = after.batches - before_concurrent.batches;
   const double mean_batch =
       batches == 0 ? 0.0
                    : static_cast<double>(commits) /
                          static_cast<double>(batches);
-  const double speedup = concurrent_rate / serial_rate;
+  const double serial_rate = Median(serial_rates);
+  const double concurrent_rate = Median(concurrent_rates);
+  const double speedup = Median(speedups);
 
-  std::printf("\n-- serial leg: 1 client x %zu commit scripts --\n", reps);
-  std::printf("%-26s %-14.1f\n", "scripts/s",  serial_rate);
-  std::printf("%-26s %zu\n", "fsync batches",
-              before_concurrent.batches - before_serial.batches);
+  std::printf("\n-- serial leg: 1 client x %zu commit scripts, %zu rounds "
+              "--\n", reps, kRounds);
+  std::printf("%-26s %-14.1f\n", "scripts/s (median)", serial_rate);
+  std::printf("%-26s %zu\n", "fsync batches", serial_batches);
 
-  std::printf("\n-- concurrent leg: %zu clients x %zu commit scripts --\n",
-              kClients, reps);
-  std::printf("%-26s %-14.1f\n", "scripts/s", concurrent_rate);
+  std::printf("\n-- concurrent leg: %zu clients x %zu commit scripts, %zu "
+              "rounds --\n", kClients, reps, kRounds);
+  std::printf("%-26s %-14.1f\n", "scripts/s (median)", concurrent_rate);
   std::printf("%-26s %zu\n", "commits acked", commits);
   std::printf("%-26s %zu\n", "fsync batches", batches);
   std::printf("%-26s %zu\n", "conflicts", after.conflicts);
@@ -260,10 +292,12 @@ int main(int argc, char** argv) {
   for (const auto& [size, count] : after.batch_size_histogram) {
     std::printf(" %zux%zu", size, count);
   }
+  std::sort(speedups.begin(), speedups.end());
   std::printf("\n\nmean batch size %.2f (> 1.5 asserted)\n", mean_batch);
-  std::printf("throughput speedup %.2fx (>= 2x asserted)\n", speedup);
+  std::printf("round speedups %.2f..%.2fx, median %.2fx (>= 2x asserted)\n",
+              speedups.front(), speedups.back(), speedup);
 
-  SYSTOLIC_CHECK(commits == kClients * reps);
+  SYSTOLIC_CHECK(commits == kClients * reps * kRounds);
   SYSTOLIC_CHECK(after.conflicts == 0u);
   SYSTOLIC_CHECK(mean_batch > 1.5)
       << "mean group-commit batch " << mean_batch << " at " << kClients
@@ -278,34 +312,58 @@ int main(int argc, char** argv) {
 
   // ---- E27: reliability-layer overhead on the happy path ------------------
   // Same session, same command stream; the v2 path adds the request-id
-  // admission check and the reply-cache copy to the embedded Execute.
-  // Best-of-3 per path irons out scheduler noise; the bar is 1.10x.
+  // admission check and the reply-cache copy to the embedded Execute. A
+  // trial of ~0.1 ms would measure host noise, so each runs at least
+  // kTrialSeconds of commands, interleaved block by block with the other
+  // path's trial, and the bar (1.10x) holds the median of the pairs'
+  // ratios.
   std::printf("\n=== E27: reliability-layer overhead (v2 request path) "
               "===\n");
-  const size_t overhead_reps = smoke ? 64 : 256;
+  constexpr double kTrialSeconds = 0.020;
+  constexpr size_t kBlockReps = 64;
+  const size_t overhead_pairs = smoke ? 9 : 25;
   auto overhead_session = srv->Connect();
   SYSTOLIC_CHECK(overhead_session.ok())
       << overhead_session.status().ToString();
   server::Session* probe = overhead_session->get();
   MustRun(probe, "SET BACKEND fast");
   MustRun(probe, "LOAD A");
-  MeasureRequestPath(probe, 8, /*v2=*/false, nullptr);  // warm-up
+  const double warmup_s =
+      MeasureRequestPath(probe, kBlockReps, /*v2=*/false, nullptr);
+  const size_t blocks =
+      static_cast<size_t>(kTrialSeconds / warmup_s) + 1;
+  const size_t overhead_reps = blocks * kBlockReps;
   uint64_t next_id = probe->last_request_id() + 1;
-  double embedded_best = 1e300;
-  double v2_best = 1e300;
-  for (int trial = 0; trial < 3; ++trial) {
-    embedded_best = std::min(
-        embedded_best,
-        MeasureRequestPath(probe, overhead_reps, false, nullptr));
-    v2_best = std::min(
-        v2_best, MeasureRequestPath(probe, overhead_reps, true, &next_id));
+  std::vector<double> ratios;
+  double embedded_s = 0;
+  double v2_s = 0;
+  for (size_t i = 0; i < overhead_pairs; ++i) {
+    double embedded = 0;
+    double v2 = 0;
+    for (size_t b = 0; b < blocks; ++b) {
+      if (i % 2 == 0) {
+        embedded += MeasureRequestPath(probe, kBlockReps, false, nullptr);
+        v2 += MeasureRequestPath(probe, kBlockReps, true, &next_id);
+      } else {
+        v2 += MeasureRequestPath(probe, kBlockReps, true, &next_id);
+        embedded += MeasureRequestPath(probe, kBlockReps, false, nullptr);
+      }
+    }
+    ratios.push_back(v2 / embedded);
+    embedded_s += embedded;
+    v2_s += v2;
   }
-  const double overhead = v2_best / embedded_best;
+  std::sort(ratios.begin(), ratios.end());
+  const double overhead = ratios[ratios.size() / 2];
+  const double total_reps = static_cast<double>(overhead_reps * overhead_pairs);
+  std::printf("%-26s %zu pairs x %zu commands per trial\n", "trials",
+              overhead_pairs, overhead_reps);
   std::printf("%-26s %-14.1f\n", "embedded commands/s",
-              static_cast<double>(overhead_reps) / embedded_best);
-  std::printf("%-26s %-14.1f\n", "v2 commands/s",
-              static_cast<double>(overhead_reps) / v2_best);
-  std::printf("v2/embedded overhead %.3fx (<= 1.10x asserted)\n", overhead);
+              total_reps / embedded_s);
+  std::printf("%-26s %-14.1f\n", "v2 commands/s", total_reps / v2_s);
+  std::printf("v2/embedded pair ratios %.3f..%.3f, median %.3fx "
+              "(<= 1.10x asserted)\n",
+              ratios.front(), ratios.back(), overhead);
   SYSTOLIC_CHECK(overhead <= 1.10)
       << "reliability layer costs " << overhead
       << "x on the happy path: the id check / reply cache got expensive";

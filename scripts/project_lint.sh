@@ -45,6 +45,11 @@
 #      Roundtrip(, Session::last_output(), query_shell's RunClientV1 and its
 #      --v1 flag stay deleted in src/, tests/, examples/, scripts/ and
 #      bench/ (this file, which names them, excepted).
+#  10. CSV stays off the durable path (DESIGN §2.4): csv.h, ReadCsv and
+#      WriteCsv appear nowhere in src/durability/ or src/relational/storage.*
+#      — checkpoint data files and WAL put/append bodies are the binary
+#      tuple blocks of src/relational/tuple_codec.h, and CSV stays the
+#      library's import/export format.
 
 set -u
 cd "$(dirname "$0")/.."
@@ -132,6 +137,13 @@ hits=$(grep -rnIE '\b(HandleV1|RunClientV1|Client::Connect)\b|--v1\b|\bRoundtrip
   src tests examples scripts bench | grep -v '^scripts/project_lint\.sh:' || true)
 if [ -n "$hits" ]; then
   report "deleted protocol-v1 path (speak v2 through ReliableClient)" "$hits"
+fi
+
+# --- rule 10: CSV stays off the durable path -------------------------------
+hits=$(grep -rnE 'csv\.h|\b(ReadCsv|WriteCsv)\b' src/durability \
+  src/relational/storage.* || true)
+if [ -n "$hits" ]; then
+  report "CSV on the durable path (checkpoints and WAL bodies use rel::EncodeTuples / DecodeTuples)" "$hits"
 fi
 
 if [ "$fail" -eq 0 ]; then

@@ -77,14 +77,18 @@ Status DurableCatalog::RecoverLocked() {
 
   if (Io::Exists(WalPath())) {
     SYSTOLIC_ASSIGN_OR_RETURN(std::string bytes, Io::ReadFile(WalPath()));
-    Result<std::pair<uint64_t, size_t>> header = ParseWalHeader(bytes);
-    if (!header.ok() || header->first != checkpoint_id_) {
-      // Torn header, or a log that predates the live checkpoint (the crash
-      // landed between the CURRENT flip and the WAL reset): every record it
-      // could hold is already inside the checkpoint. Discard it.
+    // ResetWalLocked installs every header through tmp + fsync + rename, so
+    // no crash leaves one torn. A header that does not parse is a log of
+    // another format, or damage: refuse it, and leave it for an operator,
+    // rather than reset away the commits it holds.
+    SYSTOLIC_ASSIGN_OR_RETURN(const auto header, ParseWalHeader(bytes));
+    if (header.first != checkpoint_id_) {
+      // A log that predates the live checkpoint (the crash landed between
+      // the CURRENT flip and the WAL reset): every record it could hold is
+      // already inside the checkpoint. Discard it.
       SYSTOLIC_RETURN_NOT_OK(ResetWalLocked());
     } else {
-      SYSTOLIC_RETURN_NOT_OK(ReplayWalLocked(bytes, header->second));
+      SYSTOLIC_RETURN_NOT_OK(ReplayWalLocked(bytes, header.second));
     }
   } else {
     SYSTOLIC_RETURN_NOT_OK(ResetWalLocked());

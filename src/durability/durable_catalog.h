@@ -42,8 +42,12 @@ struct DurabilityStats {
 /// Directory layout:
 ///   CURRENT     one line naming the live checkpoint ("chk-<n>"); absent
 ///               until the first checkpoint. Rename-swapped, never edited.
-///   chk-<n>/    a SaveCatalog-format directory (MANIFEST + CSVs).
-///   WAL         header "SYSWAL1 <n>" + framed records (see wal.h).
+///   chk-<n>/    a SaveCatalog-format directory (MANIFEST + .tup files).
+///   WAL         header "SYSWAL2 <n>" + framed records (see wal.h).
+///
+/// A directory of another format (a checkpoint MANIFEST without its
+/// `format 2` entry, a WAL header that does not parse) fails Open with
+/// DataCorruption, and recovery leaves every file as it found it.
 ///
 /// Invariant: after a crash at ANY point of the write path, Open yields a
 /// catalog bit-identical (under rel::SerializeCatalog) to the state after

@@ -4,9 +4,9 @@
 #include <sstream>
 #include <utility>
 
-#include "relational/csv.h"
 #include "relational/schema.h"
 #include "relational/storage.h"
+#include "relational/tuple_codec.h"
 #include "util/strings.h"
 
 namespace systolic {
@@ -62,9 +62,9 @@ Result<std::string> UnescapeField(std::string_view token) {
   return unescaped;
 }
 
-/// Splits `payload` at the first k newlines into header lines plus the CSV
+/// Splits `payload` at the first k newlines into header lines plus the body
 /// remainder. Record layouts are positional (line 1 = kind, line 2 =
-/// columns, line 3 = "data"), so CSV content can never be mistaken for
+/// columns, line 3 = "data"), so body bytes can never be mistaken for
 /// structure.
 Status SplitRecordLines(std::string_view payload, size_t num_lines,
                         std::vector<std::string>* lines, std::string* rest) {
@@ -127,8 +127,9 @@ Result<std::string> EncodeRelationRecord(const char* kind,
             << rel::ValueTypeToString(column.domain->type());
   }
   payload << "\ndata\n";
-  SYSTOLIC_RETURN_NOT_OK(rel::WriteCsv(relation, payload));
-  return payload.str();
+  std::string record = payload.str();
+  SYSTOLIC_RETURN_NOT_OK(rel::EncodeTuples(relation, &record));
+  return record;
 }
 
 /// Resolves put/append column specs against `catalog`, creating missing
@@ -259,7 +260,7 @@ Result<WalRecord> DecodeWalRecord(std::string_view payload) {
   record.kind =
       kind == "put" ? WalRecord::Kind::kPut : WalRecord::Kind::kAppend;
   std::vector<std::string> lines;
-  SYSTOLIC_RETURN_NOT_OK(SplitRecordLines(payload, 3, &lines, &record.csv));
+  SYSTOLIC_RETURN_NOT_OK(SplitRecordLines(payload, 3, &lines, &record.data));
   std::istringstream header(lines[0]);
   std::string name_token, kind_token;
   header >> kind_token >> name_token;
@@ -313,7 +314,9 @@ Result<std::pair<uint64_t, size_t>> ParseWalHeader(std::string_view bytes) {
   int64_t id = 0;
   if (!(in >> magic >> id_token) || magic != kWalMagic ||
       !ParseInt64(id_token, &id) || id < 0) {
-    return Status::DataCorruption("WAL header: malformed '" + line + "'");
+    return Status::DataCorruption("WAL header: '" + line + "' is not '" +
+                                  std::string(kWalMagic) +
+                                  " <checkpoint-id>'");
   }
   return std::make_pair(static_cast<uint64_t>(id), nl + 1);
 }
@@ -327,11 +330,9 @@ Status ApplyWalRecord(const WalRecord& record, rel::Catalog* catalog) {
     case WalRecord::Kind::kPut: {
       SYSTOLIC_ASSIGN_OR_RETURN(rel::Schema schema,
                                 ResolveColumns(record.columns, catalog));
-      std::istringstream csv(record.csv);
       SYSTOLIC_ASSIGN_OR_RETURN(
           rel::Relation relation,
-          rel::ReadCsv(csv, schema, /*has_header=*/true,
-                       record.relation_kind));
+          rel::DecodeTuples(record.data, schema, record.relation_kind));
       catalog->PutRelation(record.name, std::move(relation));
       return Status::OK();
     }
@@ -353,10 +354,9 @@ Status ApplyWalRecord(const WalRecord& record, rel::Catalog* catalog) {
               "WAL record: append schema mismatch for '" + record.name + "'");
         }
       }
-      std::istringstream csv(record.csv);
       SYSTOLIC_ASSIGN_OR_RETURN(
           rel::Relation batch,
-          rel::ReadCsv(csv, schema, /*has_header=*/true, existing->kind()));
+          rel::DecodeTuples(record.data, schema, existing->kind()));
       rel::Relation merged = *existing;
       SYSTOLIC_RETURN_NOT_OK(merged.Concatenate(batch));
       catalog->PutRelation(record.name, std::move(merged));

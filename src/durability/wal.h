@@ -17,19 +17,24 @@ namespace durability {
 /// The write-ahead log format (DESIGN S21).
 ///
 /// A WAL file is a one-line header
-///   SYSWAL1 <checkpoint-id>\n
+///   SYSWAL2 <checkpoint-id>\n
 /// followed by frames. Each frame is
 ///   [u32 payload-length LE][u32 CRC-32 of payload LE][payload bytes]
 /// and each payload is one *logical* record — a committed catalog mutation,
 /// not a page image:
 ///   domain <name> <int64|string|bool>
-///   put <name> <set|multi> \n columns <col>:<dom>:<type> ... \n data \n <csv>
-///   append <name>          \n columns <col>:<dom>:<type> ... \n data \n <csv>
+///   put <name> <set|multi> \n columns <col>:<dom>:<type> ... \n data \n <body>
+///   append <name>          \n columns <col>:<dom>:<type> ... \n data \n <body>
 ///   drop <name>
 ///   ack <token> <request-id> <records>
 ///   commit <n>
-/// Identifiers use rel::EscapeIdentifier; tuple data is RFC-4180 CSV with a
-/// header line. A `commit <n>` marker seals the preceding n records into one
+/// Everything is text with identifiers in rel::EscapeIdentifier form, except
+/// a put/append <body>: the binary tuple block of rel::EncodeTuples
+/// (relational/tuple_codec.h), decoded against the columns line. A log of
+/// another format, such as a `SYSWAL1` log with CSV bodies, fails
+/// ParseWalHeader, and recovery refuses it without touching it.
+///
+/// A `commit <n>` marker seals the preceding n records into one
 /// atomic group: recovery applies only complete, sealed groups and truncates
 /// everything after the last marker, so a torn tail (short frame, bad CRC,
 /// or an unsealed group) can never surface as a hybrid catalog. Cross-session
@@ -49,7 +54,7 @@ namespace durability {
 /// whose id predates the checkpoint, and recovery discards it wholesale
 /// (its records are already inside the checkpoint).
 
-inline constexpr std::string_view kWalMagic = "SYSWAL1";
+inline constexpr std::string_view kWalMagic = "SYSWAL2";
 inline constexpr char kWalFileName[] = "WAL";
 
 /// CRC-32 (IEEE 802.3, reflected) of `bytes`.
@@ -74,7 +79,7 @@ struct WalRecord {
   rel::ValueType type = rel::ValueType::kInt64;  ///< kCreateDomain only.
   rel::RelationKind relation_kind = rel::RelationKind::kSet;  ///< kPut only.
   std::vector<ColumnSpec> columns;  ///< kPut / kAppend.
-  std::string csv;                  ///< kPut / kAppend: header + tuple rows.
+  std::string data;                 ///< kPut / kAppend: the tuple block.
   uint64_t group_size = 0;          ///< kCommit: records sealed by the marker.
   uint64_t request_id = 0;          ///< kAck: per-session request id.
   uint64_t ack_records = 0;         ///< kAck: records the request committed.
@@ -92,7 +97,8 @@ std::string EncodeAck(const std::string& token, uint64_t request_id,
                       uint64_t records);
 std::string EncodeCommit(uint64_t group_size);
 
-/// Parses one record payload; DataCorruption on any malformed input.
+/// Parses one record payload; DataCorruption on any malformed input. A
+/// put/append body is kept as bytes; ApplyWalRecord decodes it.
 Result<WalRecord> DecodeWalRecord(std::string_view payload);
 
 /// Appends one length+CRC framed payload to `wal`.
@@ -113,12 +119,14 @@ WalFrame ParseFrame(std::string_view wal, size_t offset);
 std::string WalHeader(uint64_t checkpoint_id);
 
 /// Parses a WAL header; returns {checkpoint id, offset past the header}.
-/// DataCorruption if the magic or id is malformed or torn.
+/// DataCorruption if the magic is not kWalMagic, or the id is malformed or
+/// torn.
 Result<std::pair<uint64_t, size_t>> ParseWalHeader(std::string_view bytes);
 
 /// Applies one mutation record to `catalog`. Put/append recreate missing
 /// domains from their column specs (preserving sharing by name) and fail
-/// with DataCorruption on type conflicts; ack records are no-ops (they carry
+/// with DataCorruption on type conflicts or a body that does not decode;
+/// ack records are no-ops (they carry
 /// dedup metadata, not catalog state); commit markers are not applicable.
 Status ApplyWalRecord(const WalRecord& record, rel::Catalog* catalog);
 

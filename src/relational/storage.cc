@@ -4,11 +4,13 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
+#include <utility>
 #include <vector>
 
-#include "relational/csv.h"
+#include "relational/tuple_codec.h"
 #include "util/strings.h"
 
 namespace systolic {
@@ -19,6 +21,8 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr char kHexDigits[] = "0123456789ABCDEF";
+constexpr char kFormatVersion[] = "2";
+constexpr char kDataFileSuffix[] = ".tup";
 
 bool SafeIdentifierChar(char c) {
   return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_' ||
@@ -116,7 +120,7 @@ Result<std::vector<CatalogFile>> SerializeCatalog(const Catalog& catalog) {
   // case — reject names whose escaped forms collide case-insensitively.
   std::map<std::string, std::string> by_folded_filename;
   for (const std::string& name : names) {
-    const std::string filename = EscapeIdentifier(name) + ".csv";
+    const std::string filename = EscapeIdentifier(name) + kDataFileSuffix;
     auto [it, inserted] = by_folded_filename.emplace(Lowered(filename), name);
     if (!inserted) {
       return Status::InvalidArgument(
@@ -127,7 +131,8 @@ Result<std::vector<CatalogFile>> SerializeCatalog(const Catalog& catalog) {
 
   std::vector<CatalogFile> files;
   std::ostringstream manifest;
-  manifest << "# systolic-rdb catalog manifest\n";
+  manifest << "# systolic-rdb catalog manifest\n"
+           << "format " << kFormatVersion << "\n";
   for (const auto& [name, domain] : domains) {
     manifest << "domain " << EscapeIdentifier(name) << " "
              << ValueTypeToString(domain->type()) << "\n";
@@ -147,9 +152,10 @@ Result<std::vector<CatalogFile>> SerializeCatalog(const Catalog& catalog) {
   for (const std::string& name : names) {
     SYSTOLIC_ASSIGN_OR_RETURN(const Relation* relation,
                               catalog.GetRelation(name));
-    std::ostringstream csv;
-    SYSTOLIC_RETURN_NOT_OK(WriteCsv(*relation, csv));
-    files.push_back(CatalogFile{EscapeIdentifier(name) + ".csv", csv.str()});
+    std::string data;
+    SYSTOLIC_RETURN_NOT_OK(EncodeTuples(*relation, &data));
+    files.push_back(
+        CatalogFile{EscapeIdentifier(name) + kDataFileSuffix, std::move(data)});
   }
   return files;
 }
@@ -187,6 +193,7 @@ Result<std::unique_ptr<Catalog>> LoadCatalog(const std::string& directory) {
 
   std::string line;
   size_t line_number = 0;
+  bool versioned = false;
   while (std::getline(manifest, line)) {
     ++line_number;
     const std::string stripped(Trim(line.substr(0, line.find('#'))));
@@ -194,7 +201,18 @@ Result<std::unique_ptr<Catalog>> LoadCatalog(const std::string& directory) {
     std::istringstream in(stripped);
     std::string kind;
     in >> kind;
-    if (kind == "domain") {
+    if (!versioned) {
+      // Every ASCII byte is a one-byte varint, so a data file of another
+      // format would decode into wrong values: refuse it here instead.
+      std::string version;
+      if (kind != "format" || !(in >> version) || version != kFormatVersion) {
+        return Status::DataCorruption(
+            "manifest line " + std::to_string(line_number) + ": '" +
+            stripped + "' where the entry 'format " + kFormatVersion +
+            "' must come first; the directory is of another format");
+      }
+      versioned = true;
+    } else if (kind == "domain") {
       std::string name_token, type_token;
       if (!(in >> name_token >> type_token)) {
         return Status::InvalidArgument("manifest line " +
@@ -238,21 +256,30 @@ Result<std::unique_ptr<Catalog>> LoadCatalog(const std::string& directory) {
                                        std::to_string(line_number) +
                                        ": relation without columns");
       }
-      std::ifstream csv(fs::path(directory) / (name_token + ".csv"),
-                        std::ios::binary);
-      if (!csv) {
-        return Status::IOError("missing data file '" + name_token + ".csv'");
+      const std::string filename = name_token + kDataFileSuffix;
+      std::ifstream file(fs::path(directory) / filename, std::ios::binary);
+      if (!file) {
+        return Status::IOError("missing data file '" + filename + "'");
       }
-      SYSTOLIC_ASSIGN_OR_RETURN(
-          Relation relation,
-          ReadCsv(csv, Schema(std::move(columns)), /*has_header=*/true,
-                  relation_kind));
-      catalog->PutRelation(name, std::move(relation));
+      const std::string data((std::istreambuf_iterator<char>(file)),
+                             std::istreambuf_iterator<char>());
+      Result<Relation> relation =
+          DecodeTuples(data, Schema(std::move(columns)), relation_kind);
+      if (!relation.ok()) {
+        return Status::DataCorruption("data file '" + filename +
+                                      "': " + relation.status().message());
+      }
+      catalog->PutRelation(name, std::move(relation).ValueOrDie());
     } else {
       return Status::InvalidArgument("manifest line " +
                                      std::to_string(line_number) +
                                      ": unknown entry '" + kind + "'");
     }
+  }
+  if (!versioned) {
+    return Status::DataCorruption(
+        std::string("manifest has no 'format ") + kFormatVersion +
+        "' entry; the directory is of another format");
   }
   return catalog;
 }

@@ -12,15 +12,20 @@
 namespace systolic {
 namespace rel {
 
-/// Directory-backed persistence for a catalog: one CSV per relation plus a
-/// MANIFEST text file recording domains and schemas, so that reloading
-/// reconstructs the *sharing* of domains (and with it union-compatibility,
-/// §2.4) — the property plain CSVs cannot carry.
+/// Directory-backed persistence for a catalog: one binary data file per
+/// relation (`<escaped-name>.tup`, its tuples in the tuple_codec.h encoding)
+/// plus a MANIFEST text file recording domains and schemas, so that
+/// reloading reconstructs the *sharing* of domains (and with it
+/// union-compatibility, §2.4) as well as the values.
 ///
 /// Manifest grammar (one entry per line, '#' comments; every identifier is
 /// percent-escaped, see EscapeIdentifier):
+///   format 2
 ///   domain <name> <int64|string|bool>
 ///   relation <name> <set|multi> <column>:<domain> [<column>:<domain> ...]
+/// `format 2` must be the first entry. A directory without it (one written
+/// with CSV data files, say) is refused with DataCorruption rather than
+/// decoded into wrong values.
 ///
 /// Dictionary codes are not persisted: strings re-encode on load in file
 /// order, so codes may differ between sessions while equality semantics,
@@ -45,7 +50,7 @@ struct CatalogFile {
 };
 
 /// Serializes `catalog` into its directory representation — the MANIFEST
-/// first, then one `<escaped-name>.csv` per relation — without touching the
+/// first, then one `<escaped-name>.tup` per relation — without touching the
 /// filesystem. Deterministic: logically equal catalogs serialize to
 /// identical bytes, which the crash-recovery tests use as a fingerprint.
 /// Fails if two distinct Domain objects share a name, if any identifier is
@@ -57,6 +62,8 @@ Result<std::vector<CatalogFile>> SerializeCatalog(const Catalog& catalog);
 Status SaveCatalog(const Catalog& catalog, const std::string& directory);
 
 /// Reads a directory written by SaveCatalog into a fresh catalog.
+/// DataCorruption if the manifest lacks its `format 2` entry or a data file
+/// does not decode.
 Result<std::unique_ptr<Catalog>> LoadCatalog(const std::string& directory);
 
 }  // namespace rel

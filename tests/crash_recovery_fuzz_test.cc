@@ -19,6 +19,7 @@
 // (SYSTOLIC_FUZZ_SEEDS sets its size; default 20 points), and a machine-level
 // sweep driving the command interpreter through Machine::OpenDurable.
 
+#include <algorithm>
 #include <filesystem>
 #include <functional>
 #include <iterator>
@@ -295,7 +296,11 @@ std::vector<Op> SeededWorkload(uint64_t seed) {
       const Relation relation = Rel(schema, rows, rel::RelationKind::kMulti);
       ops.push_back(
           [name, relation](DurableCatalog* d) { return d->Put(name, relation); });
-      live.push_back(name);
+      // After a drop the name may still be live: the Put replaces it, and
+      // the name stays listed once, so a later Drop leaves no stale entry.
+      if (std::find(live.begin(), live.end(), name) == live.end()) {
+        live.push_back(name);
+      }
     } else if (roll < 7) {
       const std::string name = live[static_cast<size_t>(
           rng.Uniform(0, static_cast<int64_t>(live.size()) - 1))];

@@ -7,6 +7,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -65,9 +66,10 @@ TEST(WalHeaderTest, RoundTripsAndRejectsGarbage) {
   ASSERT_OK(parsed);
   EXPECT_EQ(parsed->first, 42u);
   EXPECT_EQ(parsed->second, header.size());
-  EXPECT_FALSE(ParseWalHeader("SYSWAL1 42").ok());     // no newline
+  EXPECT_FALSE(ParseWalHeader("SYSWAL2 42").ok());     // no newline
   EXPECT_FALSE(ParseWalHeader("NOTWAL 42\n").ok());    // wrong magic
-  EXPECT_FALSE(ParseWalHeader("SYSWAL1 -1\n").ok());   // bad id
+  EXPECT_FALSE(ParseWalHeader("SYSWAL1 42\n").ok());   // the CSV-era magic
+  EXPECT_FALSE(ParseWalHeader("SYSWAL2 -1\n").ok());   // bad id
   EXPECT_FALSE(ParseWalHeader("SYSW").ok());           // torn
 }
 
@@ -536,6 +538,70 @@ TEST_F(DurabilityDirFixture, StaleWalFromBeforeCheckpointIsDiscarded) {
   auto wal = Io::ReadFile(Dir() + "/WAL");
   ASSERT_OK(wal);
   EXPECT_EQ(*wal, WalHeader(1)) << "the stale log must be reset";
+}
+
+/// Relative path -> contents of every file under `root`.
+std::map<std::string, std::string> Tree(const std::string& root) {
+  std::map<std::string, std::string> tree;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(root)) {
+    if (!entry.is_regular_file()) continue;
+    tree[std::filesystem::relative(entry.path(), root).string()] =
+        *Io::ReadFile(entry.path().string());
+  }
+  return tree;
+}
+
+TEST_F(DurabilityDirFixture, UnparseableWalHeaderFailsOpenAndKeepsTheLog) {
+  const rel::Schema schema = rel::MakeIntSchema(1);
+  {
+    auto durable = DurableCatalog::Open(Dir());
+    ASSERT_OK(durable);
+    ASSERT_STATUS_OK((*durable)->Put("acked", Rel(schema, {{1}})));
+  }
+  auto wal = Io::ReadFile(Dir() + "/WAL");
+  ASSERT_OK(wal);
+  const std::string header = WalHeader(0);
+  ASSERT_EQ(wal->substr(0, header.size()), header);
+  const std::string frames = wal->substr(header.size());
+  // The CSV-era magic, an unknown one, a bad id, a lost newline, plain
+  // garbage and no header at all: each is refused, and the log holding the
+  // acknowledged Put stays byte for byte, as does every other file.
+  for (const std::string& bad_header :
+       {std::string("SYSWAL1 0\n"), std::string("SYSWAL9 0\n"),
+        std::string("SYSWAL2 x\n"), std::string("SYSWAL2 0"),
+        std::string("\x00\x01garbage\n", 10), std::string()}) {
+    ASSERT_STATUS_OK(Io().WriteFile(Dir() + "/WAL", bad_header + frames));
+    const auto before = Tree(Dir());
+    auto reopened = DurableCatalog::Open(Dir());
+    EXPECT_TRUE(reopened.status().IsDataCorruption())
+        << bad_header << ": " << reopened.status().ToString();
+    EXPECT_EQ(Tree(Dir()), before) << bad_header;
+  }
+  ASSERT_STATUS_OK(Io().WriteFile(Dir() + "/WAL", *wal));
+  auto restored = DurableCatalog::Open(Dir());
+  ASSERT_OK(restored);
+  EXPECT_TRUE((*restored)->catalog().GetRelation("acked").ok());
+}
+
+TEST_F(DurabilityDirFixture, CheckpointWithoutFormatEntryFailsOpenUntouched) {
+  // A directory as a CSV-era build left it: a checkpoint whose MANIFEST has
+  // no `format 2` entry and whose data files are CSV, a SYSWAL1 log, and
+  // the tmp debris recovery would otherwise collect.
+  ASSERT_STATUS_OK(Io().Mkdirs(Dir() + "/chk-1"));
+  ASSERT_STATUS_OK(Io().WriteFile(
+      Dir() + "/chk-1/MANIFEST",
+      "# systolic-rdb catalog manifest\ndomain dom0 int64\n"
+      "relation r set c0:dom0\n"));
+  ASSERT_STATUS_OK(Io().WriteFile(Dir() + "/chk-1/r.csv", "c0\n1\n"));
+  ASSERT_STATUS_OK(Io().WriteFile(Dir() + "/CURRENT", "chk-1\n"));
+  ASSERT_STATUS_OK(Io().WriteFile(Dir() + "/WAL", "SYSWAL1 1\n"));
+  ASSERT_STATUS_OK(Io().WriteFile(Dir() + "/CURRENT.tmp", "chk-2\n"));
+  const auto before = Tree(Dir());
+  auto opened = DurableCatalog::Open(Dir());
+  EXPECT_TRUE(opened.status().IsDataCorruption())
+      << opened.status().ToString();
+  EXPECT_EQ(Tree(Dir()), before);
 }
 
 TEST_F(DurabilityDirFixture, RecoveryCollectsTmpAndOrphanCheckpoints) {

@@ -4,7 +4,9 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/engine.h"
@@ -131,11 +133,11 @@ TEST_F(StorageFixture, CorruptManifestReportsLine) {
   std::filesystem::create_directories(dir_);
   {
     std::ofstream manifest(dir_ / "MANIFEST");
-    manifest << "domain d int64\nfrobnicate x\n";
+    manifest << "format 2\ndomain d int64\nfrobnicate x\n";
   }
   auto loaded = LoadCatalog(dir_.string());
   EXPECT_TRUE(loaded.status().IsInvalidArgument());
-  EXPECT_NE(loaded.status().message().find("line 2"), std::string::npos);
+  EXPECT_NE(loaded.status().message().find("line 3"), std::string::npos);
 }
 
 TEST_F(StorageFixture, EmptyCatalogRoundTrips) {
@@ -238,6 +240,95 @@ TEST_F(StorageFixture, TrickyValuesRoundTripBitIdentically) {
     EXPECT_EQ((*before)[i].name, (*after)[i].name);
     EXPECT_EQ((*before)[i].contents, (*after)[i].contents)
         << "file " << (*before)[i].name;
+  }
+}
+
+/// Overwrites `path` with `bytes`.
+void WriteFile(const std::filesystem::path& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+std::string ReadFile(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST_F(StorageFixture, ManifestNamesItsFormatAndDataFilesAreBinary) {
+  Catalog catalog;
+  auto d = *catalog.CreateDomain("ids", ValueType::kInt64);
+  catalog.PutRelation("r", Rel(Schema({{"x", d}}), {{1}, {-1}, {64}}));
+  auto files = SerializeCatalog(catalog);
+  ASSERT_OK(files);
+  ASSERT_EQ(files->size(), 2u);
+  EXPECT_EQ((*files)[0].name, "MANIFEST");
+  EXPECT_EQ((*files)[0].contents,
+            "# systolic-rdb catalog manifest\nformat 2\ndomain ids int64\n"
+            "relation r set x:ids\n");
+  EXPECT_EQ((*files)[1].name, "r.tup");
+  EXPECT_EQ((*files)[1].contents, std::string("\x02\x01\x80\x01", 4));
+}
+
+TEST_F(StorageFixture, DamagedOrForeignDataFilesFailLoadWithoutAborting) {
+  Catalog catalog;
+  auto ids = *catalog.CreateDomain("ids", ValueType::kInt64);
+  auto names = *catalog.CreateDomain("names", ValueType::kString);
+  RelationBuilder builder(Schema({{"id", ids}, {"name", names}}));
+  ASSERT_STATUS_OK(builder.AddRow({Value::Int64(300), Value::String("ada")}));
+  ASSERT_STATUS_OK(builder.AddRow({Value::Int64(-7), Value::String("")}));
+  catalog.PutRelation("r", builder.Finish());
+  ASSERT_STATUS_OK(SaveCatalog(catalog, dir_.string()));
+  const std::filesystem::path data = dir_ / "r.tup";
+  const std::string good = ReadFile(data);
+  // 300 zigzags to 600, a two-byte varint; the first tuple ends at byte 6.
+  ASSERT_EQ(good, std::string("\xD8\x04\x03" "ada" "\x0D\x00", 8));
+
+  const auto load_fails = [&](const std::string& bytes) {
+    WriteFile(data, bytes);
+    const auto loaded = LoadCatalog(dir_.string());
+    EXPECT_TRUE(loaded.status().IsDataCorruption())
+        << loaded.status().ToString();
+    EXPECT_NE(loaded.status().message().find("r.tup"), std::string::npos)
+        << loaded.status().ToString();
+  };
+  // Every truncation ends mid-tuple or mid-value (the empty file is the
+  // empty relation), and any trailing byte starts a tuple it cannot finish.
+  for (size_t cut = 1; cut < good.size(); ++cut) {
+    if (cut == 6) continue;  // the first tuple's boundary: a valid prefix
+    load_fails(good.substr(0, cut));
+  }
+  load_fails(good + '\x00');
+  load_fails(good + good.substr(0, 1));
+  // A CSV data file: every ASCII byte is a valid one-byte varint, and here
+  // the first "string length" ('d', 100) runs past the end of the file.
+  // The manifest's format entry is what refuses such a directory outright.
+  load_fails("id,name\n300,ada\n-7,\"\"\n");
+
+  WriteFile(data, good);
+  ASSERT_OK(LoadCatalog(dir_.string()));
+}
+
+TEST_F(StorageFixture, ManifestWithoutFormatEntryIsRefused) {
+  // A directory as SaveCatalog wrote it before format 2: no `format` entry
+  // and CSV data files. Its manifest is refused before any data is read.
+  std::filesystem::create_directories(dir_);
+  WriteFile(dir_ / "MANIFEST",
+            "# systolic-rdb catalog manifest\ndomain ids int64\n"
+            "relation r set x:ids\n");
+  WriteFile(dir_ / "r.csv", "x\n1\n");
+  auto v1 = LoadCatalog(dir_.string());
+  EXPECT_TRUE(v1.status().IsDataCorruption()) << v1.status().ToString();
+  EXPECT_NE(v1.status().message().find("format 2"), std::string::npos);
+
+  // The same with a comment in place of the entry, another version, or no
+  // entries at all.
+  for (const char* manifest :
+       {"# format 2\ndomain ids int64\n", "format 1\ndomain ids int64\n",
+        "format\n", "# systolic-rdb catalog manifest\n", ""}) {
+    WriteFile(dir_ / "MANIFEST", manifest);
+    auto loaded = LoadCatalog(dir_.string());
+    EXPECT_TRUE(loaded.status().IsDataCorruption())
+        << manifest << ": " << loaded.status().ToString();
   }
 }
 

@@ -15,7 +15,11 @@
 //   - a CRC-valid payload decodes, or fails with DataCorruption;
 //   - a decoded record re-encoded with the Encode* functions (put and
 //     append from the relation the catalog then holds) decodes to the same
-//     record.
+//     record;
+//   - an applied put or append re-encodes to its body's bytes: the relation
+//     the catalog then holds encodes (rel::EncodeTuples) to the body, after
+//     an append to what it encoded to before. The tuple encoding is
+//     canonical.
 // A broken property aborts through SYSTOLIC_CHECK, as a crash does under
 // libFuzzer.
 
@@ -27,6 +31,7 @@
 
 #include "durability/wal.h"
 #include "relational/catalog.h"
+#include "relational/tuple_codec.h"
 #include "util/logging.h"
 
 namespace {
@@ -97,11 +102,28 @@ void CheckRoundTrip(const WalRecord& record, const rel::Catalog& catalog) {
       << payload;
 }
 
+/// The tuple block of relation `name` in `catalog`; empty if there is none.
+std::string Block(const rel::Catalog& catalog, const std::string& name) {
+  std::string block;
+  auto relation = catalog.GetRelation(name);
+  if (relation.ok()) {
+    const Status encoded = rel::EncodeTuples(**relation, &block);
+    SYSTOLIC_CHECK(encoded.ok()) << encoded.ToString();
+  }
+  return block;
+}
+
 void Apply(const WalRecord& record, rel::Catalog* catalog) {
+  const bool relation_record = record.kind == WalRecord::Kind::kPut ||
+                               record.kind == WalRecord::Kind::kAppend;
+  const std::string before = record.kind == WalRecord::Kind::kAppend
+                                 ? Block(*catalog, record.name)
+                                 : std::string();
   const Status status = ApplyWalRecord(record, catalog);
-  if (status.ok() && (record.kind == WalRecord::Kind::kPut ||
-                      record.kind == WalRecord::Kind::kAppend)) {
+  if (status.ok() && relation_record) {
     CheckRoundTrip(record, *catalog);
+    SYSTOLIC_CHECK(Block(*catalog, record.name) == before + record.data)
+        << "the applied body re-encodes to other bytes";
   }
 }
 

@@ -1,17 +1,21 @@
 // Seeded corpus-mutation test for the WAL decoder fuzz target
 // (wal_fuzz_target.cc), for builds without libFuzzer. The corpus is logs
 // written with the Encode* functions: domains, puts and appends over
-// int64, string and bool columns into set and multi relations, drops, acks
-// and commit markers. Each seed runs 40 mutants of every log: up to six
-// drops, duplicates or swaps of frames or of a record's lines, and
-// perturbed tokens, all re-framed so their CRCs hold and the record decoder
-// sees them; then up to two flipped, inserted or dropped bytes, or a
-// truncation, which the frame CRCs must catch. A failing seed reproduces
-// exactly. SYSTOLIC_FUZZ_SEEDS sets the number of seeds.
+// int64, string and bool columns into set and multi relations (one with
+// multi-byte and ten-byte varints), drops, acks and commit markers. Each
+// seed runs 40 mutants of every log: up to six drops, duplicates or swaps
+// of frames or of a record's lines, perturbed tokens, and flipped,
+// inserted or dropped bytes or a truncation inside one record, all
+// re-framed so their CRCs hold and the record and tuple decoders see them;
+// then up to two such byte mutations of the framed log, which the frame
+// CRCs must catch. A failing seed reproduces exactly. SYSTOLIC_FUZZ_SEEDS
+// sets the number of seeds.
 
 #include <cctype>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -53,6 +57,24 @@ rel::Relation Mixed(rel::RelationKind kind, int64_t first_id) {
   return builder.Finish();
 }
 
+/// Ints whose varints take one, two, three and ten bytes, beside bools.
+rel::Relation Wide() {
+  rel::RelationBuilder builder(
+      rel::Schema({{"id", rel::Domain::Make("ids", rel::ValueType::kInt64)},
+                   {"flag", rel::Domain::Make("flags",
+                                              rel::ValueType::kBool)}}));
+  const int64_t kIds[] = {0, -1, 300, -70000,
+                          std::numeric_limits<int64_t>::min(),
+                          std::numeric_limits<int64_t>::max()};
+  for (size_t i = 0; i < std::size(kIds); ++i) {
+    SYSTOLIC_CHECK(builder
+                       .AddRow({rel::Value::Int64(kIds[i]),
+                                rel::Value::Bool(i % 2 == 1)})
+                       .ok());
+  }
+  return builder.Finish();
+}
+
 std::string Put(const std::string& name, const rel::Relation& r) {
   return *EncodePut(name, r);
 }
@@ -75,6 +97,9 @@ std::vector<Log> Corpus() {
        {Put("r/1", set), EncodeCommit(1), *EncodeAppend("r/1", set),
         EncodeAck("tok", 9, 1), EncodeCommit(2), Put("r/1", multi),
         EncodeDrop("missing"), EncodeCommit(2)}},
+      {3,
+       {Put("wide", Wide()), EncodeCommit(1), *EncodeAppend("wide", Wide()),
+        EncodeCommit(1)}},
   };
 }
 
@@ -124,33 +149,7 @@ void MutateLines(Rng& rng, std::string* payload) {
   *payload = Join(lines, "\n");
 }
 
-/// Applies one frame- or line-level mutation; the log is framed afterwards,
-/// so every CRC still holds.
-void MutateRecords(Rng& rng, Log* log) {
-  std::vector<std::string>& payloads = log->payloads;
-  if (payloads.empty()) {
-    payloads.push_back(EncodeCommit(0));
-    return;
-  }
-  const size_t at = Pick(rng, payloads.size());
-  switch (rng.Uniform(0, 4)) {
-    case 0:
-      payloads.erase(payloads.begin() + static_cast<std::ptrdiff_t>(at));
-      return;
-    case 1:
-      payloads.insert(payloads.begin() + static_cast<std::ptrdiff_t>(at),
-                      payloads[at]);
-      return;
-    case 2:
-      std::swap(payloads[at], payloads[Pick(rng, payloads.size())]);
-      return;
-    default:
-      MutateLines(rng, &payloads[at]);
-      return;
-  }
-}
-
-/// Applies one byte-level mutation to the serialized log.
+/// Applies one byte-level mutation to a record or to the serialized log.
 void MutateBytes(Rng& rng, std::string* bytes) {
   if (bytes->empty()) return;
   const size_t at = Pick(rng, bytes->size());
@@ -167,6 +166,35 @@ void MutateBytes(Rng& rng, std::string* bytes) {
       return;
     default:
       bytes->resize(at);
+      return;
+  }
+}
+
+/// Applies one frame-, line- or byte-level mutation; the log is framed
+/// afterwards, so every CRC still holds.
+void MutateRecords(Rng& rng, Log* log) {
+  std::vector<std::string>& payloads = log->payloads;
+  if (payloads.empty()) {
+    payloads.push_back(EncodeCommit(0));
+    return;
+  }
+  const size_t at = Pick(rng, payloads.size());
+  switch (rng.Uniform(0, 5)) {
+    case 0:
+      payloads.erase(payloads.begin() + static_cast<std::ptrdiff_t>(at));
+      return;
+    case 1:
+      payloads.insert(payloads.begin() + static_cast<std::ptrdiff_t>(at),
+                      payloads[at]);
+      return;
+    case 2:
+      std::swap(payloads[at], payloads[Pick(rng, payloads.size())]);
+      return;
+    case 3:
+      MutateBytes(rng, &payloads[at]);
+      return;
+    default:
+      MutateLines(rng, &payloads[at]);
       return;
   }
 }
