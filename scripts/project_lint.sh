@@ -47,9 +47,15 @@
 #      bench/ (this file, which names them, excepted).
 #  10. CSV stays off the durable path (DESIGN §2.4): csv.h, ReadCsv and
 #      WriteCsv appear nowhere in src/durability/ or src/relational/storage.*
-#      — checkpoint data files and WAL put/append bodies are the binary
+#      — checkpoint data files and WAL put bodies are the binary
 #      tuple blocks of src/relational/tuple_codec.h, and CSV stays the
 #      library's import/export format.
+#  11. The WAL keeps only put, ack and commit records (DESIGN §2.4): the
+#      deleted domain/append/drop encoders EncodeCreateDomain, EncodeAppend
+#      and EncodeDrop, their staging calls LogCreateDomain, LogAppend and
+#      LogDrop, the record kinds Kind::kCreateDomain, Kind::kAppend and
+#      Kind::kDrop, and the command layer's dead StampDurability stay
+#      deleted in src/ and tests/.
 
 set -u
 cd "$(dirname "$0")/.."
@@ -144,6 +150,13 @@ hits=$(grep -rnE 'csv\.h|\b(ReadCsv|WriteCsv)\b' src/durability \
   src/relational/storage.* || true)
 if [ -n "$hits" ]; then
   report "CSV on the durable path (checkpoints and WAL bodies use rel::EncodeTuples / DecodeTuples)" "$hits"
+fi
+
+# --- rule 11: the WAL vocabulary is put, ack and commit --------------------
+hits=$(grep -rnE '\b(Encode(CreateDomain|Append|Drop)|Log(CreateDomain|Append|Drop)|StampDurability)\b|Kind::k(CreateDomain|Append|Drop)\b' \
+  src tests || true)
+if [ -n "$hits" ]; then
+  report "deleted WAL record kind or durability stamp (the WAL writes put, ack and commit; ExecStats carries no durability counters)" "$hits"
 fi
 
 if [ "$fail" -eq 0 ]; then

@@ -137,14 +137,6 @@ struct ExecStats {
   /// Chips not quarantined when the operation finished; equals num_chips on
   /// healthy hardware.
   size_t healthy_chips = 1;
-  /// Durability counters, stamped by the command layer when a durable
-  /// directory is open (cumulative per session); all stay zero otherwise.
-  /// WAL mutation records fsync'd so far.
-  size_t wal_records = 0;
-  /// Atomic checkpoints completed so far.
-  size_t checkpoints = 0;
-  /// WAL records replayed by the session's crash recovery on OPEN.
-  size_t recovered_records = 0;
   /// Scratchpad/DMA counters (S25), derived from the same deterministic
   /// greedy tile→chip schedule as `makespan_cycles`, so they are identical
   /// across backends and across serial/parallel dispatch.

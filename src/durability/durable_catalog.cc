@@ -29,15 +29,6 @@ Result<uint64_t> ParseCheckpointName(std::string_view token) {
   return static_cast<uint64_t>(id);
 }
 
-std::vector<WalRecord::ColumnSpec> SpecsOf(const rel::Schema& schema) {
-  std::vector<WalRecord::ColumnSpec> specs;
-  for (const rel::Column& column : schema.columns()) {
-    specs.push_back(WalRecord::ColumnSpec{column.name, column.domain->name(),
-                                          column.domain->type()});
-  }
-  return specs;
-}
-
 }  // namespace
 
 Result<std::unique_ptr<DurableCatalog>> DurableCatalog::Open(
@@ -175,51 +166,16 @@ Status DurableCatalog::StageLocked(WalRecord record, std::string payload) {
   return Status::OK();
 }
 
-Result<std::vector<WalRecord::ColumnSpec>> DurableCatalog::StagedColumnsLocked(
-    const std::string& name) const {
-  // The staged group, then the sealed-but-uncommitted batch, rewrite history
-  // front to back; the last put/drop for `name` wins, falling back to the
-  // live catalog. Sealed groups must be visible here: they will apply before
-  // the staged group at CommitSealedGroups/recovery, so a record validated
-  // blind to them could fail to apply after it was sealed.
-  for (auto it = staged_.rbegin(); it != staged_.rend(); ++it) {
-    const WalRecord& record = it->first;
-    if (record.name != name) continue;
-    if (record.kind == WalRecord::Kind::kPut) return record.columns;
-    if (record.kind == WalRecord::Kind::kDrop) {
-      return Status::NotFound("relation '" + name +
-                              "' is dropped in the open group");
-    }
-  }
-  for (auto group = sealed_.rbegin(); group != sealed_.rend(); ++group) {
-    for (auto it = group->rbegin(); it != group->rend(); ++it) {
-      const WalRecord& record = it->first;
-      if (record.name != name) continue;
-      if (record.kind == WalRecord::Kind::kPut) return record.columns;
-      if (record.kind == WalRecord::Kind::kDrop) {
-        return Status::NotFound("relation '" + name +
-                                "' is dropped in a sealed group");
-      }
-    }
-  }
-  SYSTOLIC_ASSIGN_OR_RETURN(const rel::Relation* relation,
-                            catalog_->GetRelation(name));
-  return SpecsOf(relation->schema());
-}
-
 Result<rel::ValueType> DurableCatalog::StagedDomainTypeLocked(
     const std::string& name) const {
-  // Staged records only ever create domains (a drop removes a relation, not
-  // its domains), and conflicts are rejected at staging time, so any staged
-  // or sealed mention of `name` — explicit create-domain or a put/append
-  // column that implicitly creates it — fixes its type.
+  // A staged put only ever creates domains, and conflicts are rejected at
+  // staging time, so any staged or sealed put column naming `name` fixes its
+  // type. Sealed groups must be visible here: they apply before the staged
+  // group at CommitSealedGroups/recovery, so a record validated blind to
+  // them could fail to apply after it was sealed.
   const auto scan = [&name](const MutationGroup& group)
       -> std::optional<rel::ValueType> {
     for (const auto& [record, payload] : group) {
-      if (record.kind == WalRecord::Kind::kCreateDomain &&
-          record.name == name) {
-        return record.type;
-      }
       for (const WalRecord::ColumnSpec& spec : record.columns) {
         if (spec.domain == name) return spec.type;
       }
@@ -233,25 +189,6 @@ Result<rel::ValueType> DurableCatalog::StagedDomainTypeLocked(
   SYSTOLIC_ASSIGN_OR_RETURN(std::shared_ptr<rel::Domain> live,
                             catalog_->GetDomain(name));
   return live->type();
-}
-
-Status DurableCatalog::LogCreateDomain(const std::string& name,
-                                       rel::ValueType type) {
-  util::MutexLock lock(&mutex_);
-  if (name.empty()) {
-    return Status::InvalidArgument("domain name must not be empty");
-  }
-  // Resolving through the staged group also catches a domain a staged
-  // put/append implicitly created — re-creating it would make the sealed
-  // group fail to apply at Commit/recovery.
-  if (StagedDomainTypeLocked(name).ok()) {
-    return Status::AlreadyExists("domain '" + name + "' already exists");
-  }
-  WalRecord record;
-  record.kind = WalRecord::Kind::kCreateDomain;
-  record.name = name;
-  record.type = type;
-  return StageLocked(std::move(record), EncodeCreateDomain(name, type));
 }
 
 Status DurableCatalog::LogPut(const std::string& name,
@@ -293,50 +230,6 @@ Status DurableCatalog::LogPutLocked(const std::string& name,
   // Re-decode to populate the staged record exactly as recovery will see it.
   SYSTOLIC_ASSIGN_OR_RETURN(WalRecord record, DecodeWalRecord(payload));
   return StageLocked(std::move(record), std::move(payload));
-}
-
-Status DurableCatalog::LogAppend(const std::string& name,
-                                 const rel::Relation& batch) {
-  util::MutexLock lock(&mutex_);
-  return LogAppendLocked(name, batch);
-}
-
-Status DurableCatalog::LogAppendLocked(const std::string& name,
-                                       const rel::Relation& batch) {
-  SYSTOLIC_ASSIGN_OR_RETURN(std::vector<WalRecord::ColumnSpec> target,
-                            StagedColumnsLocked(name));
-  const std::vector<WalRecord::ColumnSpec> batch_specs =
-      SpecsOf(batch.schema());
-  if (target.size() != batch_specs.size()) {
-    return Status::Incompatible("append batch arity " +
-                                std::to_string(batch_specs.size()) +
-                                " != relation arity " +
-                                std::to_string(target.size()));
-  }
-  for (size_t c = 0; c < target.size(); ++c) {
-    if (target[c].column != batch_specs[c].column ||
-        target[c].domain != batch_specs[c].domain ||
-        target[c].type != batch_specs[c].type) {
-      return Status::Incompatible("append batch schema mismatch at column " +
-                                  std::to_string(c) + " of '" + name + "'");
-    }
-  }
-  SYSTOLIC_ASSIGN_OR_RETURN(std::string payload, EncodeAppend(name, batch));
-  SYSTOLIC_ASSIGN_OR_RETURN(WalRecord record, DecodeWalRecord(payload));
-  return StageLocked(std::move(record), std::move(payload));
-}
-
-Status DurableCatalog::LogDrop(const std::string& name) {
-  util::MutexLock lock(&mutex_);
-  return LogDropLocked(name);
-}
-
-Status DurableCatalog::LogDropLocked(const std::string& name) {
-  SYSTOLIC_RETURN_NOT_OK(StagedColumnsLocked(name).status());  // must exist
-  WalRecord record;
-  record.kind = WalRecord::Kind::kDrop;
-  record.name = name;
-  return StageLocked(std::move(record), EncodeDrop(name));
 }
 
 Status DurableCatalog::LogAck(const std::string& token, uint64_t request_id,
@@ -460,25 +353,6 @@ Status DurableCatalog::Put(const std::string& name,
     return Status::InvalidArgument("a mutation group is open; use LogPut");
   }
   SYSTOLIC_RETURN_NOT_OK(LogPutLocked(name, relation));
-  return CommitLocked();
-}
-
-Status DurableCatalog::Append(const std::string& name,
-                              const rel::Relation& batch) {
-  util::MutexLock lock(&mutex_);
-  if (!staged_.empty()) {
-    return Status::InvalidArgument("a mutation group is open; use LogAppend");
-  }
-  SYSTOLIC_RETURN_NOT_OK(LogAppendLocked(name, batch));
-  return CommitLocked();
-}
-
-Status DurableCatalog::Drop(const std::string& name) {
-  util::MutexLock lock(&mutex_);
-  if (!staged_.empty()) {
-    return Status::InvalidArgument("a mutation group is open; use LogDrop");
-  }
-  SYSTOLIC_RETURN_NOT_OK(LogDropLocked(name));
   return CommitLocked();
 }
 

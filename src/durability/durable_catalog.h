@@ -27,7 +27,8 @@ struct RecoveredAck {
   uint64_t records = 0;
 };
 
-/// Session counters surfaced through the command layer and ExecStats.
+/// Write-path counters: per DurableCatalog (stats(), printed by the shell's
+/// EXPLAIN and OPEN lines) and per server (SharedCatalog::durability_stats).
 struct DurabilityStats {
   size_t wal_records = 0;        ///< Mutation records fsync'd this session.
   size_t checkpoints = 0;        ///< Checkpoints completed this session.
@@ -55,10 +56,11 @@ struct DurabilityStats {
 /// fuzzer (tests/crash_recovery_fuzz_test.cc) enumerates every IO unit of
 /// the write path to hold this to account.
 ///
-/// Mutations are grouped: Log* stages records, Commit appends the group plus
-/// a sealing `commit` marker in ONE file append, fsyncs, and only then
-/// applies the group to the in-memory catalog. Recovery replays only sealed
-/// groups, so a multi-relation transaction commit is all-or-nothing.
+/// Mutations are grouped: LogPut and LogAck stage records, Commit appends
+/// the group plus a sealing `commit` marker in ONE file append, fsyncs, and
+/// only then applies the group to the in-memory catalog. Recovery replays
+/// only sealed groups, so a multi-relation transaction commit is
+/// all-or-nothing.
 ///
 /// Thread safety: every public method locks the internal kWal-rank mutex —
 /// the SINK of the lock hierarchy (DESIGN §2.10). The group-commit leader
@@ -99,15 +101,11 @@ class DurableCatalog {
     return staged_.size();
   }
 
-  /// Stages one mutation into the open group. Validation happens here, so a
-  /// staged record is guaranteed to apply cleanly at Commit / recovery.
-  Status LogCreateDomain(const std::string& name, rel::ValueType type)
-      EXCLUDES(mutex_);
+  /// Stages a put of the whole relation into the open group. Validation
+  /// happens here, so a staged record is guaranteed to apply cleanly at
+  /// Commit / recovery.
   Status LogPut(const std::string& name, const rel::Relation& relation)
       EXCLUDES(mutex_);
-  Status LogAppend(const std::string& name, const rel::Relation& batch)
-      EXCLUDES(mutex_);
-  Status LogDrop(const std::string& name) EXCLUDES(mutex_);
   /// Stages a request-dedup ack into the open group, making the (token,
   /// request id) pair durable atomically with the group's mutations.
   Status LogAck(const std::string& token, uint64_t request_id,
@@ -153,17 +151,10 @@ class DurableCatalog {
   Status CommitSealedGroups() EXCLUDES(mutex_);
   /// Discards every sealed-but-uncommitted group.
   void AbortSealedGroups() EXCLUDES(mutex_);
-  size_t sealed_groups() const EXCLUDES(mutex_) {
-    util::MutexLock lock(&mutex_);
-    return sealed_.size();
-  }
 
-  /// Single-mutation conveniences; fail if a group is open.
+  /// LogPut + Commit as one call; fails if a group is open.
   Status Put(const std::string& name, const rel::Relation& relation)
       EXCLUDES(mutex_);
-  Status Append(const std::string& name, const rel::Relation& batch)
-      EXCLUDES(mutex_);
-  Status Drop(const std::string& name) EXCLUDES(mutex_);
 
   /// Writes chk-<n+1> with the rename-swap protocol, flips CURRENT, resets
   /// the WAL and garbage-collects the old checkpoint. Fails (without
@@ -178,13 +169,10 @@ class DurableCatalog {
 
   std::string Path(const std::string& name) const;
   std::string WalPath() const { return Path(kWalFileName); }
-  /// Locked bodies of the public staging/commit entry points, shared by the
-  /// single-mutation conveniences (Put = LogPutLocked + CommitLocked).
+  /// Locked bodies of LogPut and Commit, shared by Put (= LogPutLocked +
+  /// CommitLocked).
   Status LogPutLocked(const std::string& name, const rel::Relation& relation)
       REQUIRES(mutex_);
-  Status LogAppendLocked(const std::string& name, const rel::Relation& batch)
-      REQUIRES(mutex_);
-  Status LogDropLocked(const std::string& name) REQUIRES(mutex_);
   Status CommitLocked() REQUIRES(mutex_);
   /// The shared durable tail of Commit / CommitSealedGroups: frames every
   /// group with its sealing marker, appends them all in one write, fsyncs
@@ -200,13 +188,9 @@ class DurableCatalog {
   Status CollectGarbageLocked(const std::string& live_checkpoint)
       REQUIRES(mutex_);
   Status StageLocked(WalRecord record, std::string payload) REQUIRES(mutex_);
-  /// The columns `name` would have after the staged group, or NotFound if it
-  /// would not exist; `from_catalog` receives the live relation if any.
-  Result<std::vector<WalRecord::ColumnSpec>> StagedColumnsLocked(
-      const std::string& name) const REQUIRES(mutex_);
-  /// The type domain `name` would have after the staged group — fixed by a
-  /// staged create-domain, a domain a staged put/append implicitly creates,
-  /// or the live catalog — or NotFound if it would not exist.
+  /// The type domain `name` would have after the staged and sealed groups —
+  /// fixed by a column of a staged or sealed put, or by the live catalog —
+  /// or NotFound if it would not exist.
   Result<rel::ValueType> StagedDomainTypeLocked(const std::string& name) const
       REQUIRES(mutex_);
 

@@ -110,29 +110,7 @@ Result<std::vector<WalRecord::ColumnSpec>> ParseColumnsLine(
   return specs;
 }
 
-Result<std::string> EncodeRelationRecord(const char* kind,
-                                         const std::string& name,
-                                         const rel::Relation& relation,
-                                         bool with_kind_token) {
-  std::ostringstream payload;
-  payload << kind << " " << rel::EscapeIdentifier(name);
-  if (with_kind_token) {
-    payload << " "
-            << (relation.kind() == rel::RelationKind::kSet ? "set" : "multi");
-  }
-  payload << "\ncolumns";
-  for (const rel::Column& column : relation.schema().columns()) {
-    payload << " " << rel::EscapeIdentifier(column.name) << ":"
-            << rel::EscapeIdentifier(column.domain->name()) << ":"
-            << rel::ValueTypeToString(column.domain->type());
-  }
-  payload << "\ndata\n";
-  std::string record = payload.str();
-  SYSTOLIC_RETURN_NOT_OK(rel::EncodeTuples(relation, &record));
-  return record;
-}
-
-/// Resolves put/append column specs against `catalog`, creating missing
+/// Resolves put column specs against `catalog`, creating missing
 /// domains; the resulting schema shares the catalog's Domain objects so
 /// parsed tuples encode into the live dictionaries.
 Result<rel::Schema> ResolveColumns(
@@ -169,24 +147,21 @@ uint32_t Crc32(std::string_view bytes) {
   return crc ^ 0xFFFFFFFFu;
 }
 
-std::string EncodeCreateDomain(const std::string& name, rel::ValueType type) {
-  return "domain " + rel::EscapeIdentifier(name) + " " +
-         rel::ValueTypeToString(type) + "\n";
-}
-
 Result<std::string> EncodePut(const std::string& name,
                               const rel::Relation& relation) {
-  return EncodeRelationRecord("put", name, relation, /*with_kind_token=*/true);
-}
-
-Result<std::string> EncodeAppend(const std::string& name,
-                                 const rel::Relation& batch) {
-  return EncodeRelationRecord("append", name, batch,
-                              /*with_kind_token=*/false);
-}
-
-std::string EncodeDrop(const std::string& name) {
-  return "drop " + rel::EscapeIdentifier(name) + "\n";
+  std::ostringstream payload;
+  payload << "put " << rel::EscapeIdentifier(name) << " "
+          << (relation.kind() == rel::RelationKind::kSet ? "set" : "multi")
+          << "\ncolumns";
+  for (const rel::Column& column : relation.schema().columns()) {
+    payload << " " << rel::EscapeIdentifier(column.name) << ":"
+            << rel::EscapeIdentifier(column.domain->name()) << ":"
+            << rel::ValueTypeToString(column.domain->type());
+  }
+  payload << "\ndata\n";
+  std::string record = payload.str();
+  SYSTOLIC_RETURN_NOT_OK(rel::EncodeTuples(relation, &record));
+  return record;
 }
 
 std::string EncodeAck(const std::string& token, uint64_t request_id,
@@ -207,27 +182,6 @@ Result<WalRecord> DecodeWalRecord(std::string_view payload) {
   std::string kind;
   in >> kind;
   WalRecord record;
-  if (kind == "domain") {
-    std::string name_token, type_token;
-    if (!(in >> name_token >> type_token)) {
-      return Status::DataCorruption("WAL record: malformed domain entry");
-    }
-    record.kind = WalRecord::Kind::kCreateDomain;
-    SYSTOLIC_ASSIGN_OR_RETURN(record.name,
-                              UnescapeField(name_token));
-    SYSTOLIC_ASSIGN_OR_RETURN(record.type, ParseValueType(type_token));
-    return record;
-  }
-  if (kind == "drop") {
-    std::string name_token;
-    if (!(in >> name_token)) {
-      return Status::DataCorruption("WAL record: malformed drop entry");
-    }
-    record.kind = WalRecord::Kind::kDrop;
-    SYSTOLIC_ASSIGN_OR_RETURN(record.name,
-                              UnescapeField(name_token));
-    return record;
-  }
   if (kind == "ack") {
     std::string token_token, id_token, records_token;
     int64_t id = 0, records = 0;
@@ -253,26 +207,22 @@ Result<WalRecord> DecodeWalRecord(std::string_view payload) {
     record.group_size = static_cast<uint64_t>(n);
     return record;
   }
-  if (kind != "put" && kind != "append") {
+  if (kind != "put") {
     return Status::DataCorruption("WAL record: unknown kind '" + kind + "'");
   }
 
-  record.kind =
-      kind == "put" ? WalRecord::Kind::kPut : WalRecord::Kind::kAppend;
+  record.kind = WalRecord::Kind::kPut;
   std::vector<std::string> lines;
   SYSTOLIC_RETURN_NOT_OK(SplitRecordLines(payload, 3, &lines, &record.data));
   std::istringstream header(lines[0]);
-  std::string name_token, kind_token;
+  std::string name_token, kind_token, set_token;
   header >> kind_token >> name_token;
   SYSTOLIC_ASSIGN_OR_RETURN(record.name, UnescapeField(name_token));
-  if (record.kind == WalRecord::Kind::kPut) {
-    std::string set_token;
-    if (!(header >> set_token) || (set_token != "set" && set_token != "multi")) {
-      return Status::DataCorruption("WAL record: put without set|multi");
-    }
-    record.relation_kind = set_token == "multi" ? rel::RelationKind::kMulti
-                                                : rel::RelationKind::kSet;
+  if (!(header >> set_token) || (set_token != "set" && set_token != "multi")) {
+    return Status::DataCorruption("WAL record: put without set|multi");
   }
+  record.relation_kind = set_token == "multi" ? rel::RelationKind::kMulti
+                                              : rel::RelationKind::kSet;
   SYSTOLIC_ASSIGN_OR_RETURN(record.columns, ParseColumnsLine(lines[1]));
   if (lines[2] != "data") {
     return Status::DataCorruption("WAL record: expected 'data' separator");
@@ -323,10 +273,6 @@ Result<std::pair<uint64_t, size_t>> ParseWalHeader(std::string_view bytes) {
 
 Status ApplyWalRecord(const WalRecord& record, rel::Catalog* catalog) {
   switch (record.kind) {
-    case WalRecord::Kind::kCreateDomain:
-      return catalog->CreateDomain(record.name, record.type).status();
-    case WalRecord::Kind::kDrop:
-      return catalog->DropRelation(record.name);
     case WalRecord::Kind::kPut: {
       SYSTOLIC_ASSIGN_OR_RETURN(rel::Schema schema,
                                 ResolveColumns(record.columns, catalog));
@@ -334,32 +280,6 @@ Status ApplyWalRecord(const WalRecord& record, rel::Catalog* catalog) {
           rel::Relation relation,
           rel::DecodeTuples(record.data, schema, record.relation_kind));
       catalog->PutRelation(record.name, std::move(relation));
-      return Status::OK();
-    }
-    case WalRecord::Kind::kAppend: {
-      SYSTOLIC_ASSIGN_OR_RETURN(const rel::Relation* existing,
-                                catalog->GetRelation(record.name));
-      const rel::Schema& schema = existing->schema();
-      if (schema.num_columns() != record.columns.size()) {
-        return Status::DataCorruption(
-            "WAL record: append arity mismatch for '" + record.name + "'");
-      }
-      for (size_t c = 0; c < record.columns.size(); ++c) {
-        const rel::Column& column = schema.column(c);
-        const WalRecord::ColumnSpec& spec = record.columns[c];
-        if (column.name != spec.column ||
-            column.domain->name() != spec.domain ||
-            column.domain->type() != spec.type) {
-          return Status::DataCorruption(
-              "WAL record: append schema mismatch for '" + record.name + "'");
-        }
-      }
-      SYSTOLIC_ASSIGN_OR_RETURN(
-          rel::Relation batch,
-          rel::DecodeTuples(record.data, schema, existing->kind()));
-      rel::Relation merged = *existing;
-      SYSTOLIC_RETURN_NOT_OK(merged.Concatenate(batch));
-      catalog->PutRelation(record.name, std::move(merged));
       return Status::OK();
     }
     case WalRecord::Kind::kAck:

@@ -20,17 +20,18 @@ namespace durability {
 ///   SYSWAL2 <checkpoint-id>\n
 /// followed by frames. Each frame is
 ///   [u32 payload-length LE][u32 CRC-32 of payload LE][payload bytes]
-/// and each payload is one *logical* record — a committed catalog mutation,
-/// not a page image:
-///   domain <name> <int64|string|bool>
+/// and each payload is one *logical* record, not a page image, of one of
+/// three kinds:
 ///   put <name> <set|multi> \n columns <col>:<dom>:<type> ... \n data \n <body>
-///   append <name>          \n columns <col>:<dom>:<type> ... \n data \n <body>
-///   drop <name>
 ///   ack <token> <request-id> <records>
 ///   commit <n>
-/// Everything is text with identifiers in rel::EscapeIdentifier form, except
-/// a put/append <body>: the binary tuple block of rel::EncodeTuples
-/// (relational/tuple_codec.h), decoded against the columns line. A log of
+/// A put replaces the whole relation (creating the domains its columns name);
+/// it is the only mutation, because every durable writer — a STORE, a
+/// command's or transaction's sinks, the server's group commit — writes
+/// whole relations. Everything is text with identifiers in
+/// rel::EscapeIdentifier form, except a put <body>: the binary tuple block
+/// of rel::EncodeTuples (relational/tuple_codec.h), decoded against the
+/// columns line. A record of any other kind is DataCorruption. A log of
 /// another format, such as a `SYSWAL1` log with CSV bodies, fails
 /// ParseWalHeader, and recovery refuses it without touching it.
 ///
@@ -62,10 +63,10 @@ uint32_t Crc32(std::string_view bytes);
 
 /// One decoded WAL record.
 struct WalRecord {
-  enum class Kind { kCreateDomain, kPut, kAppend, kDrop, kAck, kCommit };
+  enum class Kind { kPut, kAck, kCommit };
 
-  /// Column spec carried by put/append records, enough to recreate shared
-  /// domains on a fresh catalog.
+  /// Column spec carried by put records, enough to recreate shared domains
+  /// on a fresh catalog.
   struct ColumnSpec {
     std::string column;
     std::string domain;
@@ -73,13 +74,11 @@ struct WalRecord {
   };
 
   Kind kind = Kind::kCommit;
-  /// Domain or relation name; the session token for kAck (unused for
-  /// kCommit).
+  /// Relation name; the session token for kAck (unused for kCommit).
   std::string name;
-  rel::ValueType type = rel::ValueType::kInt64;  ///< kCreateDomain only.
   rel::RelationKind relation_kind = rel::RelationKind::kSet;  ///< kPut only.
-  std::vector<ColumnSpec> columns;  ///< kPut / kAppend.
-  std::string data;                 ///< kPut / kAppend: the tuple block.
+  std::vector<ColumnSpec> columns;  ///< kPut only.
+  std::string data;                 ///< kPut only: the tuple block.
   uint64_t group_size = 0;          ///< kCommit: records sealed by the marker.
   uint64_t request_id = 0;          ///< kAck: per-session request id.
   uint64_t ack_records = 0;         ///< kAck: records the request committed.
@@ -87,18 +86,14 @@ struct WalRecord {
 
 /// Record payload encoders. Encoding decodes tuples through their domains
 /// (codes are session-local; values are what must survive).
-std::string EncodeCreateDomain(const std::string& name, rel::ValueType type);
 Result<std::string> EncodePut(const std::string& name,
                               const rel::Relation& relation);
-Result<std::string> EncodeAppend(const std::string& name,
-                                 const rel::Relation& batch);
-std::string EncodeDrop(const std::string& name);
 std::string EncodeAck(const std::string& token, uint64_t request_id,
                       uint64_t records);
 std::string EncodeCommit(uint64_t group_size);
 
-/// Parses one record payload; DataCorruption on any malformed input. A
-/// put/append body is kept as bytes; ApplyWalRecord decodes it.
+/// Parses one record payload; DataCorruption on any malformed input or
+/// unknown kind. A put body is kept as bytes; ApplyWalRecord decodes it.
 Result<WalRecord> DecodeWalRecord(std::string_view payload);
 
 /// Appends one length+CRC framed payload to `wal`.
@@ -123,11 +118,11 @@ std::string WalHeader(uint64_t checkpoint_id);
 /// torn.
 Result<std::pair<uint64_t, size_t>> ParseWalHeader(std::string_view bytes);
 
-/// Applies one mutation record to `catalog`. Put/append recreate missing
-/// domains from their column specs (preserving sharing by name) and fail
+/// Applies one mutation record to `catalog`. A put recreates missing
+/// domains from its column specs (preserving sharing by name) and fails
 /// with DataCorruption on type conflicts or a body that does not decode;
-/// ack records are no-ops (they carry
-/// dedup metadata, not catalog state); commit markers are not applicable.
+/// ack records are no-ops (they carry dedup metadata, not catalog state);
+/// commit markers are not applicable.
 Status ApplyWalRecord(const WalRecord& record, rel::Catalog* catalog);
 
 }  // namespace durability

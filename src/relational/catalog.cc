@@ -34,13 +34,6 @@ Result<const Relation*> Catalog::GetRelation(const std::string& name) const {
   return &it->second;
 }
 
-Status Catalog::DropRelation(const std::string& name) {
-  if (relations_.erase(name) == 0) {
-    return Status::NotFound("no relation named '" + name + "'");
-  }
-  return Status::OK();
-}
-
 std::vector<std::string> Catalog::RelationNames() const {
   std::vector<std::string> names;
   names.reserve(relations_.size());

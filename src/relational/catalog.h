@@ -38,9 +38,6 @@ class Catalog {
   /// Fetches a stored relation by name.
   Result<const Relation*> GetRelation(const std::string& name) const;
 
-  /// Removes a stored relation; NotFound if absent.
-  Status DropRelation(const std::string& name);
-
   /// Names of all stored relations, sorted.
   std::vector<std::string> RelationNames() const;
 

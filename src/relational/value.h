@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <variant>
 
 namespace systolic {
@@ -27,9 +28,11 @@ class Value {
   /// Constructs the int64 value 0.
   Value() : repr_(int64_t{0}) {}
 
-  static Value Int64(int64_t v) { return Value(Repr(v)); }
-  static Value Bool(bool v) { return Value(Repr(v)); }
-  static Value String(std::string v) { return Value(Repr(std::move(v))); }
+  static Value Int64(int64_t v) { return Value(std::in_place_index<0>, v); }
+  static Value Bool(bool v) { return Value(std::in_place_index<1>, v); }
+  static Value String(std::string v) {
+    return Value(std::in_place_index<2>, std::move(v));
+  }
 
   /// The dynamic type of this value.
   ValueType type() const;
@@ -55,7 +58,11 @@ class Value {
 
  private:
   using Repr = std::variant<int64_t, bool, std::string>;
-  explicit Value(Repr repr) : repr_(std::move(repr)) {}
+  /// Builds the alternative in place: moving a whole temporary variant in
+  /// trips gcc 12's -Wmaybe-uninitialized under the sanitizers.
+  template <size_t I, typename T>
+  Value(std::in_place_index_t<I> index, T&& v)
+      : repr_(index, std::forward<T>(v)) {}
   Repr repr_;
 };
 

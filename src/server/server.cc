@@ -93,8 +93,8 @@ Result<std::shared_ptr<Session>> Server::AdmitLocked(bool network) {
         ")");
   }
   const uint64_t id = next_session_id_++;
-  auto session = std::make_shared<Session>(id, catalog_.get(),
-                                           scheduler_.get(), config_.machine);
+  auto session = std::make_shared<Session>(
+      id, catalog_.get(), scheduler_.get(), &dedup_, config_.machine);
   session->set_token(MintTokenLocked());
   Slot slot;
   slot.session = session;
@@ -103,6 +103,24 @@ Result<std::shared_ptr<Session>> Server::AdmitLocked(bool network) {
   slots_.emplace(id, std::move(slot));
   tokens_[session->token()] = id;
   ++sessions_admitted_;
+  return session;
+}
+
+Result<std::shared_ptr<Session>> Server::ResumeRecoveredLocked(
+    const std::string& token, bool network) {
+  uint64_t acked = 0;
+  uint64_t records = 0;
+  if (!catalog_->RecoveredAckFor(token, &acked, &records)) {
+    return Status::NotFound("unknown session token '" + token +
+                            "' (expired, reaped, or never issued)");
+  }
+  SYSTOLIC_ASSIGN_OR_RETURN(std::shared_ptr<Session> session,
+                            AdmitLocked(network));
+  tokens_.erase(session->token());
+  session->set_token(token);
+  tokens_[token] = session->id();
+  session->AdoptRecoveredAck(acked, records);
+  ++sessions_resumed_;
   return session;
 }
 
@@ -121,20 +139,7 @@ Result<std::shared_ptr<Session>> Server::Resume(const std::string& token) {
       return slot->second.session;
     }
   }
-  uint64_t acked = 0;
-  uint64_t records = 0;
-  if (catalog_->RecoveredAckFor(token, &acked, &records)) {
-    SYSTOLIC_ASSIGN_OR_RETURN(std::shared_ptr<Session> session,
-                              AdmitLocked(/*network=*/false));
-    tokens_.erase(session->token());
-    session->set_token(token);
-    tokens_[token] = session->id();
-    session->AdoptRecoveredAck(acked, records);
-    ++sessions_resumed_;
-    return session;
-  }
-  return Status::NotFound("unknown session token '" + token +
-                          "' (expired, reaped, or never issued)");
+  return ResumeRecoveredLocked(token, /*network=*/false);
 }
 
 void Server::Disconnect(uint64_t session_id) {
@@ -156,10 +161,10 @@ ServerStats Server::stats() const {
     stats.sessions_resumed = sessions_resumed_;
     stats.sessions_reaped = sessions_reaped_;
     stats.accept_retries = accept_retries_;
-    stats.replies_from_cache = replies_from_cache_;
-    stats.recovered_dedups = recovered_dedups_;
     stats.oversize_replies = oversize_replies_;
   }
+  stats.replies_from_cache = dedup_.replies_from_cache.load();
+  stats.recovered_dedups = dedup_.recovered_dedups.load();
   stats.scheduler = scheduler_->stats();
   stats.group_commit = catalog_->stats();
   return stats;
@@ -405,29 +410,7 @@ Result<std::shared_ptr<Session>> Server::AttachV2(const std::string& token,
     }
     if (token.empty()) break;  // fresh admission below
     const auto tok = tokens_.find(token);
-    if (tok == tokens_.end()) {
-      uint64_t acked = 0;
-      uint64_t records = 0;
-      if (catalog_->RecoveredAckFor(token, &acked, &records)) {
-        // The session died with the previous incarnation, but its commits'
-        // acks survived in the WAL: resume into a fresh session primed to
-        // deduplicate any retried committed request.
-        SYSTOLIC_ASSIGN_OR_RETURN(std::shared_ptr<Session> session,
-                                  AdmitLocked(/*network=*/true));
-        tokens_.erase(session->token());
-        session->set_token(token);
-        tokens_[token] = session->id();
-        session->AdoptRecoveredAck(acked, records);
-        Slot& slot = slots_[session->id()];
-        slot.attached = true;
-        slot.wire = wire;
-        slot.last_active = Now();
-        ++sessions_resumed_;
-        return session;
-      }
-      return Status::NotFound("unknown session token '" + token +
-                              "' (expired, reaped, or never issued)");
-    }
+    if (tok == tokens_.end()) break;  // resumed from the WAL below
     const auto it = slots_.find(tok->second);
     if (it == slots_.end()) continue;
     Slot& slot = it->second;
@@ -457,12 +440,13 @@ Result<std::shared_ptr<Session>> Server::AttachV2(const std::string& token,
     // Loop back and re-evaluate from scratch: the slot may have detached,
     // vanished entirely, or the server may be stopping.
   }
-  SYSTOLIC_ASSIGN_OR_RETURN(std::shared_ptr<Session> session,
-                            AdmitLocked(/*network=*/true));
+  SYSTOLIC_ASSIGN_OR_RETURN(
+      std::shared_ptr<Session> session,
+      token.empty() ? AdmitLocked(/*network=*/true)
+                    : ResumeRecoveredLocked(token, /*network=*/true));
   Slot& slot = slots_[session->id()];
   slot.attached = true;
   slot.wire = wire;
-  slot.last_active = Now();
   return session;
 }
 
@@ -574,8 +558,6 @@ void Server::HandleV2(Wire& wire, const std::string& token) {
         it->second.last_active = Now();
         close_now = it->second.close_after_reply;
       }
-      if (outcome.ok() && outcome->from_cache) ++replies_from_cache_;
-      if (outcome.ok() && outcome->recovered_dedup) ++recovered_dedups_;
     }
     slots_cv_.NotifyAll();
     if (!outcome.ok()) {

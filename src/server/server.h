@@ -169,6 +169,12 @@ class Server {
   /// Admission + slot/token bookkeeping; caller holds mutex_.
   Result<std::shared_ptr<Session>> AdmitLocked(bool network)
       REQUIRES(mutex_);
+  /// Resumes `token` from the WAL: its session died with the previous
+  /// incarnation, but its commits' acks survived, so a fresh session takes
+  /// over the token primed to deduplicate any retried committed request.
+  /// NotFound when the WAL holds no ack for `token`.
+  Result<std::shared_ptr<Session>> ResumeRecoveredLocked(
+      const std::string& token, bool network) REQUIRES(mutex_);
   /// Mints "b<boot>-s<n>", skipping live and WAL-recovered tokens. Calls
   /// into the shared catalog under mutex_ — legal because kServer is
   /// ACQUIRED_BEFORE kSharedCatalog in the lock hierarchy (DESIGN §2.10).
@@ -187,6 +193,8 @@ class Server {
   std::shared_ptr<db::ChipPool> pool_;
   std::unique_ptr<SharedCatalog> catalog_;
   std::unique_ptr<FairScheduler> scheduler_;
+  /// Bumped by the sessions themselves; atomic, so not under mutex_.
+  DedupCounters dedup_;
 
   /// kServer: the OUTERMOST rank — handler threads hold mutex_ while
   /// calling into the shared catalog (MintTokenLocked → RecoveredAckFor).
@@ -204,8 +212,6 @@ class Server {
   size_t sessions_resumed_ GUARDED_BY(mutex_) = 0;
   size_t sessions_reaped_ GUARDED_BY(mutex_) = 0;
   size_t accept_retries_ GUARDED_BY(mutex_) = 0;
-  size_t replies_from_cache_ GUARDED_BY(mutex_) = 0;
-  size_t recovered_dedups_ GUARDED_BY(mutex_) = 0;
   size_t oversize_replies_ GUARDED_BY(mutex_) = 0;
 
   int listen_fd_ GUARDED_BY(mutex_) = -1;

@@ -7,10 +7,12 @@ namespace systolic {
 namespace server {
 
 Session::Session(uint64_t id, SharedCatalog* catalog,
-                 FairScheduler* scheduler, machine::MachineConfig config)
+                 FairScheduler* scheduler, DedupCounters* dedup,
+                 machine::MachineConfig config)
     : id_(id),
       catalog_(catalog),
       scheduler_(scheduler),
+      dedup_(dedup),
       machine_(std::move(config)),
       interpreter_(&machine_, &out_) {
   // Durable commits leave the session through the shared pipeline; the
@@ -28,7 +30,6 @@ Session::Session(uint64_t id, SharedCatalog* catalog,
         SYSTOLIC_ASSIGN_OR_RETURN(
             const SharedCatalog::CommitResult result,
             catalog_->CommitGroup(pinned_version_, puts, std::move(tag)));
-        durability_stats_.wal_records += result.records;
         return result.records;
       });
   // Reads fault in lazily from the pinned image: a relation another session
@@ -50,7 +51,6 @@ Session::Session(uint64_t id, SharedCatalog* catalog,
   machine::SessionContext context;
   context.session_id = id_;
   context.isolation = "snapshot";
-  context.durability_stats = [this] { return durability_stats_; };
   interpreter_.set_session(std::move(context));
   RefreshSnapshot();
 }
@@ -99,6 +99,7 @@ Result<Session::RequestOutcome> Session::ExecuteRequest(
     // may already have partially observed.
     outcome.payload = last_reply_;
     outcome.from_cache = true;
+    ++dedup_->replies_from_cache;
     return outcome;
   }
   if (has_recovered_ack_ && id <= recovered_ack_id_) {
@@ -110,6 +111,7 @@ Result<Session::RequestOutcome> Session::ExecuteRequest(
         std::to_string(recovered_ack_records_) +
         " relation(s), deduplicated)\n";
     outcome.recovered_dedup = true;
+    ++dedup_->recovered_dedups;
     last_request_id_ = id;
     last_reply_ = outcome.payload;
     have_last_reply_ = true;

@@ -1,6 +1,7 @@
 #ifndef SYSTOLIC_SERVER_SESSION_H_
 #define SYSTOLIC_SERVER_SESSION_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -14,6 +15,17 @@
 
 namespace systolic {
 namespace server {
+
+/// Retry-dedup counters one server hands all its sessions (DESIGN S26).
+/// Session::ExecuteRequest counts each deduplicated outcome where it
+/// produces it, so a request driven in process counts like one that came
+/// over the wire.
+struct DedupCounters {
+  /// Retried request ids answered from the per-session reply cache.
+  std::atomic<size_t> replies_from_cache{0};
+  /// Retried request ids answered from WAL-recovered acks (post-crash).
+  std::atomic<size_t> recovered_dedups{0};
+};
 
 /// One client's session state on the S24 server: a private §9 machine
 /// (buffers, SET PLANNER/BACKEND/FAULTS/DURABILITY all scoped here) whose
@@ -40,10 +52,10 @@ namespace server {
 /// any field here is touched (DESIGN §2.10).
 class Session {
  public:
-  /// `catalog` and `scheduler` must outlive the session. `config` should
-  /// carry the server's shared_pool and chip count.
+  /// `catalog`, `scheduler` and `dedup` must outlive the session. `config`
+  /// should carry the server's shared_pool and chip count.
   Session(uint64_t id, SharedCatalog* catalog, FairScheduler* scheduler,
-          machine::MachineConfig config);
+          DedupCounters* dedup, machine::MachineConfig config);
 
   uint64_t id() const { return id_; }
 
@@ -89,12 +101,6 @@ class Session {
   /// The last request id consumed (0 before any v2 request).
   uint64_t last_request_id() const { return last_request_id_; }
 
-  /// Per-session durability counters: records THIS session pushed through
-  /// the shared group-commit pipeline (never another session's).
-  const durability::DurabilityStats& durability_stats() const {
-    return durability_stats_;
-  }
-
   /// The version this session's reads are pinned at.
   uint64_t snapshot_version() const { return pinned_version_; }
 
@@ -114,6 +120,7 @@ class Session {
   std::string token_;
   SharedCatalog* catalog_;
   FairScheduler* scheduler_;
+  DedupCounters* dedup_;
   machine::Machine machine_;
   std::ostringstream out_;
   machine::CommandInterpreter interpreter_;
@@ -122,7 +129,6 @@ class Session {
   /// name -> image relation last mirrored onto the disk unit; pointer
   /// equality with the pinned entry means the disk copy is current.
   std::map<std::string, std::shared_ptr<const rel::Relation>> mirrored_;
-  durability::DurabilityStats durability_stats_;
 
   // ---- S26 request-reliability state ----
   uint64_t last_request_id_ = 0;

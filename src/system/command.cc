@@ -256,8 +256,7 @@ Status CommandInterpreter::RunStep(Transaction transaction,
                                    const std::string& output) {
   SYSTOLIC_ASSIGN_OR_RETURN(TransactionReport report,
                             machine_->Execute(transaction));
-  StepReport step = report.steps.at(0);
-  StampDurability(&step.exec);
+  const StepReport& step = report.steps.at(0);
   SYSTOLIC_ASSIGN_OR_RETURN(const rel::Relation* result,
                             machine_->Buffer(output));
   (*out_) << "-- " << OpKindToString(step.op) << " -> " << output << ": "
@@ -337,24 +336,6 @@ Status CommandInterpreter::PersistSinks(const std::vector<std::string>& sinks) {
   return Status::OK();
 }
 
-void CommandInterpreter::StampDurability(db::ExecStats* exec) const {
-  // A server session's counters come from its own ledger: the machine-local
-  // catalog is absent there, and a shared catalog's totals would
-  // cross-pollute concurrent sessions' stats.
-  if (has_session_ && session_.durability_stats != nullptr) {
-    const durability::DurabilityStats stats = session_.durability_stats();
-    exec->wal_records = stats.wal_records;
-    exec->checkpoints = stats.checkpoints;
-    exec->recovered_records = stats.recovered_records;
-    return;
-  }
-  const durability::DurableCatalog* durable = machine_->durable();
-  if (durable == nullptr) return;
-  exec->wal_records = durable->stats().wal_records;
-  exec->checkpoints = durable->stats().checkpoints;
-  exec->recovered_records = durable->stats().recovered_records;
-}
-
 void CommandInterpreter::PrintDurabilityPolicy() {
   const durability::DurableCatalog* durable = machine_->durable();
   if (durable == nullptr) {
@@ -429,7 +410,8 @@ void CommandInterpreter::PrintHelp() {
           << "--   BEGIN | COMMIT | ABORT | EXPLAIN [<command>]\n"
           << "--   VERIFY [<command>]  (static verifier: typing, schedule "
              "invariants, rewrite certificates)\n"
-          << "--   OPEN <dir> | CHECKPOINT  (crash-safe durability)\n"
+          << "--   OPEN <dir> | CHECKPOINT  (crash-safe durability; "
+             "embedded shell only)\n"
           << "--   SET PLANNER on|off | SET DURABILITY on|off | "
              "SET FAULTS seed=<n> ... | SET FAULTS off\n"
           << "--   SET BACKEND rtl|fast  (fast: packed bitwise kernels "
@@ -663,7 +645,10 @@ Status CommandInterpreter::Execute(const std::string& line) {
     durability::DurableCatalog* durable = machine_->durable();
     if (durable == nullptr) {
       return Status::NotFound(
-          "no durable directory is open (use OPEN <dir> first)");
+          machine_->has_commit_sink()
+              ? "no durable directory is open: commits go through the "
+                "server's shared catalog"
+              : "no durable directory is open (use OPEN <dir> first)");
     }
     SYSTOLIC_RETURN_NOT_OK(durable->Checkpoint());
     (*out_) << "-- checkpoint chk-" << durable->checkpoint_id() << ": "

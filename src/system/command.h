@@ -2,7 +2,6 @@
 #define SYSTOLIC_SYSTEM_COMMAND_H_
 
 #include <cstdint>
-#include <functional>
 #include <istream>
 #include <ostream>
 #include <string>
@@ -18,16 +17,11 @@ namespace machine {
 
 /// Hooks the S24 server installs on a session's interpreter so the command
 /// layer can surface the session it runs inside: EXPLAIN/HELP print the
-/// session line, SET SESSION introspects it, and ExecStats durability
-/// counters come from the session's own ledger instead of a machine-local
-/// catalog (concurrent sessions must not cross-pollute).
+/// session line and SET SESSION introspects it.
 struct SessionContext {
   uint64_t session_id = 0;
   /// Human-readable isolation mode ("snapshot" for server sessions).
   std::string isolation = "none";
-  /// Per-session durability counters (records this session committed
-  /// through the shared group-commit pipeline).
-  std::function<durability::DurabilityStats()> durability_stats;
 };
 
 /// A line-oriented command language over the §9 machine, for the query
@@ -68,7 +62,9 @@ struct SessionContext {
 /// are WAL-logged and fsync'd before the shell acknowledges (a transaction's
 /// sinks form one atomic group), CHECKPOINT rewrites the catalog with the
 /// atomic rename-swap protocol and resets the WAL, and SET DURABILITY off
-/// suspends logging (the hot path reverts to the in-memory one).
+/// suspends logging (the hot path reverts to the in-memory one). OPEN and
+/// CHECKPOINT belong to the embedded shell: a server session commits
+/// through the server's shared catalog and has no directory of its own.
 ///
 /// Transactions: by default each relational command runs immediately as a
 /// one-step transaction. Between BEGIN and COMMIT, relational commands are
@@ -144,10 +140,6 @@ class CommandInterpreter {
   /// them to the modeled disk and prints a "-- durability:" line; no-op
   /// (and silent) when durability is off.
   Status PersistSinks(const std::vector<std::string>& sinks);
-  /// Copies the durable session's counters into `exec` (ExecStats
-  /// wal_records / checkpoints / recovered_records); no-op when no durable
-  /// directory is open.
-  void StampDurability(db::ExecStats* exec) const;
   /// One "-- durability: ..." line describing the open session (printed by
   /// EXPLAIN); no-op without one.
   void PrintDurabilityPolicy();

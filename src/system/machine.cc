@@ -132,11 +132,7 @@ Status Machine::WriteBackToDisk(const std::string& name,
   // Durable first: only an fsync'd write may be acknowledged, and a failed
   // log write must leave the modeled disk untouched.
   if (durability_enabled()) {
-    if (commit_sink_ != nullptr) {
-      SYSTOLIC_RETURN_NOT_OK(commit_sink_({{disk_name, relation}}).status());
-    } else {
-      SYSTOLIC_RETURN_NOT_OK(durable_->Put(disk_name, *relation));
-    }
+    SYSTOLIC_RETURN_NOT_OK(commit_sink_({{disk_name, relation}}).status());
   }
   disk_.Write(disk_name, *relation);
   return Status::OK();
@@ -144,9 +140,12 @@ Status Machine::WriteBackToDisk(const std::string& name,
 
 Status Machine::OpenDurable(const std::string& directory,
                             durability::CrashInjector* injector) {
-  if (durable_ != nullptr) {
-    return Status::AlreadyExists("durable directory '" +
-                                 durable_->directory() + "' is already open");
+  if (commit_sink_ != nullptr) {
+    return Status::AlreadyExists(
+        durable_ != nullptr
+            ? "durable directory '" + durable_->directory() +
+                  "' is already open"
+            : std::string("commits go through the server's shared catalog"));
   }
   SYSTOLIC_ASSIGN_OR_RETURN(
       durable_, durability::DurableCatalog::Open(directory,
@@ -156,12 +155,25 @@ Status Machine::OpenDurable(const std::string& directory,
                               durable_->catalog().GetRelation(name));
     disk_.Put(name, *relation);
   }
-  durability_enabled_ = true;
+  durability::DurableCatalog* durable = durable_.get();
+  set_commit_sink([durable](const auto& puts) -> Result<size_t> {
+    Status status;
+    for (const auto& [name, relation] : puts) {
+      if (status.ok()) status = durable->LogPut(name, *relation);
+    }
+    const size_t records = durable->staged_records();
+    if (status.ok()) status = durable->Commit();
+    if (!status.ok()) {
+      durable->Abort();  // un-acknowledged: don't leak the group to later ops
+      return status;
+    }
+    return records;
+  });
   return Status::OK();
 }
 
 Status Machine::SetDurabilityEnabled(bool enabled) {
-  if (durable_ == nullptr && commit_sink_ == nullptr) {
+  if (commit_sink_ == nullptr) {
     return Status::NotFound(
         "no durable directory is open (use OPEN <dir> first)");
   }
@@ -171,38 +183,16 @@ Status Machine::SetDurabilityEnabled(bool enabled) {
 
 Result<size_t> Machine::PersistBuffers(const std::vector<std::string>& names) {
   if (!durability_enabled() || names.empty()) return static_cast<size_t>(0);
-  if (commit_sink_ != nullptr) {
-    // Server-session path: hand the whole write set to the shared
-    // group-commit pipeline as one atomic group; mirror to the modeled
-    // disk only once the group is acknowledged.
-    std::vector<std::pair<std::string, const rel::Relation*>> puts;
-    puts.reserve(names.size());
-    for (const std::string& name : names) {
-      SYSTOLIC_ASSIGN_OR_RETURN(const rel::Relation* relation, Buffer(name));
-      puts.emplace_back(name, relation);
-    }
-    SYSTOLIC_ASSIGN_OR_RETURN(const size_t records, commit_sink_(puts));
-    for (const auto& [name, relation] : puts) disk_.Write(name, *relation);
-    return records;
-  }
+  // Hand the whole write set to the sink as one atomic group; mirror it to
+  // the modeled disk only once the group is acknowledged.
+  std::vector<std::pair<std::string, const rel::Relation*>> puts;
+  puts.reserve(names.size());
   for (const std::string& name : names) {
     SYSTOLIC_ASSIGN_OR_RETURN(const rel::Relation* relation, Buffer(name));
-    Status staged = durable_->LogPut(name, *relation);
-    if (!staged.ok()) {
-      durable_->Abort();
-      return staged;
-    }
+    puts.emplace_back(name, relation);
   }
-  const size_t records = durable_->staged_records();
-  const Status committed = durable_->Commit();
-  if (!committed.ok()) {
-    durable_->Abort();  // un-acknowledged; don't leak the group to later ops
-    return committed;
-  }
-  for (const std::string& name : names) {
-    SYSTOLIC_ASSIGN_OR_RETURN(const rel::Relation* relation, Buffer(name));
-    disk_.Write(name, *relation);
-  }
+  SYSTOLIC_ASSIGN_OR_RETURN(const size_t records, commit_sink_(puts));
+  for (const auto& [name, relation] : puts) disk_.Write(name, *relation);
   return records;
 }
 

@@ -182,30 +182,32 @@ class Machine {
 
   /// Opens (creating or crash-recovering) a durable catalog directory
   /// (DESIGN S21), puts every recovered relation on the disk unit, and
-  /// enables durability: STORE and durable COMMITs are WAL-logged and
-  /// fsync'd before they are acknowledged. Surfaced in the shell as
-  /// `OPEN <dir>`. `injector`, when non-null, must outlive the machine; the
-  /// crash fuzzer uses it to cut the write path mid-operation.
+  /// installs a commit sink over it: from then on STORE and durable COMMITs
+  /// are WAL-logged and fsync'd before they are acknowledged. Surfaced in the
+  /// shell as `OPEN <dir>`. Fails with AlreadyExists, touching no file, once
+  /// a sink is installed: after an earlier OPEN, and always on a server
+  /// session, whose commits belong to the server's shared catalog.
+  /// `injector`, when non-null, must outlive the machine; the crash fuzzer
+  /// uses it to cut the write path mid-operation.
   Status OpenDurable(const std::string& directory,
                      durability::CrashInjector* injector = nullptr);
 
-  /// The open durable session, or null before OpenDurable.
+  /// The catalog OpenDurable opened, or null (before OPEN, and on a server
+  /// session).
   durability::DurableCatalog* durable() { return durable_.get(); }
   const durability::DurableCatalog* durable() const { return durable_.get(); }
 
-  /// Toggles logging on the open session (`SET DURABILITY on|off`); fails
-  /// with NotFound before OpenDurable. While off, STORE and COMMIT skip the
-  /// durable layer entirely — the hot path is exactly the pre-durability
-  /// one.
+  /// Toggles logging (`SET DURABILITY on|off`); fails with NotFound while no
+  /// commit sink is installed. While off, STORE and COMMIT skip the durable
+  /// layer entirely — the hot path is exactly the pre-durability one.
   Status SetDurabilityEnabled(bool enabled);
   bool durability_enabled() const {
-    return (durable_ != nullptr || commit_sink_ != nullptr) &&
-           durability_enabled_;
+    return commit_sink_ != nullptr && durability_enabled_;
   }
 
-  /// Persists the named buffers as ONE atomic WAL group (all-or-nothing on
-  /// recovery) and mirrors them on the disk unit; returns the number of
-  /// records written — 0 when durability is off or disabled.
+  /// Persists the named buffers as ONE atomic group through the commit sink
+  /// (all-or-nothing on recovery) and mirrors them on the disk unit; returns
+  /// the number of records written — 0 when durability is off or disabled.
   Result<size_t> PersistBuffers(const std::vector<std::string>& names);
 
   /// One atomic durable write set: (disk name, relation) puts, all
@@ -213,14 +215,15 @@ class Machine {
   using CommitSink = std::function<Result<size_t>(
       const std::vector<std::pair<std::string, const rel::Relation*>>&)>;
 
-  /// Routes durable commits through `sink` instead of a locally owned
-  /// DurableCatalog — how the S24 server points every session machine at
-  /// its shared cross-session group-commit pipeline. The sink receives the
-  /// write set of one atomic group and returns the records committed; an
-  /// error (IO, or a snapshot conflict's Abort) means nothing was
-  /// acknowledged and the machine leaves its modeled disk untouched.
-  /// Installing a sink enables durability (SET DURABILITY still toggles
-  /// it per session); a null sink restores the local-catalog path.
+  /// Routes durable commits through `sink`, the machine's only durable
+  /// write path (§9's memory -> crossbar -> disk write-back): OpenDurable
+  /// installs one over its own catalog, and the S24 server points every
+  /// session machine at its shared cross-session group-commit pipeline. The
+  /// sink receives the write set of one atomic group and returns the
+  /// records committed; an error (IO, or a snapshot conflict's Abort) means
+  /// nothing was acknowledged and the machine leaves its modeled disk
+  /// untouched. Installing a sink enables durability (SET DURABILITY still
+  /// toggles it per session); a null sink leaves the machine with none.
   void set_commit_sink(CommitSink sink) {
     commit_sink_ = std::move(sink);
     durability_enabled_ = commit_sink_ != nullptr;

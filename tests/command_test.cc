@@ -543,6 +543,10 @@ TEST_F(DurableCommandFixture, SetDurabilityOffSuspendsLogging) {
 TEST_F(DurableCommandFixture, OpenTwiceFails) {
   ASSERT_STATUS_OK(Run("OPEN " + dir_ + "\n"));
   EXPECT_TRUE(Run("OPEN " + dir_ + "\n").IsAlreadyExists());
+  // The machine has one write path: a second directory is refused before
+  // anything touches it.
+  EXPECT_TRUE(Run("OPEN " + dir_ + "_other\n").IsAlreadyExists());
+  EXPECT_FALSE(std::filesystem::exists(dir_ + "_other"));
   EXPECT_TRUE(Run("OPEN\n").IsInvalidArgument());
 }
 

@@ -195,15 +195,16 @@ std::vector<Op> SmallWorkload() {
   ops.push_back([schema](DurableCatalog* d) {
     return d->Put("r", Rel(schema, {{1}, {2}}));
   });
+  // The relation grows by a put of the whole grown relation.
   ops.push_back([schema](DurableCatalog* d) {
-    return d->Append("r", Rel(schema, {{3}}));
+    return d->Put("r", Rel(schema, {{1}, {2}, {3}}));
   });
   ops.push_back([](DurableCatalog* d) { return d->Checkpoint(); });
   ops.push_back([](DurableCatalog* d) { return d->Put("s", TrickyStrings()); });
   // A two-record atomic group: both land or neither.
   ops.push_back([schema](DurableCatalog* d) {
     SYSTOLIC_RETURN_NOT_OK(d->LogPut("t", Rel(schema, {{9}})));
-    SYSTOLIC_RETURN_NOT_OK(d->LogDrop("r"));
+    SYSTOLIC_RETURN_NOT_OK(d->LogPut("u", Rel(schema, {{4}, {5}})));
     return d->Commit();
   });
   return ops;
@@ -296,16 +297,16 @@ std::vector<Op> SeededWorkload(uint64_t seed) {
       const Relation relation = Rel(schema, rows, rel::RelationKind::kMulti);
       ops.push_back(
           [name, relation](DurableCatalog* d) { return d->Put(name, relation); });
-      // After a drop the name may still be live: the Put replaces it, and
-      // the name stays listed once, so a later Drop leaves no stale entry.
+      // After a move the name may still be listed: the Put replaces it, and
+      // the name stays listed once, so a later move leaves no stale entry.
       if (std::find(live.begin(), live.end(), name) == live.end()) {
         live.push_back(name);
       }
     } else if (roll < 7) {
       const std::string name = live[static_cast<size_t>(
           rng.Uniform(0, static_cast<int64_t>(live.size()) - 1))];
-      // The appended batch derives its schema from the live target at
-      // execution time, so it always matches.
+      // Grow the live relation by one row and put it whole; the row takes
+      // its schema from the live target at execution time, so it matches.
       ops.push_back([name,
                      this_row = rng.Uniform(-100, 100)](DurableCatalog* d) {
         auto existing = d->catalog().GetRelation(name);
@@ -316,14 +317,23 @@ std::vector<Op> SeededWorkload(uint64_t seed) {
         std::vector<rel::Value> values;
         for (int64_t v : row) values.push_back(rel::Value::Int64(v));
         SYSTOLIC_RETURN_NOT_OK(builder.AddRow(values));
-        return d->Append(name, builder.Finish());
+        rel::Relation grown = **existing;
+        SYSTOLIC_RETURN_NOT_OK(grown.Concatenate(builder.Finish()));
+        return d->Put(name, grown);
       });
     } else if (roll < 8 && live.size() > 1) {
+      // Retire the victim from `live` (later ops grow only listed names)
+      // and put its rows under a fresh name.
       const size_t victim = static_cast<size_t>(
           rng.Uniform(0, static_cast<int64_t>(live.size()) - 1));
       const std::string name = live[victim];
       live.erase(live.begin() + victim);
-      ops.push_back([name](DurableCatalog* d) { return d->Drop(name); });
+      const std::string fresh = "moved" + std::to_string(i);
+      ops.push_back([name, fresh](DurableCatalog* d) {
+        auto existing = d->catalog().GetRelation(name);
+        if (!existing.ok()) return existing.status();
+        return d->Put(fresh, **existing);
+      });
     } else {
       ops.push_back([](DurableCatalog* d) { return d->Checkpoint(); });
     }
@@ -483,7 +493,9 @@ std::vector<std::vector<Op>> MixedBatchGroups() {
   groups[0].push_back([wide](DurableCatalog* d) {
     return d->LogPut("sess1_y", Rel(wide, {{4, 40}}));
   });
-  groups[1].push_back([](DurableCatalog* d) { return d->LogDrop("base"); });
+  groups[1].push_back([narrow](DurableCatalog* d) {
+    return d->LogPut("base", Rel(narrow, {{200}, {300}}));
+  });
   groups[1].push_back(
       [](DurableCatalog* d) { return d->LogPut("sess2_x", TrickyStrings()); });
   groups[2].push_back([narrow](DurableCatalog* d) {

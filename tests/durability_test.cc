@@ -73,18 +73,13 @@ TEST(WalHeaderTest, RoundTripsAndRejectsGarbage) {
   EXPECT_FALSE(ParseWalHeader("SYSW").ok());           // torn
 }
 
-TEST(WalRecordTest, DomainDropCommitRoundTrip) {
-  auto domain = DecodeWalRecord(
-      EncodeCreateDomain("Weird Name!", rel::ValueType::kString));
-  ASSERT_OK(domain);
-  EXPECT_EQ(domain->kind, WalRecord::Kind::kCreateDomain);
-  EXPECT_EQ(domain->name, "Weird Name!");
-  EXPECT_EQ(domain->type, rel::ValueType::kString);
-
-  auto drop = DecodeWalRecord(EncodeDrop("r/1"));
-  ASSERT_OK(drop);
-  EXPECT_EQ(drop->kind, WalRecord::Kind::kDrop);
-  EXPECT_EQ(drop->name, "r/1");
+TEST(WalRecordTest, AckCommitRoundTrip) {
+  auto ack = DecodeWalRecord(EncodeAck("Weird Token!", 9, 3));
+  ASSERT_OK(ack);
+  EXPECT_EQ(ack->kind, WalRecord::Kind::kAck);
+  EXPECT_EQ(ack->name, "Weird Token!");
+  EXPECT_EQ(ack->request_id, 9u);
+  EXPECT_EQ(ack->ack_records, 3u);
 
   auto commit = DecodeWalRecord(EncodeCommit(7));
   ASSERT_OK(commit);
@@ -93,9 +88,10 @@ TEST(WalRecordTest, DomainDropCommitRoundTrip) {
 
   EXPECT_FALSE(DecodeWalRecord("frobnicate x\n").ok());
   EXPECT_FALSE(DecodeWalRecord("commit -3\n").ok());
+  EXPECT_FALSE(DecodeWalRecord("ack t 0 1\n").ok());
   EXPECT_FALSE(DecodeWalRecord("").ok());
   // A malformed identifier escape is corruption like any other bad field.
-  EXPECT_TRUE(DecodeWalRecord("drop r%zz\n").status().IsDataCorruption());
+  EXPECT_TRUE(DecodeWalRecord("ack r%zz 1 1\n").status().IsDataCorruption());
   EXPECT_TRUE(DecodeWalRecord("put p set\ncolumns a%:d:int64\ndata\na\n")
                   .status()
                   .IsDataCorruption());
@@ -135,22 +131,29 @@ TEST(WalRecordTest, PutRoundTripsValuesThroughApply) {
   EXPECT_EQ(decoded->ToString(), "a,b \"quoted\"");
 }
 
-TEST(WalRecordTest, AppendValidatesTargetSchema) {
+TEST(WalRecordTest, PutReplacesAndRefusesADomainTypeClash) {
   rel::Catalog catalog;
   auto put = DecodeWalRecord(*EncodePut("people", StringRelation()));
   ASSERT_OK(put);
   ASSERT_STATUS_OK(ApplyWalRecord(*put, &catalog));
 
-  // Appending to a missing relation fails.
-  auto orphan = DecodeWalRecord(*EncodeAppend("ghost", StringRelation()));
-  ASSERT_OK(orphan);
-  EXPECT_TRUE(ApplyWalRecord(*orphan, &catalog).IsNotFound());
+  // A later put of the same name replaces the whole relation.
+  auto names = rel::Domain::Make("names", rel::ValueType::kString);
+  rel::RelationBuilder one(rel::Schema({{"name", names}}));
+  ASSERT_STATUS_OK(one.AddRow({rel::Value::String("solo")}));
+  auto replacement = DecodeWalRecord(*EncodePut("people", one.Finish()));
+  ASSERT_OK(replacement);
+  ASSERT_STATUS_OK(ApplyWalRecord(*replacement, &catalog));
+  EXPECT_EQ((*catalog.GetRelation("people"))->num_tuples(), 1u);
+  EXPECT_EQ((*catalog.GetRelation("people"))->arity(), 1u);
 
-  // A good append lands.
-  auto batch = DecodeWalRecord(*EncodeAppend("people", StringRelation()));
-  ASSERT_OK(batch);
-  ASSERT_STATUS_OK(ApplyWalRecord(*batch, &catalog));
-  EXPECT_EQ((*catalog.GetRelation("people"))->num_tuples(), 4u);
+  // A put naming a live domain at another type cannot apply.
+  auto clashing = rel::Domain::Make("names", rel::ValueType::kInt64);
+  rel::RelationBuilder bad(rel::Schema({{"n", clashing}}));
+  ASSERT_STATUS_OK(bad.AddRow({rel::Value::Int64(1)}));
+  auto clash = DecodeWalRecord(*EncodePut("other", bad.Finish()));
+  ASSERT_OK(clash);
+  EXPECT_TRUE(ApplyWalRecord(*clash, &catalog).IsDataCorruption());
 }
 
 TEST(CrashInjectorTest, CountsUnitsAndTearsWrites) {
@@ -237,7 +240,8 @@ TEST_F(DurabilityDirFixture, OpenCommitReopenRecovers) {
     EXPECT_EQ((*durable)->checkpoint_id(), 0u);
     EXPECT_EQ((*durable)->stats().recovered_records, 0u);
     ASSERT_STATUS_OK((*durable)->Put("r", Rel(schema, {{1, 2}, {3, 4}})));
-    ASSERT_STATUS_OK((*durable)->Append("r", Rel(schema, {{5, 6}})));
+    ASSERT_STATUS_OK(
+        (*durable)->Put("r", Rel(schema, {{1, 2}, {3, 4}, {5, 6}})));
     EXPECT_EQ((*durable)->stats().wal_records, 2u);
     EXPECT_EQ((*durable)->wal_live_records(), 2u);
   }
@@ -290,10 +294,11 @@ TEST_F(DurabilityDirFixture, GroupCommitIsAtomicAndAbortable) {
   EXPECT_TRUE((*durable)->Checkpoint().IsInvalidArgument());
   (*durable)->Abort();
   EXPECT_EQ((*durable)->staged_records(), 0u);
+  // Within a group, the last put of a name wins.
   ASSERT_STATUS_OK((*durable)->LogPut("x", Rel(schema, {{1}})));
-  ASSERT_STATUS_OK((*durable)->LogDrop("x"));
+  ASSERT_STATUS_OK((*durable)->LogPut("x", Rel(schema, {{1}, {2}})));
   ASSERT_STATUS_OK((*durable)->Commit());
-  EXPECT_FALSE((*durable)->catalog().GetRelation("x").ok());
+  EXPECT_EQ((*(*durable)->catalog().GetRelation("x"))->num_tuples(), 2u);
   EXPECT_EQ((*durable)->stats().wal_records, 2u);
 }
 
@@ -301,18 +306,8 @@ TEST_F(DurabilityDirFixture, LogValidationCatchesBadMutations) {
   const rel::Schema schema = rel::MakeIntSchema(1);
   auto durable = DurableCatalog::Open(Dir());
   ASSERT_OK(durable);
-  EXPECT_TRUE((*durable)->LogDrop("ghost").IsNotFound());
-  EXPECT_TRUE((*durable)->LogAppend("ghost", Rel(schema, {{1}})).IsNotFound());
   EXPECT_TRUE((*durable)->LogPut("", Rel(schema, {{1}})).IsInvalidArgument());
   ASSERT_STATUS_OK((*durable)->Put("r", Rel(schema, {{1}})));
-  // Arity mismatch against the live relation.
-  EXPECT_TRUE((*durable)
-                  ->LogAppend("r", Rel(rel::MakeIntSchema(2), {{1, 2}}))
-                  .IsIncompatible());
-  // Within a group, a drop hides the relation from later appends.
-  ASSERT_STATUS_OK((*durable)->LogDrop("r"));
-  EXPECT_TRUE((*durable)->LogAppend("r", Rel(schema, {{2}})).IsNotFound());
-  (*durable)->Abort();
   // Domain name reuse at a different type is rejected ("r" lives over
   // MakeIntSchema's int64 domain "dom0").
   auto clashing = rel::Domain::Make("dom0", rel::ValueType::kString);
@@ -386,30 +381,39 @@ TEST_F(DurabilityDirFixture, UntruncatableTornTailPoisonsTheCommitPath) {
   EXPECT_EQ(*wal, *before);
 }
 
+/// A one-column relation over a fresh domain "d" of `type`.
+rel::Relation OverDomainD(rel::ValueType type) {
+  auto d = rel::Domain::Make("d", type);
+  rel::RelationBuilder builder(rel::Schema({{"c", d}}));
+  EXPECT_TRUE(builder
+                  .AddRow({type == rel::ValueType::kInt64
+                               ? rel::Value::Int64(7)
+                               : rel::Value::String("v")})
+                  .ok());
+  return builder.Finish();
+}
+
 TEST_F(DurabilityDirFixture, StagedDomainsConstrainLaterGroupRecords) {
   auto durable = DurableCatalog::Open(Dir());
   ASSERT_OK(durable);
-  ASSERT_STATUS_OK((*durable)->LogCreateDomain("d", rel::ValueType::kInt64));
-  // A put reusing staged domain 'd' at another type must be rejected at
-  // staging time — sealed, it would fail to apply at Commit and recovery.
-  auto clash = rel::Domain::Make("d", rel::ValueType::kString);
-  rel::RelationBuilder bad(rel::Schema({{"c", clash}}));
-  ASSERT_STATUS_OK(bad.AddRow({rel::Value::String("v")}));
-  EXPECT_TRUE((*durable)->LogPut("r", bad.Finish()).IsIncompatible());
-  // The matching type stages fine.
-  auto fresh = rel::Domain::Make("d", rel::ValueType::kInt64);
-  rel::RelationBuilder good(rel::Schema({{"c", fresh}}));
-  ASSERT_STATUS_OK(good.AddRow({rel::Value::Int64(7)}));
-  ASSERT_STATUS_OK((*durable)->LogPut("r", good.Finish()));
-  // Re-creating a domain a staged put implicitly carries is a duplicate —
-  // "names" comes in via StringRelation's columns, not via LogCreateDomain.
-  ASSERT_STATUS_OK((*durable)->LogPut("people", StringRelation()));
+  // A staged put creates domain 'd' as int64, and sealing moves its group
+  // into the pending batch, which applies before any later group.
+  ASSERT_STATUS_OK(
+      (*durable)->LogPut("first", OverDomainD(rel::ValueType::kInt64)));
+  ASSERT_STATUS_OK((*durable)->SealStagedGroup());
+  // A put reusing 'd' at another type must be rejected at staging time —
+  // sealed, it would fail to apply at commit and recovery.
   EXPECT_TRUE((*durable)
-                  ->LogCreateDomain("names", rel::ValueType::kBool)
-                  .IsAlreadyExists());
-  ASSERT_STATUS_OK((*durable)->Commit());
+                  ->LogPut("r", OverDomainD(rel::ValueType::kString))
+                  .IsIncompatible());
+  // The matching type stages fine.
+  ASSERT_STATUS_OK(
+      (*durable)->LogPut("r", OverDomainD(rel::ValueType::kInt64)));
+  ASSERT_STATUS_OK((*durable)->SealStagedGroup());
+  ASSERT_STATUS_OK((*durable)->CommitSealedGroups());
   auto reopened = DurableCatalog::Open(Dir());
   ASSERT_OK(reopened);
+  EXPECT_TRUE((*reopened)->catalog().GetRelation("first").ok());
   EXPECT_TRUE((*reopened)->catalog().GetRelation("r").ok());
 }
 
@@ -584,6 +588,36 @@ TEST_F(DurabilityDirFixture, UnparseableWalHeaderFailsOpenAndKeepsTheLog) {
   EXPECT_TRUE((*restored)->catalog().GetRelation("acked").ok());
 }
 
+TEST_F(DurabilityDirFixture, DeletedRecordKindsFailDecodeAndOpenUntouched) {
+  const rel::Schema schema = rel::MakeIntSchema(1);
+  {
+    auto durable = DurableCatalog::Open(Dir());
+    ASSERT_OK(durable);
+    ASSERT_STATUS_OK((*durable)->Put("acked", Rel(schema, {{1}})));
+  }
+  auto wal = Io::ReadFile(Dir() + "/WAL");
+  ASSERT_OK(wal);
+  // Domain, append and drop records, framed byte for byte as this format's
+  // earlier encoders wrote them: each is now an unknown kind.
+  std::string append = *EncodePut("acked", Rel(schema, {{2}}));
+  append.replace(0, append.find('\n'), "append acked");
+  for (const std::string& payload :
+       {std::string("domain dom9 int64\n"), append,
+        std::string("drop acked\n")}) {
+    EXPECT_TRUE(DecodeWalRecord(payload).status().IsDataCorruption())
+        << payload;
+    std::string log = *wal;
+    AppendFrame(&log, payload);
+    AppendFrame(&log, EncodeCommit(1));
+    ASSERT_STATUS_OK(Io().WriteFile(Dir() + "/WAL", log));
+    const auto before = Tree(Dir());
+    auto reopened = DurableCatalog::Open(Dir());
+    EXPECT_TRUE(reopened.status().IsDataCorruption())
+        << payload << ": " << reopened.status().ToString();
+    EXPECT_EQ(Tree(Dir()), before) << payload;
+  }
+}
+
 TEST_F(DurabilityDirFixture, CheckpointWithoutFormatEntryFailsOpenUntouched) {
   // A directory as a CSV-era build left it: a checkpoint whose MANIFEST has
   // no `format 2` entry and whose data files are CSV, a SYSWAL1 log, and
@@ -630,12 +664,15 @@ TEST_F(DurabilityDirFixture, RecoveryCollectsTmpAndOrphanCheckpoints) {
 }
 
 TEST_F(DurabilityDirFixture, StringValuesSurviveRecoveryAndCheckpoint) {
+  const rel::Relation original = StringRelation();
+  rel::Relation grown = original;
+  ASSERT_STATUS_OK(grown.Concatenate(original));
   {
     auto durable = DurableCatalog::Open(Dir());
     ASSERT_OK(durable);
-    ASSERT_STATUS_OK((*durable)->Put("people", StringRelation()));
+    ASSERT_STATUS_OK((*durable)->Put("people", original));
     ASSERT_STATUS_OK((*durable)->Checkpoint());
-    ASSERT_STATUS_OK((*durable)->Append("people", StringRelation()));
+    ASSERT_STATUS_OK((*durable)->Put("people", grown));
   }
   auto reopened = DurableCatalog::Open(Dir());
   ASSERT_OK(reopened);

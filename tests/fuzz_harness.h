@@ -625,8 +625,7 @@ inline std::vector<std::pair<std::string_view, uint64_t>> StatsFields(
   const auto& [passes, resolved_mode, backend, analytic_timing, cycles,
                makespan_cycles, busy_cell_cycles, num_compute_cells,
                num_chips, faults_detected, tile_retries, shadow_runs,
-               shadow_mismatches, healthy_chips, wal_records, checkpoints,
-               recovered_records, dma_cycles, overlap_cycles,
+               shadow_mismatches, healthy_chips, dma_cycles, overlap_cycles,
                memory_makespan_cycles, overlap_enabled] = s;
 #define SYSTOLIC_FIELD(f) {#f, static_cast<uint64_t>(f)}
   return {SYSTOLIC_FIELD(passes),          SYSTOLIC_FIELD(resolved_mode),
@@ -636,9 +635,7 @@ inline std::vector<std::pair<std::string_view, uint64_t>> StatsFields(
           SYSTOLIC_FIELD(num_chips),       SYSTOLIC_FIELD(faults_detected),
           SYSTOLIC_FIELD(tile_retries),    SYSTOLIC_FIELD(shadow_runs),
           SYSTOLIC_FIELD(shadow_mismatches), SYSTOLIC_FIELD(healthy_chips),
-          SYSTOLIC_FIELD(wal_records),     SYSTOLIC_FIELD(checkpoints),
-          SYSTOLIC_FIELD(recovered_records), SYSTOLIC_FIELD(dma_cycles),
-          SYSTOLIC_FIELD(overlap_cycles),
+          SYSTOLIC_FIELD(dma_cycles),      SYSTOLIC_FIELD(overlap_cycles),
           SYSTOLIC_FIELD(memory_makespan_cycles),
           SYSTOLIC_FIELD(overlap_enabled)};
 #undef SYSTOLIC_FIELD

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <condition_variable>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -22,6 +23,8 @@
 #include <utility>
 #include <vector>
 
+#include "durability/durable_catalog.h"
+#include "durability/io.h"
 #include "gtest/gtest.h"
 #include "relational/builder.h"
 #include "server/protocol.h"
@@ -413,21 +416,111 @@ TEST(ServerTest, SessionSettingsAreScopedPerSession) {
   EXPECT_EQ(rtl->find("backend: fast"), std::string::npos) << *rtl;
 }
 
-TEST(ServerTest, PerSessionStatsCountOnlyOwnCommits) {
+// ---- One durable write path -----------------------------------------------
+
+/// Relative path -> contents of every file under `root`, "<dir>" for every
+/// directory.
+std::map<std::string, std::string> Tree(const std::string& root) {
+  std::map<std::string, std::string> tree;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(root)) {
+    const std::string path =
+        std::filesystem::relative(entry.path(), root).string();
+    if (entry.is_directory()) {
+      tree[path] = "<dir>";
+    } else {
+      auto contents = durability::Io::ReadFile(entry.path().string());
+      tree[path] = contents.ok() ? *contents : "<unreadable>";
+    }
+  }
+  return tree;
+}
+
+TEST(ServerTest, SessionCannotOpenOrCheckpointAHostDirectory) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "systolic_server_test_host")
+          .string();
+  std::filesystem::remove_all(dir);
+  {
+    // A durable directory on the server host: a relation of its own, and
+    // debris that an OPEN's recovery would collect.
+    auto durable = durability::DurableCatalog::Open(dir);
+    ASSERT_OK(durable);
+    ASSERT_STATUS_OK(
+        (*durable)->Put("host_only", Rel(rel::MakeIntSchema(1), {{7}})));
+    ASSERT_STATUS_OK((*durable)->Checkpoint());
+  }
+  ASSERT_STATUS_OK(durability::Io().WriteFile(dir + "/notes.tmp", "keep"));
+  ASSERT_STATUS_OK(durability::Io().Mkdirs(dir + "/chk-7"));
+  ASSERT_STATUS_OK(durability::Io().WriteFile(dir + "/chk-7/MANIFEST", "#"));
+  const auto before = Tree(dir);
+
   auto created = Server::Create(TestConfig());
   ASSERT_OK(created);
   Server& server = **created;
   SeedDemo(&server);
+  auto session = server.Connect();
+  ASSERT_OK(session);
+  uint64_t id = 0;
+  const auto run = [&](const std::string& line) -> std::string {
+    auto outcome = (*session)->ExecuteRequest(++id, line);
+    EXPECT_OK(outcome);
+    return outcome.ok() ? outcome->payload : "";
+  };
+  EXPECT_EQ(run("OPEN " + dir).rfind("ERR ", 0), 0u);
+  EXPECT_EQ(run("CHECKPOINT").rfind("ERR ", 0), 0u);
+  EXPECT_EQ(Tree(dir), before)
+      << "a session must leave the host's directory byte for byte";
+  EXPECT_EQ((*session)->machine().durable(), nullptr);
+  // The session's disk unit still holds only what its snapshot faults in.
+  EXPECT_EQ(run("LOAD host_only").rfind("ERR ", 0), 0u);
+  EXPECT_EQ(run("LOAD A").rfind("OK\n", 0), 0u);
+  std::filesystem::remove_all(dir);
+}
 
-  auto s1 = server.Connect();
-  auto s2 = server.Connect();
-  ASSERT_OK(s1);
-  ASSERT_OK(s2);
-
-  ASSERT_OK((*s1)->Execute("LOAD A"));
-  ASSERT_OK((*s1)->Execute("STORE A AS from_one"));
-  EXPECT_GT((*s1)->durability_stats().wal_records, 0u);
-  EXPECT_EQ((*s2)->durability_stats().wal_records, 0u);
+TEST(ServerTest, InProcessRetriesCountAsDedups) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "systolic_server_test_dedup")
+          .string();
+  std::filesystem::remove_all(dir);
+  ServerConfig config = TestConfig();
+  config.durable_dir = dir;
+  std::string token;
+  {
+    auto created = Server::Create(config);
+    ASSERT_OK(created);
+    SeedDemo(created->get());
+    auto session = (*created)->Connect();
+    ASSERT_OK(session);
+    token = (*session)->token();
+    auto loaded = (*session)->ExecuteRequest(1, "LOAD A");
+    ASSERT_OK(loaded);
+    auto replayed = (*session)->ExecuteRequest(1, "LOAD A");
+    ASSERT_OK(replayed);
+    EXPECT_TRUE(replayed->from_cache);
+    auto stored = (*session)->ExecuteRequest(2, "STORE A AS kept");
+    ASSERT_OK(stored);
+    ASSERT_EQ(stored->payload.rfind("OK\n", 0), 0u) << stored->payload;
+    EXPECT_EQ((*created)->stats().replies_from_cache, 1u);
+    EXPECT_EQ((*created)->stats().recovered_dedups, 0u);
+  }
+  // The next incarnation resumes the token from its WAL ack: the retried
+  // STORE is answered "already committed", and counted, without a wire.
+  config.boot_id = 2;
+  auto created = Server::Create(config);
+  ASSERT_OK(created);
+  SeedDemo(created->get());
+  auto resumed = (*created)->Resume(token);
+  ASSERT_OK(resumed);
+  auto retried = (*resumed)->ExecuteRequest(2, "STORE A AS kept");
+  ASSERT_OK(retried);
+  EXPECT_TRUE(retried->recovered_dedup) << retried->payload;
+  const ServerStats stats = (*created)->stats();
+  EXPECT_EQ(stats.recovered_dedups, 1u);
+  EXPECT_EQ(stats.replies_from_cache, 0u);
+  EXPECT_EQ(stats.sessions_resumed, 1u);
+  EXPECT_EQ(stats.group_commit.commits, 0u);
+  std::filesystem::remove_all(dir);
 }
 
 // ---- Zero-copy relation hand-offs -----------------------------------------

@@ -1,8 +1,8 @@
 // Seeded corpus-mutation test for the WAL decoder fuzz target
 // (wal_fuzz_target.cc), for builds without libFuzzer. The corpus is logs
-// written with the Encode* functions: domains, puts and appends over
-// int64, string and bool columns into set and multi relations (one with
-// multi-byte and ten-byte varints), drops, acks and commit markers. Each
+// written with the Encode* functions: puts over int64, string and bool
+// columns into set and multi relations (one with multi-byte and ten-byte
+// varints), puts that replace a relation, acks and commit markers. Each
 // seed runs 40 mutants of every log: up to six drops, duplicates or swaps
 // of frames or of a record's lines, perturbed tokens, and flipped,
 // inserted or dropped bytes or a truncation inside one record, all
@@ -84,21 +84,19 @@ std::vector<Log> Corpus() {
   const rel::Relation multi = Mixed(rel::RelationKind::kMulti, 7);
   return {
       {0,
-       {EncodeCreateDomain("ids", rel::ValueType::kInt64),
-        EncodeCreateDomain("Weird Name!", rel::ValueType::kString),
-        EncodeCreateDomain("flags", rel::ValueType::kBool), EncodeCommit(3)}},
+       {Put("Weird Name!", set), EncodeAck("b1-s1", 1, 1), EncodeCommit(2)}},
       {1,
-       {Put("people", set), *EncodeAppend("people", multi),
-        EncodeAck("b1-s1", 1, 2), EncodeCommit(3)}},
+       {Put("people", set), Put("people", multi), EncodeAck("b1-s1", 1, 2),
+        EncodeCommit(3)}},
       {2,
-       {Put("bag", multi), EncodeCommit(1), EncodeDrop("bag"),
+       {Put("bag", multi), EncodeCommit(1), Put("fresh", set),
         EncodeCommit(1)}},
       {7,
-       {Put("r/1", set), EncodeCommit(1), *EncodeAppend("r/1", set),
-        EncodeAck("tok", 9, 1), EncodeCommit(2), Put("r/1", multi),
-        EncodeDrop("missing"), EncodeCommit(2)}},
+       {Put("r/1", set), EncodeCommit(1), Put("r/1", multi),
+        EncodeAck("tok", 9, 1), EncodeCommit(2), Put("r/1", set),
+        Put("other", multi), EncodeCommit(2)}},
       {3,
-       {Put("wide", Wide()), EncodeCommit(1), *EncodeAppend("wide", Wide()),
+       {Put("wide", Wide()), EncodeCommit(1), Put("wide", Wide()),
         EncodeCommit(1)}},
   };
 }
