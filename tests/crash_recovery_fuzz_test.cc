@@ -23,7 +23,6 @@
 #include <filesystem>
 #include <functional>
 #include <iterator>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -46,6 +45,7 @@ namespace {
 
 using rel::Relation;
 using rel::Schema;
+using systolic::testing::DirectoryTree;
 using systolic::testing::Rel;
 
 /// One durable mutation; the workload is an ordered list of these.
@@ -63,27 +63,6 @@ std::string Fingerprint(const rel::Catalog& catalog) {
     fp += '\0';
   }
   return fp;
-}
-
-/// Relative path -> contents for every file under `root` (directories
-/// contribute their path with a marker), for byte-for-byte determinism
-/// comparisons of two crash runs.
-std::map<std::string, std::string> TreeSnapshot(const std::string& root) {
-  std::map<std::string, std::string> tree;
-  if (!std::filesystem::exists(root)) return tree;
-  for (const auto& entry :
-       std::filesystem::recursive_directory_iterator(root)) {
-    const std::string rel_path =
-        std::filesystem::relative(entry.path(), root).string();
-    if (entry.is_directory()) {
-      tree[rel_path] = "<dir>";
-    } else {
-      auto contents = Io::ReadFile(entry.path().string());
-      SYSTOLIC_CHECK(contents.ok()) << contents.status().ToString();
-      tree[rel_path] = *contents;
-    }
-  }
-  return tree;
 }
 
 /// A per-test scratch root under the system temp dir, removed on teardown.
@@ -249,11 +228,11 @@ TEST_F(CrashDirFixture, SameCutReproducesByteIdenticalDirectories) {
     const size_t failed_a = RunWithCut(ops, a, cut);
     const size_t failed_b = RunWithCut(ops, b, cut);
     EXPECT_EQ(failed_a, failed_b) << "cut " << cut;
-    EXPECT_EQ(TreeSnapshot(a), TreeSnapshot(b))
+    EXPECT_EQ(DirectoryTree(a), DirectoryTree(b))
         << "cut " << cut << ": crash-point trees diverge";
     ASSERT_OK(DurableCatalog::Open(a));
     ASSERT_OK(DurableCatalog::Open(b));
-    EXPECT_EQ(TreeSnapshot(a), TreeSnapshot(b))
+    EXPECT_EQ(DirectoryTree(a), DirectoryTree(b))
         << "cut " << cut << ": post-recovery trees diverge";
   }
 }
@@ -369,7 +348,7 @@ TEST_P(CrashRecoveryFuzz, SeededCutsRecoverToPreOrPostState) {
       EXPECT_EQ(RunWithCut(ops, twin, cut), first_failed);
       // `dir` was recovered by CheckRecovery; recover the twin to compare.
       ASSERT_OK(DurableCatalog::Open(twin));
-      EXPECT_EQ(TreeSnapshot(dir), TreeSnapshot(twin))
+      EXPECT_EQ(DirectoryTree(dir), DirectoryTree(twin))
           << "seed " << seed << " cut " << cut;
     }
     if (::testing::Test::HasFailure()) {

@@ -7,7 +7,6 @@
 
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -23,6 +22,7 @@ namespace systolic {
 namespace durability {
 namespace {
 
+using systolic::testing::DirectoryTree;
 using systolic::testing::Rel;
 
 TEST(Crc32Test, MatchesKnownVectors) {
@@ -544,18 +544,6 @@ TEST_F(DurabilityDirFixture, StaleWalFromBeforeCheckpointIsDiscarded) {
   EXPECT_EQ(*wal, WalHeader(1)) << "the stale log must be reset";
 }
 
-/// Relative path -> contents of every file under `root`.
-std::map<std::string, std::string> Tree(const std::string& root) {
-  std::map<std::string, std::string> tree;
-  for (const auto& entry :
-       std::filesystem::recursive_directory_iterator(root)) {
-    if (!entry.is_regular_file()) continue;
-    tree[std::filesystem::relative(entry.path(), root).string()] =
-        *Io::ReadFile(entry.path().string());
-  }
-  return tree;
-}
-
 TEST_F(DurabilityDirFixture, UnparseableWalHeaderFailsOpenAndKeepsTheLog) {
   const rel::Schema schema = rel::MakeIntSchema(1);
   {
@@ -576,11 +564,11 @@ TEST_F(DurabilityDirFixture, UnparseableWalHeaderFailsOpenAndKeepsTheLog) {
         std::string("SYSWAL2 x\n"), std::string("SYSWAL2 0"),
         std::string("\x00\x01garbage\n", 10), std::string()}) {
     ASSERT_STATUS_OK(Io().WriteFile(Dir() + "/WAL", bad_header + frames));
-    const auto before = Tree(Dir());
+    const auto before = DirectoryTree(Dir());
     auto reopened = DurableCatalog::Open(Dir());
     EXPECT_TRUE(reopened.status().IsDataCorruption())
         << bad_header << ": " << reopened.status().ToString();
-    EXPECT_EQ(Tree(Dir()), before) << bad_header;
+    EXPECT_EQ(DirectoryTree(Dir()), before) << bad_header;
   }
   ASSERT_STATUS_OK(Io().WriteFile(Dir() + "/WAL", *wal));
   auto restored = DurableCatalog::Open(Dir());
@@ -610,11 +598,11 @@ TEST_F(DurabilityDirFixture, DeletedRecordKindsFailDecodeAndOpenUntouched) {
     AppendFrame(&log, payload);
     AppendFrame(&log, EncodeCommit(1));
     ASSERT_STATUS_OK(Io().WriteFile(Dir() + "/WAL", log));
-    const auto before = Tree(Dir());
+    const auto before = DirectoryTree(Dir());
     auto reopened = DurableCatalog::Open(Dir());
     EXPECT_TRUE(reopened.status().IsDataCorruption())
         << payload << ": " << reopened.status().ToString();
-    EXPECT_EQ(Tree(Dir()), before) << payload;
+    EXPECT_EQ(DirectoryTree(Dir()), before) << payload;
   }
 }
 
@@ -631,11 +619,11 @@ TEST_F(DurabilityDirFixture, CheckpointWithoutFormatEntryFailsOpenUntouched) {
   ASSERT_STATUS_OK(Io().WriteFile(Dir() + "/CURRENT", "chk-1\n"));
   ASSERT_STATUS_OK(Io().WriteFile(Dir() + "/WAL", "SYSWAL1 1\n"));
   ASSERT_STATUS_OK(Io().WriteFile(Dir() + "/CURRENT.tmp", "chk-2\n"));
-  const auto before = Tree(Dir());
+  const auto before = DirectoryTree(Dir());
   auto opened = DurableCatalog::Open(Dir());
   EXPECT_TRUE(opened.status().IsDataCorruption())
       << opened.status().ToString();
-  EXPECT_EQ(Tree(Dir()), before);
+  EXPECT_EQ(DirectoryTree(Dir()), before);
 }
 
 TEST_F(DurabilityDirFixture, RecoveryCollectsTmpAndOrphanCheckpoints) {

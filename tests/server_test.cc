@@ -15,7 +15,6 @@
 #include <cstring>
 #include <condition_variable>
 #include <filesystem>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -40,6 +39,7 @@ namespace server {
 namespace {
 
 using rel::Schema;
+using systolic::testing::DirectoryTree;
 using systolic::testing::Rel;
 
 // ---- FairScheduler --------------------------------------------------------
@@ -418,24 +418,6 @@ TEST(ServerTest, SessionSettingsAreScopedPerSession) {
 
 // ---- One durable write path -----------------------------------------------
 
-/// Relative path -> contents of every file under `root`, "<dir>" for every
-/// directory.
-std::map<std::string, std::string> Tree(const std::string& root) {
-  std::map<std::string, std::string> tree;
-  for (const auto& entry :
-       std::filesystem::recursive_directory_iterator(root)) {
-    const std::string path =
-        std::filesystem::relative(entry.path(), root).string();
-    if (entry.is_directory()) {
-      tree[path] = "<dir>";
-    } else {
-      auto contents = durability::Io::ReadFile(entry.path().string());
-      tree[path] = contents.ok() ? *contents : "<unreadable>";
-    }
-  }
-  return tree;
-}
-
 TEST(ServerTest, SessionCannotOpenOrCheckpointAHostDirectory) {
   const std::string dir =
       (std::filesystem::temp_directory_path() / "systolic_server_test_host")
@@ -453,7 +435,7 @@ TEST(ServerTest, SessionCannotOpenOrCheckpointAHostDirectory) {
   ASSERT_STATUS_OK(durability::Io().WriteFile(dir + "/notes.tmp", "keep"));
   ASSERT_STATUS_OK(durability::Io().Mkdirs(dir + "/chk-7"));
   ASSERT_STATUS_OK(durability::Io().WriteFile(dir + "/chk-7/MANIFEST", "#"));
-  const auto before = Tree(dir);
+  const auto before = DirectoryTree(dir);
 
   auto created = Server::Create(TestConfig());
   ASSERT_OK(created);
@@ -469,7 +451,7 @@ TEST(ServerTest, SessionCannotOpenOrCheckpointAHostDirectory) {
   };
   EXPECT_EQ(run("OPEN " + dir).rfind("ERR ", 0), 0u);
   EXPECT_EQ(run("CHECKPOINT").rfind("ERR ", 0), 0u);
-  EXPECT_EQ(Tree(dir), before)
+  EXPECT_EQ(DirectoryTree(dir), before)
       << "a session must leave the host's directory byte for byte";
   EXPECT_EQ((*session)->machine().durable(), nullptr);
   // The session's disk unit still holds only what its snapshot faults in.

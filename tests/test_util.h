@@ -3,6 +3,11 @@
 
 #include <cstddef>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -49,6 +54,29 @@ inline rel::RelationPair StraddlingPair(const rel::Schema& schema,
   auto b_draw = rel::GenerateRelation(schema, b);
   SYSTOLIC_CHECK(a_draw.ok() && b_draw.ok());
   return {std::move(a_draw).ValueOrDie(), std::move(b_draw).ValueOrDie()};
+}
+
+/// Relative path -> contents of every file under `root`, "<dir>" for every
+/// directory; empty when `root` does not exist. Durability tests compare two
+/// of these to show a directory byte-identical across a run or an operation.
+inline std::map<std::string, std::string> DirectoryTree(
+    const std::string& root) {
+  std::map<std::string, std::string> tree;
+  if (!std::filesystem::exists(root)) return tree;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(root)) {
+    std::string& contents =
+        tree[std::filesystem::relative(entry.path(), root).string()];
+    if (entry.is_directory()) {
+      contents = "<dir>";
+      continue;
+    }
+    std::ifstream in(entry.path(), std::ios::binary);
+    SYSTOLIC_CHECK(in.good()) << "cannot read " << entry.path().string();
+    contents.assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
+  }
+  return tree;
 }
 
 /// gtest helpers for Status/Result expressions.
