@@ -11,7 +11,7 @@ namespace systolic {
 namespace rel {
 
 /// The on-disk encoding of tuple data: checkpoint data files (storage.h) and
-/// the bodies of WAL put/append records (durability/wal.h).
+/// the bodies of WAL put records (durability/wal.h).
 ///
 /// A block is a relation's tuples in stored order, each tuple's elements in
 /// schema order. Each element is decoded through its column's domain, since

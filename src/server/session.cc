@@ -98,7 +98,6 @@ Result<Session::RequestOutcome> Session::ExecuteRequest(
     // an ERR reply, since re-execution could diverge from what the client
     // may already have partially observed.
     outcome.payload = last_reply_;
-    outcome.from_cache = true;
     ++dedup_->replies_from_cache;
     return outcome;
   }

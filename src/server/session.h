@@ -75,8 +75,6 @@ class Session {
   struct RequestOutcome {
     /// "OK\n<output>", "ERR <status>\n<output>", or "RETRY <status>\n".
     std::string payload;
-    /// Replayed from the reply cache (the id was already executed).
-    bool from_cache = false;
     /// Answered from a WAL-recovered ack (committed before the last crash).
     bool recovered_dedup = false;
     /// Pre-execution admission bounce: the id was NOT consumed; the client

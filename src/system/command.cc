@@ -645,10 +645,7 @@ Status CommandInterpreter::Execute(const std::string& line) {
     durability::DurableCatalog* durable = machine_->durable();
     if (durable == nullptr) {
       return Status::NotFound(
-          machine_->has_commit_sink()
-              ? "no durable directory is open: commits go through the "
-                "server's shared catalog"
-              : "no durable directory is open (use OPEN <dir> first)");
+          "no durable directory is open (use OPEN <dir> first)");
     }
     SYSTOLIC_RETURN_NOT_OK(durable->Checkpoint());
     (*out_) << "-- checkpoint chk-" << durable->checkpoint_id() << ": "

@@ -141,11 +141,7 @@ Status Machine::WriteBackToDisk(const std::string& name,
 Status Machine::OpenDurable(const std::string& directory,
                             durability::CrashInjector* injector) {
   if (commit_sink_ != nullptr) {
-    return Status::AlreadyExists(
-        durable_ != nullptr
-            ? "durable directory '" + durable_->directory() +
-                  "' is already open"
-            : std::string("commits go through the server's shared catalog"));
+    return Status::AlreadyExists("a commit sink is already installed");
   }
   SYSTOLIC_ASSIGN_OR_RETURN(
       durable_, durability::DurableCatalog::Open(directory,

@@ -396,13 +396,19 @@ rel::Relation OverDomainD(rel::ValueType type) {
 TEST_F(DurabilityDirFixture, StagedDomainsConstrainLaterGroupRecords) {
   auto durable = DurableCatalog::Open(Dir());
   ASSERT_OK(durable);
-  // A staged put creates domain 'd' as int64, and sealing moves its group
-  // into the pending batch, which applies before any later group.
+  // A staged put creates domain 'd' as int64.
   ASSERT_STATUS_OK(
       (*durable)->LogPut("first", OverDomainD(rel::ValueType::kInt64)));
-  ASSERT_STATUS_OK((*durable)->SealStagedGroup());
   // A put reusing 'd' at another type must be rejected at staging time —
-  // sealed, it would fail to apply at commit and recovery.
+  // sealed, it would fail to apply at commit and recovery. That holds for a
+  // later put in the same open group...
+  EXPECT_TRUE((*durable)
+                  ->LogPut("r", OverDomainD(rel::ValueType::kString))
+                  .IsIncompatible());
+  EXPECT_EQ((*durable)->staged_records(), 1u);
+  // ...and, once sealing has moved that group into the pending batch (which
+  // applies before any later group), for a put in a later group.
+  ASSERT_STATUS_OK((*durable)->SealStagedGroup());
   EXPECT_TRUE((*durable)
                   ->LogPut("r", OverDomainD(rel::ValueType::kString))
                   .IsIncompatible());
