@@ -136,7 +136,8 @@ int main(int argc, char** argv) {
     if (chips == 1) {
       serial_device_ms = device_ms;
       serial_host_ms = host_ms;
-      serial_tuples = result.relation.tuples();
+      const rel::TupleRange tuples = result.relation.tuples();
+      serial_tuples.assign(tuples.begin(), tuples.end());
     }
     if (chips == 4) host_ms_at_4 = host_ms;
     std::printf("%-6zu %-8zu %-14zu %-16zu %-12.3f %-12.2f %-10.2f %-8s\n",

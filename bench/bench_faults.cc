@@ -71,8 +71,9 @@ RunOutcome RunOnce(const DeviceConfig& device, const rel::RelationPair& pair) {
   outcome.unavailable =
       intersect.status().IsUnavailable() || join.status().IsUnavailable();
   if (!outcome.ok) return outcome;
-  outcome.tuples = intersect->relation.tuples();
-  const auto& join_tuples = join->relation.tuples();
+  const rel::TupleRange intersect_tuples = intersect->relation.tuples();
+  const rel::TupleRange join_tuples = join->relation.tuples();
+  outcome.tuples.assign(intersect_tuples.begin(), intersect_tuples.end());
   outcome.tuples.insert(outcome.tuples.end(), join_tuples.begin(),
                         join_tuples.end());
   outcome.stats = intersect->stats;

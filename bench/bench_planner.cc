@@ -55,7 +55,8 @@ RunResult RunOn(const MachineConfig& config,
   for (const auto& step : report.steps) result.pulses += step.exec.cycles;
   result.serial_us = report.serial_seconds * 1e6;
   for (const std::string& sink : sinks) {
-    result.sinks[sink] = (*Unwrap(m.Buffer(sink))).tuples();
+    const rel::TupleRange tuples = (*Unwrap(m.Buffer(sink))).tuples();
+    result.sinks[sink].assign(tuples.begin(), tuples.end());
   }
   return result;
 }

@@ -56,6 +56,13 @@
 #      LogDrop, the record kinds Kind::kCreateDomain, Kind::kAppend and
 #      Kind::kDrop, and the command layer's dead StampDurability stay
 #      deleted in src/ and tests/.
+#  12. Tuples stay flat (DESIGN S2): no range-for in src/ binds a Tuple
+#      (`const Tuple&`, `const rel::Tuple&` or a copy) over a relation's
+#      tuples() — it compiles through TupleRef's conversion but copies every
+#      row into a heap Tuple; iterate TupleRef instead. Relation's Storage
+#      holds one `std::vector<Code> codes;` and no Tuple, and relation.{h,cc}
+#      declare no std::vector<Tuple> member. tests/, bench/ and examples/
+#      are exempt.
 
 set -u
 cd "$(dirname "$0")/.."
@@ -157,6 +164,23 @@ hits=$(grep -rnE '\b(Encode(CreateDomain|Append|Drop)|Log(CreateDomain|Append|Dr
   src tests || true)
 if [ -n "$hits" ]; then
   report "deleted WAL record kind or durability stamp (the WAL writes put, ack and commit; ExecStats carries no durability counters)" "$hits"
+fi
+
+# --- rule 12: tuples stay flat ---------------------------------------------
+hits=$(grep -rnE 'for \((const )?(rel::)?Tuple *&? *[A-Za-z_][A-Za-z0-9_]* *:[^)]*\btuples\(\)' \
+  src || true)
+if [ -n "$hits" ]; then
+  report "range-for copies each stored tuple into a heap Tuple (iterate rel::TupleRef)" "$hits"
+fi
+storage=$(awk '/struct Storage \{/,/^ *\};$/' src/relational/relation.h)
+if ! echo "$storage" | grep -q 'std::vector<Code> codes;' ||
+   echo "$storage" | grep -qE '\bTuple\b'; then
+  report "Relation's Storage is not one flat std::vector<Code> (src/relational/relation.h)" "${storage:-no struct Storage}"
+fi
+hits=$(grep -nE 'std::vector<(rel::)?Tuple>( *[*&])? +[A-Za-z_][A-Za-z0-9_]* *;' \
+  src/relational/relation.h src/relational/relation.cc || true)
+if [ -n "$hits" ]; then
+  report "std::vector<Tuple> held by Relation (its tuples live in the flat code array)" "$hits"
 fi
 
 if [ "$fail" -eq 0 ]; then

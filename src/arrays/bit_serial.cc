@@ -28,7 +28,7 @@ Status CheckFits(const rel::Relation& relation, size_t bits) {
     return Status::InvalidArgument("bits must be in 1..63");
   }
   const int64_t limit = int64_t{1} << bits;
-  for (const rel::Tuple& t : relation.tuples()) {
+  for (rel::TupleRef t : relation.tuples()) {
     for (rel::Code code : t) {
       if (code < 0 || code >= limit) {
         return Status::InvalidArgument(
@@ -42,15 +42,16 @@ Status CheckFits(const rel::Relation& relation, size_t bits) {
 
 Status AppendDecomposed(const rel::Relation& source, size_t bits,
                         rel::Relation* out) {
-  for (const rel::Tuple& t : source.tuples()) {
-    rel::Tuple wide;
-    wide.reserve(t.size() * bits);
+  out->Reserve(source.num_tuples());
+  rel::Tuple wide;
+  for (rel::TupleRef t : source.tuples()) {
+    wide.clear();
     for (rel::Code code : t) {
       for (size_t k = 0; k < bits; ++k) {
         wide.push_back((code >> k) & 1);
       }
     }
-    SYSTOLIC_RETURN_NOT_OK(out->Append(std::move(wide)));
+    SYSTOLIC_RETURN_NOT_OK(out->Append(wide));
   }
   return Status::OK();
 }
@@ -91,7 +92,7 @@ size_t BitLevelCellCount(size_t rows, size_t columns, size_t bits) {
 
 Result<size_t> MinimumBitsFor(const rel::Relation& relation) {
   size_t bits = 1;
-  for (const rel::Tuple& t : relation.tuples()) {
+  for (rel::TupleRef t : relation.tuples()) {
     for (rel::Code code : t) {
       if (code < 0) {
         return Status::InvalidArgument(

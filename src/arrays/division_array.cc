@@ -15,7 +15,7 @@ namespace {
 /// Packs each sub-tuple over `columns` into a scratch integer code (fresh
 /// codes in first-occurrence order), recording the distinct sub-tuples in
 /// `order`. The shared map lets A's divisor part and B use one code space.
-rel::Code PackSubTuple(const rel::Tuple& tuple,
+rel::Code PackSubTuple(rel::TupleRef tuple,
                        const std::vector<size_t>& columns,
                        std::map<rel::Tuple, rel::Code>* codes,
                        std::vector<rel::Tuple>* order) {
@@ -53,7 +53,7 @@ Result<DivisionArrayResult> SystolicDivision(const rel::Relation& a,
   std::map<rel::Tuple, rel::Code> y_codes;
   std::vector<std::pair<rel::Code, rel::Code>> pairs;  // (x, y) per A tuple
   pairs.reserve(a.num_tuples());
-  for (const rel::Tuple& ta : a.tuples()) {
+  for (rel::TupleRef ta : a.tuples()) {
     const rel::Code x = PackSubTuple(ta, quotient_columns, &x_codes, &x_order);
     const rel::Code y = PackSubTuple(ta, spec.a_columns, &y_codes, nullptr);
     pairs.emplace_back(x, y);
@@ -61,7 +61,7 @@ Result<DivisionArrayResult> SystolicDivision(const rel::Relation& a,
   std::vector<rel::Code> divisor;  // distinct divisor values
   {
     std::map<rel::Tuple, rel::Code> seen;
-    for (const rel::Tuple& tb : b.tuples()) {
+    for (rel::TupleRef tb : b.tuples()) {
       const rel::Code packed = PackSubTuple(tb, spec.b_columns, &y_codes, nullptr);
       // Deduplicate: only the first sighting of each distinct divisor value
       // is preloaded (the paper stores "elements appearing in the divisor").

@@ -82,9 +82,11 @@ Result<JoinArrayResult> SystolicJoin(const rel::Relation& a,
   }
   std::sort(result.matches.begin(), result.matches.end());
 
+  result.relation.Reserve(result.matches.size());
+  rel::Tuple joined;
   for (const auto& [i, j] : result.matches) {
-    SYSTOLIC_RETURN_NOT_OK(result.relation.Append(
-        rel::JoinConcatenate(a.tuple(i), b.tuple(j), spec)));
+    rel::JoinConcatenate(a.tuple(i), b.tuple(j), spec, &joined);
+    SYSTOLIC_RETURN_NOT_OK(result.relation.Append(joined));
   }
   return result;
 }

@@ -55,7 +55,7 @@ Result<SelectionResult> SystolicSelect(
                             a.schema().Project(feed_columns));
   rel::Relation constant_rel(std::move(constant_schema),
                              rel::RelationKind::kSet);
-  SYSTOLIC_RETURN_NOT_OK(constant_rel.Append(std::move(constants)));
+  SYSTOLIC_RETURN_NOT_OK(constant_rel.Append(constants));
 
   sim::Simulator simulator;
   GridConfig config;

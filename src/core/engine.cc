@@ -498,6 +498,7 @@ Result<BitVector> Engine::TiledMembership(const Relation& a, const Relation& b,
         // A diagonal tile or strip preloads the head of its own staged A
         // slice under §5's strict lower triangle.
         Relation head(block_a.schema(), rel::RelationKind::kMulti);
+        head.Reserve(tile.b_count);
         for (size_t j = 0; j < tile.b_count; ++j) {
           SYSTOLIC_RETURN_NOT_OK(head.Append(block_a.tuple(j)));
         }
@@ -715,9 +716,11 @@ Result<EngineResult> Engine::Join(const Relation& a, const Relation& b,
           },
           &result.stats)));
 
+  result.relation.Reserve(matches.size());
+  rel::Tuple joined;
   for (const auto& [i, j] : matches) {
-    SYSTOLIC_RETURN_NOT_OK(result.relation.Append(
-        rel::JoinConcatenate(a.tuple(i), b.tuple(j), spec)));
+    rel::JoinConcatenate(a.tuple(i), b.tuple(j), spec, &joined);
+    SYSTOLIC_RETURN_NOT_OK(result.relation.Append(joined));
   }
   return result;
 }
@@ -773,7 +776,9 @@ Result<EngineResult> Engine::Divide(const Relation& a, const Relation& b,
     std::stable_sort(order.begin(), order.end(), [&](size_t i, size_t j) {
       return matches.key[i] / keys < matches.key[j] / keys;
     });
+    chunked.Reserve(order.size());
     for (size_t i : order) SYSTOLIC_RETURN_NOT_OK(chunked.Append(a.tuple(i)));
+    distinct.Reserve(matches.value_rows.size());
     for (size_t j : matches.value_rows) {
       SYSTOLIC_RETURN_NOT_OK(distinct.Append(b.tuple(j)));
     }
@@ -830,24 +835,22 @@ Result<EngineResult> Engine::Divide(const Relation& a, const Relation& b,
           [&]() -> Result<Relation> {
             Relation quotient(result.relation.schema(),
                               rel::RelationKind::kSet);
-            for (rel::Tuple& x :
-                 fastpath::DivisionQuotient(a, quotient_columns, matches)) {
-              SYSTOLIC_RETURN_NOT_OK(quotient.Append(std::move(x)));
-            }
+            SYSTOLIC_RETURN_NOT_OK(fastpath::DivisionQuotient(
+                a, quotient_columns, matches, &quotient));
             return quotient;
           },
           [&](std::vector<arrays::DivisionArrayResult> passes)
               -> Result<Relation> {
             // A key is in the quotient iff every group's pass over its chunk
             // kept it; group 0's passes list the keys in order.
-            std::unordered_map<rel::Tuple, size_t, rel::TupleHash> kept;
+            std::unordered_map<rel::TupleRef, size_t, rel::TupleHash> kept;
             for (const arrays::DivisionArrayResult& pass : passes) {
-              for (const rel::Tuple& x : pass.relation.tuples()) ++kept[x];
+              for (rel::TupleRef x : pass.relation.tuples()) ++kept[x];
             }
             Relation quotient(result.relation.schema(),
                               rel::RelationKind::kSet);
             for (size_t t = 0; t < passes.size(); t += num_groups) {
-              for (const rel::Tuple& x : passes[t].relation.tuples()) {
+              for (rel::TupleRef x : passes[t].relation.tuples()) {
                 if (kept[x] == num_groups) {
                   SYSTOLIC_RETURN_NOT_OK(quotient.Append(x));
                 }

@@ -161,8 +161,10 @@ Status DurableCatalog::CollectGarbageLocked(
   return Status::OK();
 }
 
-Status DurableCatalog::StageLocked(WalRecord record, std::string payload) {
-  staged_.emplace_back(std::move(record), std::move(payload));
+Status DurableCatalog::StageLocked(WalRecord record, std::string payload,
+                                   std::optional<rel::Relation> logged) {
+  staged_.push_back(
+      StagedRecord{std::move(record), std::move(payload), std::move(logged)});
   return Status::OK();
 }
 
@@ -175,8 +177,8 @@ Result<rel::ValueType> DurableCatalog::StagedDomainTypeLocked(
   // them could fail to apply after it was sealed.
   const auto scan = [&name](const MutationGroup& group)
       -> std::optional<rel::ValueType> {
-    for (const auto& [record, payload] : group) {
-      for (const WalRecord::ColumnSpec& spec : record.columns) {
+    for (const StagedRecord& staged : group) {
+      for (const WalRecord::ColumnSpec& spec : staged.record.columns) {
         if (spec.domain == name) return spec.type;
       }
     }
@@ -229,7 +231,7 @@ Status DurableCatalog::LogPutLocked(const std::string& name,
   SYSTOLIC_ASSIGN_OR_RETURN(std::string payload, EncodePut(name, relation));
   // Re-decode to populate the staged record exactly as recovery will see it.
   SYSTOLIC_ASSIGN_OR_RETURN(WalRecord record, DecodeWalRecord(payload));
-  return StageLocked(std::move(record), std::move(payload));
+  return StageLocked(std::move(record), std::move(payload), relation);
 }
 
 Status DurableCatalog::LogAck(const std::string& token, uint64_t request_id,
@@ -257,8 +259,8 @@ Status DurableCatalog::AppendGroupsLocked(
   std::string frames;
   size_t records = 0;
   for (const MutationGroup* group : groups) {
-    for (const auto& [record, payload] : *group) {
-      AppendFrame(&frames, payload);
+    for (const StagedRecord& staged : *group) {
+      AppendFrame(&frames, staged.payload);
     }
     AppendFrame(&frames, EncodeCommit(group->size()));
     records += group->size();
@@ -280,8 +282,10 @@ Status DurableCatalog::AppendGroupsLocked(
     return appended;
   }
   for (const MutationGroup* group : groups) {
-    for (const auto& [record, payload] : *group) {
-      SYSTOLIC_RETURN_NOT_OK(ApplyWalRecord(record, catalog_.get()));
+    for (const StagedRecord& staged : *group) {
+      SYSTOLIC_RETURN_NOT_OK(ApplyWalRecord(
+          staged.record, catalog_.get(),
+          staged.logged.has_value() ? &*staged.logged : nullptr));
     }
   }
   stats_.wal_records += records;

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -165,7 +166,15 @@ class DurableCatalog {
   DurableCatalog(std::string directory, Io io)
       : directory_(std::move(directory)), io_(io) {}
 
-  using MutationGroup = std::vector<std::pair<WalRecord, std::string>>;
+  /// One staged record: as recovery will decode it, its payload bytes and,
+  /// for a put, the relation it logs, whose codes the applied relation
+  /// shares when they are equal.
+  struct StagedRecord {
+    WalRecord record;
+    std::string payload;
+    std::optional<rel::Relation> logged;
+  };
+  using MutationGroup = std::vector<StagedRecord>;
 
   std::string Path(const std::string& name) const;
   std::string WalPath() const { return Path(kWalFileName); }
@@ -187,7 +196,9 @@ class DurableCatalog {
   Status ResetWalLocked() REQUIRES(mutex_);
   Status CollectGarbageLocked(const std::string& live_checkpoint)
       REQUIRES(mutex_);
-  Status StageLocked(WalRecord record, std::string payload) REQUIRES(mutex_);
+  Status StageLocked(WalRecord record, std::string payload,
+                     std::optional<rel::Relation> logged = std::nullopt)
+      REQUIRES(mutex_);
   /// The type domain `name` would have after the staged and sealed groups —
   /// fixed by a column of a staged or sealed put, or by the live catalog —
   /// or NotFound if it would not exist.

@@ -271,14 +271,17 @@ Result<std::pair<uint64_t, size_t>> ParseWalHeader(std::string_view bytes) {
   return std::make_pair(static_cast<uint64_t>(id), nl + 1);
 }
 
-Status ApplyWalRecord(const WalRecord& record, rel::Catalog* catalog) {
+Status ApplyWalRecord(const WalRecord& record, rel::Catalog* catalog,
+                      const rel::Relation* logged) {
   switch (record.kind) {
     case WalRecord::Kind::kPut: {
       SYSTOLIC_ASSIGN_OR_RETURN(rel::Schema schema,
                                 ResolveColumns(record.columns, catalog));
+      // Decoding checks that the logged bytes reproduce the relation.
       SYSTOLIC_ASSIGN_OR_RETURN(
           rel::Relation relation,
           rel::DecodeTuples(record.data, schema, record.relation_kind));
+      if (logged != nullptr) relation.ShareCodesIfEqual(*logged);
       catalog->PutRelation(record.name, std::move(relation));
       return Status::OK();
     }

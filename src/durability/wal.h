@@ -122,8 +122,12 @@ Result<std::pair<uint64_t, size_t>> ParseWalHeader(std::string_view bytes);
 /// domains from its column specs (preserving sharing by name) and fails
 /// with DataCorruption on type conflicts or a body that does not decode;
 /// ack records are no-ops (they carry dedup metadata, not catalog state);
-/// commit markers are not applicable.
-Status ApplyWalRecord(const WalRecord& record, rel::Catalog* catalog);
+/// commit markers are not applicable. `logged`, when given, is the relation
+/// a put was encoded from: if the decoded codes equal its codes (always so
+/// for int64 columns, whose codes are their values), the catalog's relation
+/// shares its code array instead of keeping a second one.
+Status ApplyWalRecord(const WalRecord& record, rel::Catalog* catalog,
+                      const rel::Relation* logged = nullptr);
 
 }  // namespace durability
 }  // namespace systolic

@@ -37,25 +37,17 @@ inline void RefineWord(uint64_t& word, size_t base, rel::Code a_value,
   }
 }
 
-/// The codes of `t` in `columns`, in order: the hash key equality compares.
-rel::Tuple KeyOf(const rel::Tuple& t, const std::vector<size_t>& columns) {
-  rel::Tuple key;
-  key.reserve(columns.size());
-  for (size_t c : columns) key.push_back(t[c]);
-  return key;
-}
-
 }  // namespace
 
 std::vector<rel::Code> PackColumn(const rel::Relation& b, size_t column) {
   std::vector<rel::Code> out;
   out.reserve(b.num_tuples());
-  for (const rel::Tuple& t : b.tuples()) out.push_back(t[column]);
+  for (rel::TupleRef t : b.tuples()) out.push_back(t[column]);
   return out;
 }
 
 std::vector<uint64_t> MatchMaskWords(
-    const rel::Tuple& a_i, const std::vector<size_t>& a_columns,
+    rel::TupleRef a_i, const std::vector<size_t>& a_columns,
     const std::vector<std::vector<rel::Code>>& b_columns_packed,
     const std::vector<rel::ComparisonOp>& ops, size_t n_b) {
   std::vector<uint64_t> words = AllLanes(n_b);
@@ -80,14 +72,14 @@ BitVector MembershipBits(const rel::Relation& a, const rel::Relation& b,
   // Equality needs no pairwise scan. Index each key's first row in B: the
   // edge rule admits pair (i, j) for every j, or only for j < i, so a_i
   // matches iff its key occurs in B at all, or first occurs before row i.
-  std::unordered_map<rel::Tuple, size_t, rel::TupleHash> first_row;
+  std::unordered_map<rel::KeyRef, size_t, rel::TupleHash> first_row;
   first_row.reserve(b.num_tuples());
   for (size_t j = 0; j < b.num_tuples(); ++j) {
-    first_row.emplace(KeyOf(b.tuple(j), b_columns), j);
+    first_row.emplace(rel::KeyRef(b.tuple(j), b_columns), j);
   }
   BitVector bits(a.num_tuples(), false);
   for (size_t i = 0; i < a.num_tuples(); ++i) {
-    const auto it = first_row.find(KeyOf(a.tuple(i), a_columns));
+    const auto it = first_row.find(rel::KeyRef(a.tuple(i), a_columns));
     if (it != first_row.end() &&
         (edge_rule == arrays::EdgeRule::kAllTrue || it->second < i)) {
       bits.Set(i, true);
@@ -104,13 +96,13 @@ std::vector<std::pair<size_t, size_t>> JoinMatches(
   const size_t n_b = b.num_tuples();
   if (op == rel::ComparisonOp::kEq) {
     // Build on B's join columns (rows in ascending order), probe in A order.
-    std::unordered_map<rel::Tuple, std::vector<size_t>, rel::TupleHash> rows;
+    std::unordered_map<rel::KeyRef, std::vector<size_t>, rel::TupleHash> rows;
     rows.reserve(n_b);
     for (size_t j = 0; j < n_b; ++j) {
-      rows[KeyOf(b.tuple(j), right_columns)].push_back(j);
+      rows[rel::KeyRef(b.tuple(j), right_columns)].push_back(j);
     }
     for (size_t i = 0; i < a.num_tuples(); ++i) {
-      const auto it = rows.find(KeyOf(a.tuple(i), left_columns));
+      const auto it = rows.find(rel::KeyRef(a.tuple(i), left_columns));
       if (it == rows.end()) continue;
       for (size_t j : it->second) matches.emplace_back(i, j);
     }
@@ -138,24 +130,25 @@ DivisionMatches MatchDivision(const rel::Relation& a, const rel::Relation& b,
                               const std::vector<size_t>& a_columns,
                               const std::vector<size_t>& b_columns) {
   DivisionMatches matches;
-  std::unordered_map<rel::Tuple, size_t, rel::TupleHash> values;
+  std::unordered_map<rel::KeyRef, size_t, rel::TupleHash> values;
   values.reserve(b.num_tuples());
   for (size_t j = 0; j < b.num_tuples(); ++j) {
-    if (values.emplace(KeyOf(b.tuple(j), b_columns), matches.value_rows.size())
+    if (values.emplace(rel::KeyRef(b.tuple(j), b_columns),
+                       matches.value_rows.size())
             .second) {
       matches.value_rows.push_back(j);
     }
   }
-  std::unordered_map<rel::Tuple, size_t, rel::TupleHash> keys;
+  std::unordered_map<rel::KeyRef, size_t, rel::TupleHash> keys;
   keys.reserve(a.num_tuples());
   matches.key.reserve(a.num_tuples());
   for (size_t i = 0; i < a.num_tuples(); ++i) {
-    const rel::Tuple& t = a.tuple(i);
-    const auto [key, inserted] =
-        keys.emplace(KeyOf(t, quotient_columns), matches.key_rows.size());
+    const rel::TupleRef t = a.tuple(i);
+    const auto [key, inserted] = keys.emplace(
+        rel::KeyRef(t, quotient_columns), matches.key_rows.size());
     if (inserted) matches.key_rows.push_back(i);
     matches.key.push_back(key->second);
-    const auto value = values.find(KeyOf(t, a_columns));
+    const auto value = values.find(rel::KeyRef(t, a_columns));
     if (value != values.end()) {
       matches.flags.emplace_back(key->second, value->second);
     }
@@ -166,19 +159,23 @@ DivisionMatches MatchDivision(const rel::Relation& a, const rel::Relation& b,
   return matches;
 }
 
-std::vector<rel::Tuple> DivisionQuotient(
-    const rel::Relation& a, const std::vector<size_t>& quotient_columns,
-    const DivisionMatches& matches) {
+Status DivisionQuotient(const rel::Relation& a,
+                        const std::vector<size_t>& quotient_columns,
+                        const DivisionMatches& matches,
+                        rel::Relation* quotient) {
   // A key's run of flags counts the distinct divisor values it matched.
   std::vector<size_t> matched(matches.key_rows.size(), 0);
   for (const auto& flag : matches.flags) ++matched[flag.first];
-  std::vector<rel::Tuple> quotient;
+  rel::Tuple key;
   for (size_t x = 0; x < matched.size(); ++x) {
     if (matched[x] == matches.value_rows.size()) {
-      quotient.push_back(KeyOf(a.tuple(matches.key_rows[x]), quotient_columns));
+      const rel::TupleRef row = a.tuple(matches.key_rows[x]);
+      key.clear();
+      for (size_t c : quotient_columns) key.push_back(row[c]);
+      SYSTOLIC_RETURN_NOT_OK(quotient->Append(key));
     }
   }
-  return quotient;
+  return Status::OK();
 }
 
 BitVector SelectionBits(

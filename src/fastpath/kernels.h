@@ -34,7 +34,7 @@ std::vector<rel::Code> PackColumn(const rel::Relation& b, size_t column);
 /// entry per compared column (the grid's per-column comparators). Words
 /// beyond n_b are zero.
 std::vector<uint64_t> MatchMaskWords(
-    const rel::Tuple& a_i, const std::vector<size_t>& a_columns,
+    rel::TupleRef a_i, const std::vector<size_t>& a_columns,
     const std::vector<std::vector<rel::Code>>& b_columns_packed,
     const std::vector<rel::ComparisonOp>& ops, size_t n_b);
 
@@ -81,12 +81,13 @@ DivisionMatches MatchDivision(const rel::Relation& a, const rel::Relation& b,
                               const std::vector<size_t>& a_columns,
                               const std::vector<size_t>& b_columns);
 
-/// §7's AND across each dividend row, by counting: the quotient keys of
-/// `a` that matched all Q divisor values (every key when Q = 0), in
-/// first-occurrence order.
-std::vector<rel::Tuple> DivisionQuotient(
-    const rel::Relation& a, const std::vector<size_t>& quotient_columns,
-    const DivisionMatches& matches);
+/// §7's AND across each dividend row, by counting: appends to `quotient`
+/// the quotient keys of `a` that matched all Q divisor values (every key
+/// when Q = 0), in first-occurrence order, each read from its first row.
+Status DivisionQuotient(const rel::Relation& a,
+                        const std::vector<size_t>& quotient_columns,
+                        const DivisionMatches& matches,
+                        rel::Relation* quotient);
 
 /// §6.3.2 selection: bit i = AND_p op_p(a_i[col_p], const_p), refined
 /// predicate by predicate over word-packed tuple masks.

@@ -25,7 +25,7 @@ inline uint64_t FoldChecksum(uint64_t acc, uint64_t value) {
 inline uint64_t ChecksumRelation(const rel::Relation& relation) {
   uint64_t acc = 1469598103934665603ULL;  // FNV offset basis
   const rel::TupleHash hash;
-  for (const rel::Tuple& tuple : relation.tuples()) {
+  for (rel::TupleRef tuple : relation.tuples()) {
     acc = FoldChecksum(acc, static_cast<uint64_t>(hash(tuple)));
   }
   return acc;

@@ -16,7 +16,7 @@ Status RelationBuilder::AddRow(const std::vector<Value>& row) {
     SYSTOLIC_ASSIGN_OR_RETURN(Code code, schema.column(c).domain->Encode(row[c]));
     tuple.push_back(code);
   }
-  return relation_.Append(std::move(tuple));
+  return relation_.Append(tuple);
 }
 
 Relation RelationBuilder::Finish() {

@@ -43,7 +43,5 @@ bool IsEqualityOp(ComparisonOp op) {
   return op == ComparisonOp::kEq || op == ComparisonOp::kNe;
 }
 
-bool TuplesEqual(const Tuple& a, const Tuple& b) { return a == b; }
-
 }  // namespace rel
 }  // namespace systolic

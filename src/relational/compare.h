@@ -30,9 +30,6 @@ bool ApplyComparison(ComparisonOp op, Code left, Code right);
 /// True iff `op` is kEq or kNe (meaningful on dictionary-encoded domains).
 bool IsEqualityOp(ComparisonOp op);
 
-/// Full-tuple equality as defined in §3: element-wise over all columns.
-bool TuplesEqual(const Tuple& a, const Tuple& b);
-
 }  // namespace rel
 }  // namespace systolic
 

@@ -161,7 +161,7 @@ Status WriteCsv(const Relation& relation, std::ostream& out) {
     out << EscapeCsvField(schema.column(c).name);
   }
   out << '\n';
-  for (const Tuple& t : relation.tuples()) {
+  for (TupleRef t : relation.tuples()) {
     for (size_t c = 0; c < t.size(); ++c) {
       if (c != 0) out << ',';
       SYSTOLIC_ASSIGN_OR_RETURN(Value v, schema.column(c).domain->Decode(t[c]));

@@ -24,9 +24,10 @@ Status CheckIntSchema(const Schema& schema) {
   return Status::OK();
 }
 
-Tuple RandomTuple(Rng& rng, size_t arity, const GeneratorOptions& options) {
-  Tuple t(arity);
-  for (Code& code : t) {
+/// Draws a fresh tuple's codes into `t`, which keeps its size (the arity):
+/// one row buffer serves every draw.
+void RandomTuple(Rng& rng, const GeneratorOptions& options, Tuple* t) {
+  for (Code& code : *t) {
     if (options.zipf_s > 0.0) {
       code = static_cast<Code>(
           rng.Zipf(static_cast<size_t>(options.domain_size), options.zipf_s));
@@ -34,7 +35,6 @@ Tuple RandomTuple(Rng& rng, size_t arity, const GeneratorOptions& options) {
       code = rng.Uniform(0, options.domain_size - 1);
     }
   }
-  return t;
 }
 
 }  // namespace
@@ -47,9 +47,11 @@ Result<Relation> GenerateRelation(const Schema& schema,
   }
   Rng rng(options.seed);
   Relation out(schema, RelationKind::kMulti);
+  out.Reserve(options.num_tuples);
+  Tuple t(schema.num_columns());
   for (size_t i = 0; i < options.num_tuples; ++i) {
-    SYSTOLIC_RETURN_NOT_OK(
-        out.Append(RandomTuple(rng, schema.num_columns(), options)));
+    RandomTuple(rng, options, &t);
+    SYSTOLIC_RETURN_NOT_OK(out.Append(t));
   }
   return out;
 }
@@ -63,10 +65,13 @@ Result<RelationPair> GenerateOverlappingPair(const Schema& schema,
   Rng rng(options.base.seed);
   Relation a(schema, RelationKind::kMulti);
   Relation b(schema, RelationKind::kMulti);
+  a.Reserve(options.base.num_tuples);
+  b.Reserve(options.b_num_tuples);
+  Tuple t(schema.num_columns());
   // First build B, then draw A tuples either from B (overlap) or fresh.
   for (size_t i = 0; i < options.b_num_tuples; ++i) {
-    SYSTOLIC_RETURN_NOT_OK(
-        b.Append(RandomTuple(rng, schema.num_columns(), options.base)));
+    RandomTuple(rng, options.base, &t);
+    SYSTOLIC_RETURN_NOT_OK(b.Append(t));
   }
   for (size_t i = 0; i < options.base.num_tuples; ++i) {
     if (!b.empty() && rng.Bernoulli(options.overlap_fraction)) {
@@ -77,9 +82,9 @@ Result<RelationPair> GenerateOverlappingPair(const Schema& schema,
       // Fresh tuples use codes shifted above the shared domain range so they
       // cannot collide with B by accident; this makes overlap_fraction exact
       // in expectation.
-      Tuple t = RandomTuple(rng, schema.num_columns(), options.base);
+      RandomTuple(rng, options.base, &t);
       t[0] += options.base.domain_size;  // disjoint first column
-      SYSTOLIC_RETURN_NOT_OK(a.Append(std::move(t)));
+      SYSTOLIC_RETURN_NOT_OK(a.Append(t));
     }
   }
   return RelationPair{std::move(a), std::move(b)};
@@ -95,16 +100,19 @@ Result<Relation> GenerateWithDuplicates(const Schema& schema,
   const size_t distinct = std::max<size_t>(
       1, static_cast<size_t>(static_cast<double>(options.num_tuples) / dup_factor));
   Rng rng(options.seed);
-  std::vector<Tuple> pool;
-  pool.reserve(distinct);
+  Relation pool(schema, RelationKind::kMulti);
+  pool.Reserve(distinct);
+  Tuple t(schema.num_columns());
   for (size_t i = 0; i < distinct; ++i) {
-    pool.push_back(RandomTuple(rng, schema.num_columns(), options));
+    RandomTuple(rng, options, &t);
+    SYSTOLIC_RETURN_NOT_OK(pool.Append(t));
   }
   Relation out(schema, RelationKind::kMulti);
+  out.Reserve(options.num_tuples);
   for (size_t i = 0; i < options.num_tuples; ++i) {
-    const size_t pick =
-        static_cast<size_t>(rng.Uniform(0, static_cast<int64_t>(pool.size()) - 1));
-    SYSTOLIC_RETURN_NOT_OK(out.Append(pool[pick]));
+    const size_t pick = static_cast<size_t>(
+        rng.Uniform(0, static_cast<int64_t>(pool.num_tuples()) - 1));
+    SYSTOLIC_RETURN_NOT_OK(out.Append(pool.tuple(pick)));
   }
   return out;
 }

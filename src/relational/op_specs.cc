@@ -63,17 +63,17 @@ Result<Schema> JoinOutputSchema(const Schema& a, const Schema& b,
   return Schema(std::move(columns));
 }
 
-Tuple JoinConcatenate(const Tuple& ta, const Tuple& tb, const JoinSpec& spec) {
-  Tuple out = ta;
+void JoinConcatenate(TupleRef ta, TupleRef tb, const JoinSpec& spec,
+                     Tuple* out) {
+  out->assign(ta.begin(), ta.end());
   const bool drop_right_join_columns = spec.op == ComparisonOp::kEq;
   for (size_t cb = 0; cb < tb.size(); ++cb) {
     const bool is_join_column =
         std::find(spec.right_columns.begin(), spec.right_columns.end(), cb) !=
         spec.right_columns.end();
     if (drop_right_join_columns && is_join_column) continue;
-    out.push_back(tb[cb]);
+    out->push_back(tb[cb]);
   }
-  return out;
 }
 
 Status ValidateDivisionSpec(const Schema& a, const Schema& b,

@@ -34,9 +34,11 @@ Status ValidateJoinSpec(const Schema& a, const Schema& b, const JoinSpec& spec);
 Result<Schema> JoinOutputSchema(const Schema& a, const Schema& b,
                                 const JoinSpec& spec);
 
-/// Concatenates a matching pair per the paper's |_{CA,CB} operator. Must be
-/// called only for pairs that satisfy the join predicate.
-Tuple JoinConcatenate(const Tuple& ta, const Tuple& tb, const JoinSpec& spec);
+/// Concatenates a matching pair per the paper's |_{CA,CB} operator into
+/// `out`, replacing its codes (a caller reuses one `out` across pairs). Must
+/// be called only for pairs that satisfy the join predicate.
+void JoinConcatenate(TupleRef ta, TupleRef tb, const JoinSpec& spec,
+                     Tuple* out);
 
 /// Describes a division A ÷ B over columns C_A of A and C_B of B (§7).
 ///

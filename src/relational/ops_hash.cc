@@ -12,18 +12,11 @@ namespace hashops {
 
 namespace {
 
-std::unordered_set<Tuple, TupleHash> BuildSet(const Relation& r) {
-  std::unordered_set<Tuple, TupleHash> set;
+std::unordered_set<TupleRef, TupleHash> BuildSet(const Relation& r) {
+  std::unordered_set<TupleRef, TupleHash> set;
   set.reserve(r.num_tuples());
-  for (const Tuple& t : r.tuples()) set.insert(t);
+  for (TupleRef t : r.tuples()) set.insert(t);
   return set;
-}
-
-Tuple KeyOf(const Tuple& t, const std::vector<size_t>& columns) {
-  Tuple key;
-  key.reserve(columns.size());
-  for (size_t c : columns) key.push_back(t[c]);
-  return key;
 }
 
 }  // namespace
@@ -32,7 +25,7 @@ Result<Relation> Intersection(const Relation& a, const Relation& b) {
   SYSTOLIC_RETURN_NOT_OK(a.schema().CheckUnionCompatible(b.schema()));
   const auto b_set = BuildSet(b);
   Relation out(a.schema(), RelationKind::kSet);
-  for (const Tuple& ta : a.tuples()) {
+  for (TupleRef ta : a.tuples()) {
     if (b_set.count(ta) != 0) {
       SYSTOLIC_RETURN_NOT_OK(out.Append(ta));
     }
@@ -44,7 +37,7 @@ Result<Relation> Difference(const Relation& a, const Relation& b) {
   SYSTOLIC_RETURN_NOT_OK(a.schema().CheckUnionCompatible(b.schema()));
   const auto b_set = BuildSet(b);
   Relation out(a.schema(), RelationKind::kSet);
-  for (const Tuple& ta : a.tuples()) {
+  for (TupleRef ta : a.tuples()) {
     if (b_set.count(ta) == 0) {
       SYSTOLIC_RETURN_NOT_OK(out.Append(ta));
     }
@@ -53,10 +46,10 @@ Result<Relation> Difference(const Relation& a, const Relation& b) {
 }
 
 Result<Relation> RemoveDuplicates(const Relation& a) {
-  std::unordered_set<Tuple, TupleHash> seen;
+  std::unordered_set<TupleRef, TupleHash> seen;
   seen.reserve(a.num_tuples());
   Relation out(a.schema(), RelationKind::kSet);
-  for (const Tuple& ta : a.tuples()) {
+  for (TupleRef ta : a.tuples()) {
     if (seen.insert(ta).second) {
       SYSTOLIC_RETURN_NOT_OK(out.Append(ta));
     }
@@ -90,17 +83,19 @@ Result<Relation> Join(const Relation& a, const Relation& b,
                             JoinOutputSchema(a.schema(), b.schema(), spec));
   // Build on B (keyed by its join columns), probe with A, A-major output
   // order to match the reference implementation.
-  std::unordered_map<Tuple, std::vector<size_t>, TupleHash> build;
+  std::unordered_map<KeyRef, std::vector<size_t>, TupleHash> build;
   build.reserve(b.num_tuples());
   for (size_t j = 0; j < b.num_tuples(); ++j) {
-    build[KeyOf(b.tuple(j), spec.right_columns)].push_back(j);
+    build[KeyRef(b.tuple(j), spec.right_columns)].push_back(j);
   }
   Relation out(std::move(out_schema), RelationKind::kMulti);
-  for (const Tuple& ta : a.tuples()) {
-    auto it = build.find(KeyOf(ta, spec.left_columns));
+  Tuple joined;
+  for (TupleRef ta : a.tuples()) {
+    auto it = build.find(KeyRef(ta, spec.left_columns));
     if (it == build.end()) continue;
     for (size_t j : it->second) {
-      SYSTOLIC_RETURN_NOT_OK(out.Append(JoinConcatenate(ta, b.tuple(j), spec)));
+      JoinConcatenate(ta, b.tuple(j), spec, &joined);
+      SYSTOLIC_RETURN_NOT_OK(out.Append(joined));
     }
   }
   return out;
@@ -114,28 +109,29 @@ Result<Relation> Division(const Relation& a, const Relation& b,
   SYSTOLIC_ASSIGN_OR_RETURN(Schema out_schema,
                             DivisionOutputSchema(a.schema(), spec));
 
-  std::unordered_set<Tuple, TupleHash> divisor;
-  for (const Tuple& tb : b.tuples()) {
-    divisor.insert(KeyOf(tb, spec.b_columns));
-  }
+  std::unordered_set<KeyRef, TupleHash> divisor;
+  for (TupleRef tb : b.tuples()) divisor.insert(KeyRef(tb, spec.b_columns));
 
   // Group A by quotient value; per group, count distinct covered divisor
   // values. Preserve first-occurrence order of quotient values.
-  std::unordered_map<Tuple, std::unordered_set<Tuple, TupleHash>, TupleHash>
+  std::unordered_map<KeyRef, std::unordered_set<KeyRef, TupleHash>, TupleHash>
       covered_by_group;
-  std::vector<Tuple> group_order;
-  for (const Tuple& ta : a.tuples()) {
-    Tuple x = KeyOf(ta, quotient_columns);
+  std::vector<KeyRef> group_order;
+  for (TupleRef ta : a.tuples()) {
+    const KeyRef x(ta, quotient_columns);
     auto [it, inserted] = covered_by_group.try_emplace(x);
     if (inserted) group_order.push_back(x);
-    Tuple y = KeyOf(ta, spec.a_columns);
-    if (divisor.count(y) != 0) it->second.insert(std::move(y));
+    const KeyRef y(ta, spec.a_columns);
+    if (divisor.count(y) != 0) it->second.insert(y);
   }
 
   Relation out(std::move(out_schema), RelationKind::kSet);
-  for (const Tuple& x : group_order) {
-    if (covered_by_group[x].size() == divisor.size()) {
-      SYSTOLIC_RETURN_NOT_OK(out.Append(x));
+  Tuple quotient;
+  for (const KeyRef& x : group_order) {
+    if (covered_by_group.at(x).size() == divisor.size()) {
+      quotient.clear();
+      for (size_t k = 0; k < x.size(); ++k) quotient.push_back(x[k]);
+      SYSTOLIC_RETURN_NOT_OK(out.Append(quotient));
     }
   }
   return out;

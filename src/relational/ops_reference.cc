@@ -9,7 +9,7 @@ namespace reference {
 Result<Relation> Intersection(const Relation& a, const Relation& b) {
   SYSTOLIC_RETURN_NOT_OK(a.schema().CheckUnionCompatible(b.schema()));
   Relation out(a.schema(), RelationKind::kSet);
-  for (const Tuple& ta : a.tuples()) {
+  for (TupleRef ta : a.tuples()) {
     if (b.Contains(ta)) {
       SYSTOLIC_RETURN_NOT_OK(out.Append(ta));
     }
@@ -20,7 +20,7 @@ Result<Relation> Intersection(const Relation& a, const Relation& b) {
 Result<Relation> Difference(const Relation& a, const Relation& b) {
   SYSTOLIC_RETURN_NOT_OK(a.schema().CheckUnionCompatible(b.schema()));
   Relation out(a.schema(), RelationKind::kSet);
-  for (const Tuple& ta : a.tuples()) {
+  for (TupleRef ta : a.tuples()) {
     if (!b.Contains(ta)) {
       SYSTOLIC_RETURN_NOT_OK(out.Append(ta));
     }
@@ -31,7 +31,7 @@ Result<Relation> Difference(const Relation& a, const Relation& b) {
 Result<Relation> RemoveDuplicates(const Relation& a) {
   Relation out(a.schema(), RelationKind::kSet);
   std::set<Tuple> seen;
-  for (const Tuple& ta : a.tuples()) {
+  for (TupleRef ta : a.tuples()) {
     if (seen.insert(ta).second) {
       SYSTOLIC_RETURN_NOT_OK(out.Append(ta));
     }
@@ -58,15 +58,17 @@ Result<Relation> Join(const Relation& a, const Relation& b,
   SYSTOLIC_ASSIGN_OR_RETURN(Schema out_schema,
                             JoinOutputSchema(a.schema(), b.schema(), spec));
   Relation out(std::move(out_schema), RelationKind::kMulti);
-  for (const Tuple& ta : a.tuples()) {
-    for (const Tuple& tb : b.tuples()) {
+  Tuple joined;
+  for (TupleRef ta : a.tuples()) {
+    for (TupleRef tb : b.tuples()) {
       bool match = true;
       for (size_t k = 0; k < spec.left_columns.size() && match; ++k) {
         match = ApplyComparison(spec.op, ta[spec.left_columns[k]],
                                 tb[spec.right_columns[k]]);
       }
       if (match) {
-        SYSTOLIC_RETURN_NOT_OK(out.Append(JoinConcatenate(ta, tb, spec)));
+        JoinConcatenate(ta, tb, spec, &joined);
+        SYSTOLIC_RETURN_NOT_OK(out.Append(joined));
       }
     }
   }
@@ -83,7 +85,7 @@ Result<Relation> Division(const Relation& a, const Relation& b,
 
   // The distinct divisor values: π_{C_B}(B) as a set of sub-tuples.
   std::set<Tuple> divisor;
-  for (const Tuple& tb : b.tuples()) {
+  for (TupleRef tb : b.tuples()) {
     Tuple y;
     y.reserve(spec.b_columns.size());
     for (size_t cb : spec.b_columns) y.push_back(tb[cb]);
@@ -95,14 +97,14 @@ Result<Relation> Division(const Relation& a, const Relation& b,
   // paired with it in A, and keep x iff they cover the whole divisor.
   std::set<Tuple> emitted;
   Relation out(std::move(out_schema), RelationKind::kSet);
-  for (const Tuple& ta : a.tuples()) {
+  for (TupleRef ta : a.tuples()) {
     Tuple x;
     x.reserve(quotient_columns.size());
     for (size_t c : quotient_columns) x.push_back(ta[c]);
     if (emitted.count(x) != 0) continue;
 
     std::set<Tuple> covered;
-    for (const Tuple& other : a.tuples()) {
+    for (TupleRef other : a.tuples()) {
       bool same_quotient = true;
       for (size_t q = 0; q < quotient_columns.size() && same_quotient; ++q) {
         same_quotient = other[quotient_columns[q]] == x[q];

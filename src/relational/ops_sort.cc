@@ -10,7 +10,7 @@ namespace sortops {
 
 namespace {
 
-Tuple KeyOf(const Tuple& t, const std::vector<size_t>& columns) {
+Tuple KeyOf(TupleRef t, const std::vector<size_t>& columns) {
   Tuple key;
   key.reserve(columns.size());
   for (size_t c : columns) key.push_back(t[c]);
@@ -67,8 +67,8 @@ Result<Relation> RemoveDuplicates(const Relation& a) {
   std::vector<Tuple> sorted = Sorted(a);
   sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
   Relation out(a.schema(), RelationKind::kSet);
-  for (Tuple& t : sorted) {
-    SYSTOLIC_RETURN_NOT_OK(out.Append(std::move(t)));
+  for (const Tuple& t : sorted) {
+    SYSTOLIC_RETURN_NOT_OK(out.Append(t));
   }
   return out;
 }
@@ -110,6 +110,7 @@ Result<Relation> Join(const Relation& a, const Relation& b,
   const auto kb = make_keyed(b, spec.right_columns);
 
   Relation out(std::move(out_schema), RelationKind::kMulti);
+  Tuple joined;
   size_t i = 0;
   size_t j = 0;
   while (i < ka.size() && j < kb.size()) {
@@ -124,8 +125,9 @@ Result<Relation> Join(const Relation& a, const Relation& b,
       while (j_end < kb.size() && kb[j_end].first == kb[j].first) ++j_end;
       for (size_t ii = i; ii < i_end; ++ii) {
         for (size_t jj = j; jj < j_end; ++jj) {
-          SYSTOLIC_RETURN_NOT_OK(out.Append(JoinConcatenate(
-              a.tuple(ka[ii].second), b.tuple(kb[jj].second), spec)));
+          JoinConcatenate(a.tuple(ka[ii].second), b.tuple(kb[jj].second), spec,
+                          &joined);
+          SYSTOLIC_RETURN_NOT_OK(out.Append(joined));
         }
       }
       i = i_end;
@@ -145,14 +147,14 @@ Result<Relation> Division(const Relation& a, const Relation& b,
 
   std::vector<Tuple> divisor;
   divisor.reserve(b.num_tuples());
-  for (const Tuple& tb : b.tuples()) divisor.push_back(KeyOf(tb, spec.b_columns));
+  for (TupleRef tb : b.tuples()) divisor.push_back(KeyOf(tb, spec.b_columns));
   std::sort(divisor.begin(), divisor.end());
   divisor.erase(std::unique(divisor.begin(), divisor.end()), divisor.end());
 
   // Sort A as (quotient, divisor-part) pairs and scan group by group.
   std::vector<std::pair<Tuple, Tuple>> rows;
   rows.reserve(a.num_tuples());
-  for (const Tuple& ta : a.tuples()) {
+  for (TupleRef ta : a.tuples()) {
     rows.emplace_back(KeyOf(ta, quotient_columns), KeyOf(ta, spec.a_columns));
   }
   std::sort(rows.begin(), rows.end());

@@ -102,7 +102,12 @@ class Reader {
 
 Status EncodeTuples(const Relation& relation, std::string* out) {
   const Schema& schema = relation.schema();
-  for (const Tuple& t : relation.tuples()) {
+  if (relation.arity() == 0 && !relation.empty()) {
+    return Status::InvalidArgument(
+        "cannot encode " + std::to_string(relation.num_tuples()) +
+        " tuples without columns: a block has no tuple count");
+  }
+  for (TupleRef t : relation.tuples()) {
     for (size_t c = 0; c < t.size(); ++c) {
       SYSTOLIC_ASSIGN_OR_RETURN(const Value v,
                                 schema.column(c).domain->Decode(t[c]));
@@ -125,17 +130,16 @@ Status EncodeTuples(const Relation& relation, std::string* out) {
 
 Result<Relation> DecodeTuples(std::string_view bytes, const Schema& schema,
                               RelationKind kind) {
-  Relation relation(schema, kind);
   if (schema.num_columns() == 0) {
     if (!bytes.empty()) {
       return Corrupt("data for a relation without columns", 0);
     }
-    return relation;
+    return Relation(schema, kind);
   }
+  // Codes go straight into the relation's row-major array.
+  std::vector<Code> codes;
   Reader reader(bytes);
   while (!reader.done()) {
-    Tuple tuple;
-    tuple.reserve(schema.num_columns());
     for (size_t c = 0; c < schema.num_columns(); ++c) {
       if (reader.done()) {
         return Corrupt("data ends inside a tuple, before column " +
@@ -145,11 +149,10 @@ Result<Relation> DecodeTuples(std::string_view bytes, const Schema& schema,
       const std::shared_ptr<Domain>& domain = schema.column(c).domain;
       SYSTOLIC_ASSIGN_OR_RETURN(const Value v, reader.Read(domain->type()));
       SYSTOLIC_ASSIGN_OR_RETURN(const Code code, domain->Encode(v));
-      tuple.push_back(code);
+      codes.push_back(code);
     }
-    SYSTOLIC_RETURN_NOT_OK(relation.Append(std::move(tuple)));
   }
-  return relation;
+  return Relation::FromCodes(schema, kind, std::move(codes));
 }
 
 }  // namespace rel

@@ -27,7 +27,9 @@ namespace rel {
 /// encode to identical bytes, and a decoded block re-encodes to itself.
 
 /// Appends the encoding of `relation`'s tuples to `out`. Fails if a stored
-/// code does not decode through its domain.
+/// code does not decode through its domain, and with InvalidArgument on a
+/// relation without columns that holds tuples: its block would be empty, so
+/// the tuples would not survive decoding.
 Status EncodeTuples(const Relation& relation, std::string* out);
 
 /// Decodes a block into a `kind` relation over `schema`, encoding every

@@ -39,7 +39,7 @@ Result<rel::Relation> LogicPerTrackDisk::Select(
   }
 
   rel::Relation out(stored.schema(), stored.kind());
-  for (const rel::Tuple& t : stored.tuples()) {
+  for (rel::TupleRef t : stored.tuples()) {
     if (rel::ApplyComparison(predicate.op, t[predicate.column],
                              predicate.constant)) {
       SYSTOLIC_RETURN_NOT_OK(out.Append(t));

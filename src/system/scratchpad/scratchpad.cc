@@ -51,6 +51,7 @@ const rel::Relation& ScratchpadBank::Stage(const rel::Relation& source,
   const rel::Relation* block = &source;
   if (start != 0 || end != source.num_tuples()) {
     copy_.emplace(source.schema(), rel::RelationKind::kMulti);
+    copy_->Reserve(end - start);
     for (size_t i = start; i < end; ++i) {
       SYSTOLIC_CHECK(copy_->Append(source.tuple(i)).ok());
     }

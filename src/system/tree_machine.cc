@@ -67,16 +67,16 @@ Result<TreeMachineResult> TreeMembership(const rel::Relation& a,
   // Pack whole tuples into single codes through a shared dictionary (§2.3
   // trick; identical tuples get identical codes across A and B).
   std::map<rel::Tuple, rel::Code> codes;
-  auto pack = [&codes](const rel::Tuple& t) {
+  auto pack = [&codes](rel::TupleRef t) {
     return codes.emplace(t, static_cast<rel::Code>(codes.size()))
         .first->second;
   };
   std::vector<rel::Code> a_codes;
   a_codes.reserve(a.num_tuples());
-  for (const rel::Tuple& t : a.tuples()) a_codes.push_back(pack(t));
+  for (rel::TupleRef t : a.tuples()) a_codes.push_back(pack(t));
   std::vector<rel::Code> b_codes;
   b_codes.reserve(b.num_tuples());
-  for (const rel::Tuple& t : b.tuples()) b_codes.push_back(pack(t));
+  for (rel::TupleRef t : b.tuples()) b_codes.push_back(pack(t));
 
   // Complete binary tree with L = 2^ceil(lg nA) leaves, heap-indexed:
   // inner nodes 1..L-1, leaves L..2L-1.

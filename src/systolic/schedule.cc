@@ -12,7 +12,7 @@ void LoadStaggeredSchedule(const rel::Relation& relation,
   SYSTOLIC_CHECK_EQ(columns.size(), feeders.size());
   SYSTOLIC_CHECK_GE(spacing, size_t{1});
   for (size_t i = 0; i < relation.num_tuples(); ++i) {
-    const rel::Tuple& tuple = relation.tuple(i);
+    const rel::TupleRef tuple = relation.tuple(i);
     for (size_t k = 0; k < columns.size(); ++k) {
       const rel::Code code = tuple[columns[k]];
       const TupleTag tag = static_cast<TupleTag>(i);

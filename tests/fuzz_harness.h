@@ -754,7 +754,7 @@ inline Result<MachineRun> RunTransaction(
   SYSTOLIC_ASSIGN_OR_RETURN(run.report, m.Execute(to_run));
   for (const std::string& sink : sinks) {
     SYSTOLIC_ASSIGN_OR_RETURN(const Relation* buffer, m.Buffer(sink));
-    run.sinks[sink] = buffer->tuples();
+    run.sinks[sink].assign(buffer->tuples().begin(), buffer->tuples().end());
   }
   return run;
 }

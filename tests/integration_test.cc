@@ -113,7 +113,8 @@ TEST(IntegrationTest, SamePipelineOnTinyDeviceAgrees) {
     auto d = engine->Subtract(u->relation, pair->b);
     ASSERT_OK(d);
     if (engine == &big) {
-      big_result = d->relation.tuples();
+      big_result.assign(d->relation.tuples().begin(),
+                        d->relation.tuples().end());
     } else {
       EXPECT_EQ(d->relation.tuples(), big_result);
       EXPECT_GT(d->stats.passes, 1u) << "tiny device must have tiled";

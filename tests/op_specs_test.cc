@@ -81,9 +81,12 @@ TEST(JoinOutputSchemaTest, ThetaJoinKeepsAllColumns) {
 TEST(JoinConcatenateTest, MatchesSchemaShape) {
   SpecFixture f;
   JoinSpec eq{{0}, {0}, ComparisonOp::kEq};
-  EXPECT_EQ(JoinConcatenate({1, 2}, {1, 9}, eq), (Tuple{1, 2, 9}));
+  Tuple out{7, 7, 7, 7, 7};  // replaced, not appended to
+  JoinConcatenate(Tuple{1, 2}, Tuple{1, 9}, eq, &out);
+  EXPECT_EQ(out, (Tuple{1, 2, 9}));
   JoinSpec lt{{0}, {0}, ComparisonOp::kLt};
-  EXPECT_EQ(JoinConcatenate({1, 2}, {5, 9}, lt), (Tuple{1, 2, 5, 9}));
+  JoinConcatenate(Tuple{1, 2}, Tuple{5, 9}, lt, &out);
+  EXPECT_EQ(out, (Tuple{1, 2, 5, 9}));
 }
 
 TEST(DivisionSpecTest, ValidRestrictedCase) {

@@ -73,7 +73,8 @@ RunOutcome RunTxn(const Transaction& txn, const Inputs& inputs,
   for (const std::string& sink : sinks) {
     auto buffer = m.Buffer(sink);
     SYSTOLIC_CHECK(buffer.ok()) << sink << ": " << buffer.status().ToString();
-    out.sinks[sink] = (*buffer)->tuples();
+    out.sinks[sink].assign((*buffer)->tuples().begin(),
+                           (*buffer)->tuples().end());
   }
   return out;
 }

@@ -3,6 +3,8 @@
 #include "gtest/gtest.h"
 #include "relational/builder.h"
 #include "relational/schema.h"
+#include "relational/tuple_codec.h"
+#include "relational/tuple_hash.h"
 #include "test_util.h"
 
 namespace systolic {
@@ -68,8 +70,8 @@ TEST(RelationTest, AppendChecksArity) {
 TEST(RelationTest, ContainsAndDuplicateFree) {
   const Schema schema = MakeIntSchema(2);
   const Relation r = Rel(schema, {{1, 2}, {3, 4}});
-  EXPECT_TRUE(r.Contains({1, 2}));
-  EXPECT_FALSE(r.Contains({2, 1}));
+  EXPECT_TRUE(r.Contains(Tuple{1, 2}));
+  EXPECT_FALSE(r.Contains(Tuple{2, 1}));
   EXPECT_TRUE(r.IsDuplicateFree());
   const Relation dup =
       Rel(schema, {{1, 2}, {1, 2}}, RelationKind::kMulti);
@@ -142,7 +144,7 @@ TEST(RelationTest, ToStringDecodesThroughDomains) {
 
 // ---- copy-on-write storage ------------------------------------------------
 
-const Tuple* DataOf(const Relation& r) { return r.tuples().data(); }
+const Code* DataOf(const Relation& r) { return r.codes().data(); }
 
 TEST(RelationStorageTest, CopiesShareTuples) {
   const Relation original = Rel(MakeIntSchema(2), {{1, 2}, {3, 4}});
@@ -222,7 +224,7 @@ TEST(RelationStorageTest, SelfConcatenationDoublesTheTuples) {
 TEST(RelationStorageTest, MovedFromRelationIsEmptyAndUsable) {
   const Schema schema = MakeIntSchema(2);
   Relation source = Rel(schema, {{1, 2}, {3, 4}});
-  const Tuple* data = DataOf(source);
+  const Code* data = DataOf(source);
   Relation moved = std::move(source);
   EXPECT_EQ(DataOf(moved), data);
   EXPECT_EQ(moved.arity(), 2u);
@@ -272,8 +274,151 @@ TEST(RelationStorageTest, FilterAndProjectOfASharedRelationBehaveAsBefore) {
             (std::vector<Tuple>{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}));
 }
 
+// ---- flat row-major storage ----------------------------------------------
+
+TEST(RelationFlatLayoutTest, TuplesAreRowsOfOneCodeArray) {
+  const Relation r = Rel(MakeIntSchema(2), {{1, 2}, {3, 4}, {5, 6}});
+  EXPECT_EQ(std::vector<Code>(r.codes().begin(), r.codes().end()),
+            (std::vector<Code>{1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(r.tuple(1).data(), r.codes().data() + 2);
+  EXPECT_EQ(r.tuples().size(), 3u);
+  EXPECT_EQ(r.tuples().back(), (Tuple{5, 6}));
+
+  auto taken = Relation::FromCodes(MakeIntSchema(3), RelationKind::kMulti,
+                                   {7, 8, 9, 1, 2, 3});
+  ASSERT_OK(taken);
+  EXPECT_EQ(taken->tuples(), (std::vector<Tuple>{{7, 8, 9}, {1, 2, 3}}));
+  EXPECT_EQ(taken->kind(), RelationKind::kMulti);
+  EXPECT_TRUE(Relation::FromCodes(MakeIntSchema(3), RelationKind::kSet,
+                                  {1, 2, 3, 4})
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(
+      Relation::FromCodes(MakeIntSchema(0), RelationKind::kSet, {1})
+          .status()
+          .IsInvalidArgument());
+}
+
+TEST(RelationFlatLayoutTest, TupleRefComparesAndHashesLikeATuple) {
+  const Relation r = Rel(MakeIntSchema(3), {{1, 2, 3}, {1, 2, 4}});
+  const TupleRef first = r.tuple(0);
+  EXPECT_EQ(first.size(), 3u);
+  EXPECT_EQ(first[2], 3);
+  EXPECT_EQ(first, (Tuple{1, 2, 3}));
+  EXPECT_NE(first, r.tuple(1));
+  EXPECT_LT(first, r.tuple(1));
+  EXPECT_LT((Tuple{1, 2}), first);  // a prefix orders first, as for Tuple
+  const Tuple owned = first;
+  EXPECT_EQ(owned, (Tuple{1, 2, 3}));
+  EXPECT_EQ(TupleHash()(first), TupleHash()(Tuple{1, 2, 3}));
+  // A key reads its columns in place and hashes as their Tuple does.
+  const std::vector<size_t> last_first{2, 0};
+  const std::vector<size_t> head{0, 1};
+  EXPECT_EQ(TupleHash()(KeyRef(first, last_first)), TupleHash()(Tuple{3, 1}));
+  EXPECT_TRUE(KeyRef(first, head) == KeyRef(r.tuple(1), head));
+  EXPECT_FALSE(KeyRef(first, last_first) == KeyRef(r.tuple(1), last_first));
+}
+
+TEST(RelationFlatLayoutTest, ZeroColumnRelationsKeepTheirTupleCount) {
+  const Schema none = MakeIntSchema(0);
+  Relation r(none, RelationKind::kMulti);
+  ASSERT_STATUS_OK(r.Append({}));
+  ASSERT_STATUS_OK(r.Append({}));
+  ASSERT_STATUS_OK(r.Append(r.tuple(0)));
+  EXPECT_TRUE(r.Append({1}).IsInvalidArgument());
+  EXPECT_EQ(r.num_tuples(), 3u);
+  EXPECT_TRUE(r.codes().empty());
+  size_t rows = 0;
+  for (TupleRef t : r.tuples()) {
+    EXPECT_TRUE(t.empty());
+    ++rows;
+  }
+  EXPECT_EQ(rows, 3u);
+  EXPECT_TRUE(r.Contains(TupleRef()));
+  EXPECT_FALSE(r.IsDuplicateFree());
+
+  const Relation copy = r;
+  EXPECT_EQ(copy.num_tuples(), 3u);
+  Relation onto_empty(none);
+  ASSERT_STATUS_OK(onto_empty.Concatenate(copy));
+  EXPECT_EQ(onto_empty.num_tuples(), 3u);
+  ASSERT_STATUS_OK(onto_empty.Concatenate(copy));
+  EXPECT_EQ(onto_empty.num_tuples(), 6u);
+  ASSERT_STATUS_OK(r.Concatenate(r));
+  EXPECT_EQ(r.num_tuples(), 6u);
+  EXPECT_EQ(copy.num_tuples(), 3u);
+
+  BitVector keep(6);
+  keep.Set(1, true);
+  keep.Set(4, true);
+  auto filtered = r.Filter(keep);
+  ASSERT_OK(filtered);
+  EXPECT_EQ(filtered->num_tuples(), 2u);
+
+  const Relation wide = Rel(MakeIntSchema(2), {{1, 2}, {3, 4}, {5, 6}});
+  auto projected = wide.ProjectColumns({});
+  ASSERT_OK(projected);
+  EXPECT_EQ(projected->arity(), 0u);
+  EXPECT_EQ(projected->num_tuples(), 3u);
+
+  // A block has no header, so a zero-column block cannot carry a tuple
+  // count: the codec refuses to encode tuples a decode would lose, and the
+  // empty relation round-trips.
+  std::string bytes;
+  EXPECT_TRUE(EncodeTuples(r, &bytes).IsInvalidArgument());
+  EXPECT_TRUE(EncodeTuples(*projected, &bytes).IsInvalidArgument());
+  EXPECT_TRUE(bytes.empty());
+  ASSERT_STATUS_OK(EncodeTuples(Relation(none), &bytes));
+  EXPECT_TRUE(bytes.empty());
+  auto decoded = DecodeTuples(bytes, none, RelationKind::kMulti);
+  ASSERT_OK(decoded);
+  EXPECT_TRUE(decoded->empty());
+}
+
+TEST(RelationFlatLayoutTest, AppendingItsOwnTupleCopiesTheRightCodes) {
+  // The view points into the array the append grows: a read through the
+  // stale view after the growth is a heap-use-after-free under ASan.
+  Relation r(MakeIntSchema(2), RelationKind::kMulti);
+  r.Reserve(2);
+  ASSERT_STATUS_OK(r.Append({1, 2}));
+  ASSERT_STATUS_OK(r.Append({3, 4}));
+  std::vector<Tuple> expected{{1, 2}, {3, 4}};
+  size_t growths = 0;
+  for (size_t i = 0; i < 40; ++i) {
+    const size_t pick = (i * 7) % r.num_tuples();
+    const Code* before = r.codes().data();
+    ASSERT_STATUS_OK(r.Append(r.tuple(pick)));
+    expected.push_back(expected[pick]);
+    growths += r.codes().data() != before;
+  }
+  EXPECT_EQ(r.tuples(), expected);
+  EXPECT_GT(growths, 0u);
+  // The last row too, which ends where the array does.
+  ASSERT_STATUS_OK(r.Append(r.tuple(r.num_tuples() - 1)));
+  EXPECT_EQ(r.tuples().back(), expected.back());
+}
+
+TEST(RelationFlatLayoutTest, ATupleRefOutlivesAnotherHoldersAppend) {
+  const Schema schema = MakeIntSchema(2);
+  Relation a = Rel(schema, {{1, 2}, {3, 4}});
+  Relation b = a;
+  const TupleRef from_a = a.tuple(1);
+  for (Code i = 0; i < 64; ++i) ASSERT_STATUS_OK(b.Append({i, i}));
+  EXPECT_EQ(from_a, (Tuple{3, 4}));
+  EXPECT_EQ(from_a.data(), a.codes().data() + 2);
+
+  // The other way round: the appender held the view's array, and its copy
+  // leaves that array to the other holder.
+  Relation c = a;
+  const TupleRef from_c = c.tuple(0);
+  for (Code i = 0; i < 64; ++i) ASSERT_STATUS_OK(c.Append({i, i}));
+  EXPECT_EQ(from_c, (Tuple{1, 2}));
+  EXPECT_EQ(from_c.data(), a.codes().data());
+  EXPECT_EQ(c.num_tuples(), 66u);
+}
+
 TEST(TupleToStringTest, Renders) {
-  EXPECT_EQ(TupleToString({1, 2, 3}), "(1, 2, 3)");
+  EXPECT_EQ(TupleToString(Tuple{1, 2, 3}), "(1, 2, 3)");
   EXPECT_EQ(TupleToString({}), "()");
 }
 

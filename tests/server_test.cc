@@ -511,15 +511,15 @@ TEST(ServerTest, InProcessRetriesCountAsDedups) {
 // a deep copy on any of the paths fails here instead of silently doubling
 // what every session holds.
 
-const rel::Tuple* DataOf(const rel::Relation& r) { return r.tuples().data(); }
+const rel::Code* DataOf(const rel::Relation& r) { return r.codes().data(); }
 
-const rel::Tuple* BufferData(Session& session, const std::string& name) {
+const rel::Code* BufferData(Session& session, const std::string& name) {
   const auto buffer = session.machine().Buffer(name);
   EXPECT_OK(buffer);
   return buffer.ok() ? DataOf(**buffer) : nullptr;
 }
 
-const rel::Tuple* ImageData(Server& server, const std::string& name) {
+const rel::Code* ImageData(Server& server, const std::string& name) {
   return DataOf(*server.catalog().Snapshot()->relations.at(name).relation);
 }
 
@@ -589,6 +589,52 @@ TEST(ZeroCopyTest, RecoveredCatalogIsSharedByImageAndSessions) {
     EXPECT_EQ(BufferData(**s1, "r"), ImageData(server, "r"));
     EXPECT_EQ(BufferData(**s2, "r"), ImageData(server, "r"));
   }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ZeroCopyTest, DurableCommitSharesTheImageCodes) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "systolic_server_one_copy")
+          .string();
+  std::filesystem::remove_all(dir);
+  const rel::Relation ints = Rel(rel::MakeIntSchema(2), {{1, 2}, {3, 4}});
+  // A dictionary column whose session codes differ from the durable
+  // catalog's: "b" is code 1 here, and code 0 in the durable catalog's
+  // fresh domain, which sees it first.
+  const auto words = rel::Domain::Make("word", rel::ValueType::kString);
+  ASSERT_OK(words->Encode(rel::Value::String("a")));
+  rel::RelationBuilder builder(rel::Schema({{"w", words}}));
+  ASSERT_STATUS_OK(builder.AddRow({rel::Value::String("b")}));
+  const rel::Relation strings = builder.Finish();
+  {
+    auto opened = SharedCatalog::Open(dir);
+    ASSERT_OK(opened);
+    SharedCatalog& catalog = **opened;
+    ASSERT_OK(catalog.CommitGroup(catalog.Snapshot()->version,
+                                  {{"ints", &ints}, {"strings", &strings}}));
+    const auto image = catalog.Snapshot();
+    const rel::Catalog& durable = catalog.durable_catalog()->catalog();
+    // The durable catalog decoded the put and kept the committed codes.
+    const auto durable_ints = durable.GetRelation("ints");
+    ASSERT_OK(durable_ints);
+    EXPECT_EQ(DataOf(**durable_ints),
+              DataOf(*image->relations.at("ints").relation));
+    EXPECT_EQ(DataOf(**durable_ints), DataOf(ints));
+    // Different codes for the same values: the decoded copy stays.
+    const auto durable_strings = durable.GetRelation("strings");
+    ASSERT_OK(durable_strings);
+    EXPECT_NE(DataOf(**durable_strings), DataOf(strings));
+    EXPECT_EQ((*durable_strings)->ToString(), strings.ToString());
+  }
+  auto reopened = SharedCatalog::Open(dir);
+  ASSERT_OK(reopened);
+  const rel::Catalog& recovered = (*reopened)->durable_catalog()->catalog();
+  const auto recovered_ints = recovered.GetRelation("ints");
+  ASSERT_OK(recovered_ints);
+  EXPECT_EQ((*recovered_ints)->tuples(), ints.tuples());
+  const auto recovered_strings = recovered.GetRelation("strings");
+  ASSERT_OK(recovered_strings);
+  EXPECT_EQ((*recovered_strings)->ToString(), strings.ToString());
   std::filesystem::remove_all(dir);
 }
 

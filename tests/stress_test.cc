@@ -229,7 +229,11 @@ TEST(StressTest, MultiChipMachineTransaction) {
     EXPECT_TRUE(report.ok());
     auto out = m.Buffer("u0");
     EXPECT_TRUE(out.ok());
-    return std::make_pair((*out)->tuples(), report->makespan_seconds);
+    // An owning copy: the machine, and the view's codes, end here.
+    const rel::TupleRange tuples = (*out)->tuples();
+    return std::make_pair(
+        std::vector<rel::Tuple>(tuples.begin(), tuples.end()),
+        report->makespan_seconds);
   };
   const auto [serial_tuples, serial_makespan] = run(1);
   const auto [parallel_tuples, parallel_makespan] = run(4);
