@@ -188,7 +188,7 @@ Status Engine::RunTiled(
 }
 
 void Engine::MergePassInfos(const TileGrid& grid, const TileRecord& record,
-                            ExecStats* stats, size_t cycle_limit) const {
+                            ExecStats* stats) const {
   stats->num_chips = num_chips();
   // Degradation: quarantined chips take no further passes, so the schedule
   // only spreads over the chips still usable.
@@ -201,8 +201,7 @@ void Engine::MergePassInfos(const TileGrid& grid, const TileRecord& record,
   // order, the same order the greedy schedule assigns them.
   std::vector<size_t> chip_busy(usable, 0);
   std::vector<spad::DmaQueue> queues(usable, spad::DmaQueue(overlap));
-  size_t cycles = 0;
-  for (size_t t = 0; t < grid.size && cycles < cycle_limit; ++t) {
+  for (size_t t = 0; t < grid.size; ++t) {
     const Tile tile = grid.at(t);
     ArrayRunInfo info;
     TileTraffic traffic;
@@ -212,7 +211,6 @@ void Engine::MergePassInfos(const TileGrid& grid, const TileRecord& record,
     }
     record(t, tile, &info, &traffic);
     // Sum exactly as the serial path's per-pass accumulation would.
-    cycles += info.cycles;
     ++stats->passes;
     stats->cycles += info.cycles;
     stats->busy_cell_cycles += info.sim.busy_cell_cycles;
@@ -316,11 +314,20 @@ bool Engine::NoWorse(const Tiling& preferred, const Tiling& other) const {
   const size_t bound = p.memory_makespan_cycles > SIZE_MAX / chips
                            ? SIZE_MAX
                            : p.memory_makespan_cycles * chips;
+  // Its records alone settle that: sum their cycles before queueing any
+  // of other's DMA work.
+  size_t cycles = 0;
+  for (size_t t = 0; t < other.grid.size && cycles < bound; ++t) {
+    ArrayRunInfo info;
+    TileTraffic traffic;
+    other.record(t, other.grid.at(t), &info, &traffic);
+    cycles += info.cycles;
+  }
+  if (cycles >= bound) return true;
   ExecStats o;
-  MergePassInfos(other.grid, other.record, &o, bound);
-  return o.cycles >= bound ||
-         (p.cycles <= o.cycles && p.makespan_cycles <= o.makespan_cycles &&
-          p.memory_makespan_cycles <= o.memory_makespan_cycles);
+  MergePassInfos(other.grid, other.record, &o);
+  return p.cycles <= o.cycles && p.makespan_cycles <= o.makespan_cycles &&
+         p.memory_makespan_cycles <= o.memory_makespan_cycles;
 }
 
 size_t Engine::BlockCapacity(FeedMode mode, bool bottom) const {

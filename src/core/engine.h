@@ -363,9 +363,10 @@ class Engine {
   /// The guard's rule: whether `preferred`'s exact schedule is no worse
   /// than `other`'s on cycles, makespan and memory makespan. `other`'s
   /// cycles over the usable chips bound both its makespans from below, so
-  /// its schedule stops as soon as they reach `preferred`'s memory makespan,
-  /// which bounds `preferred`'s three counters from above: rejecting a large
-  /// grid costs only its first tiles.
+  /// its records are summed only until they reach `preferred`'s memory
+  /// makespan, which bounds `preferred`'s three counters from above, and its
+  /// DMA schedule is walked only when they do not: rejecting a large grid
+  /// costs only its first tiles' records.
   bool NoWorse(const Tiling& preferred, const Tiling& other) const;
 
   /// The RTL backend's per-tile entry point, called with the tile index and
@@ -426,10 +427,9 @@ class Engine {
   /// tile's mvin (A feed), preload (B feed), compute and mvout as they are
   /// queued under ResolveOverlap(); adds the batch's makespans and DMA
   /// counters and stamps the chip counts. Holds O(chips) state however many
-  /// tiles the grid has; stops after the tile whose cycles bring the batch's
-  /// sum to `cycle_limit`.
+  /// tiles the grid has.
   void MergePassInfos(const TileGrid& grid, const TileRecord& record,
-                      ExecStats* stats, size_t cycle_limit = SIZE_MAX) const;
+                      ExecStats* stats) const;
 
   /// Width check against device_.columns.
   Status CheckWidth(size_t width) const;

@@ -117,7 +117,6 @@ class TupleRange {
   TupleRef operator[](size_t i) const {
     return TupleRef(std::span(codes_ + i * arity_, arity_));
   }
-  TupleRef front() const { return (*this)[0]; }
   TupleRef back() const { return (*this)[size_ - 1]; }
   iterator begin() const { return iterator(codes_, arity_, 0); }
   iterator end() const {
